@@ -232,7 +232,7 @@ def validate_gcm(matrix) -> CartanData:
         raise NotGCMError("matrix must be square and non-empty")
     for i in range(n):
         for j in range(n):
-            if not isinstance(a[i][j], int):
+            if not isinstance(a[i][j], int) or isinstance(a[i][j], bool):
                 raise NotGCMError(f"entry [{i}][{j}] is not an integer")
             if i == j and a[i][j] != 2:
                 raise NotGCMError("diagonal entries must equal 2")

@@ -65,8 +65,21 @@ class JobConfig:
         return [self.t] if self.t is not None else list(self.cartan.labels)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(path: str, key: str, value) -> tuple[int, ...]:
+    if not (isinstance(value, list) and all(_is_int(x) for x in value)):
+        raise ConfigError(f"{path}: {key} must be a list of integers")
+    return tuple(value)
+
+
 def load_config(path: str, args) -> JobConfig:
-    """Read, validate, and merge the job file with flag overrides."""
+    """Read, validate, and merge the job file with flag overrides.
+
+    Integer fields take JSON integers only; booleans are rejected.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -86,28 +99,42 @@ def load_config(path: str, args) -> JobConfig:
     except TrailkitError as e:
         raise ConfigError(f"{path}: cartan: {e}") from e
     require_finite(cartan)
+    letters = _int_list(path, "word", raw["word"])
     try:
-        word = WordJ(cartan, tuple(raw["word"]))
+        word = WordJ(cartan, letters)
     except TrailkitError as e:
         raise ConfigError(f"{path}: word: {e}") from e
     t = raw.get("t")
     if t is not None:
-        if t not in set(word.letters):
-            raise ConfigError(f"{path}: t={t} does not occur in the word")
+        if not _is_int(t) or t not in word.letters:
+            raise ConfigError(
+                f"{path}: t={t!r} is not an integer occurring in the word")
     c = raw.get("c")
     if c is not None:
-        c = tuple(int(x) for x in c)
+        c = _int_list(path, "c", c)
         if any(x < 0 for x in c):
             raise ConfigError(f"{path}: c entries must be non-negative")
     selector = raw.get("class")
     if selector is not None:
+        if not isinstance(selector, dict):
+            raise ConfigError(f"{path}: class selector must be an object")
         for key in ("t", "s", "j"):
-            if key not in selector:
-                raise ConfigError(f"{path}: class selector needs {key!r}")
+            if not _is_int(selector.get(key)):
+                raise ConfigError(
+                    f"{path}: class selector needs an integer {key!r}")
+        if selector["t"] not in word.letters:
+            raise ConfigError(
+                f"{path}: class selector t does not occur in the word")
+        if selector["s"] not in cartan.labels:
+            raise ConfigError(
+                f"{path}: class selector s must be a label in 1..{cartan.n}")
+        if not 1 <= selector["j"] <= word.m:
+            raise ConfigError(
+                f"{path}: class selector j must lie in 1..{word.m}")
         if t is None:
             t = selector["t"]
     depth = args.depth if args.depth is not None else raw.get("depth", 4)
-    if not isinstance(depth, int) or depth < 0:
+    if not _is_int(depth) or depth < 0:
         raise ConfigError(f"{path}: depth must be a non-negative integer")
     convention = (args.convention if args.convention is not None
                   else raw.get("convention", "dual"))
@@ -282,7 +309,7 @@ def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
                 "detail": e.detail,
             }
             raise
-        rep = check_constructibility(M, cfg.word, t, cfg.word.m)
+        rep = check_constructibility(env, cfg.word.m)
         elems = generate_binf(cfg.cartan, cfg.word, min(cfg.depth, 4),
                               cfg.convention)
         sweep_ok = True

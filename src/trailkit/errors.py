@@ -51,10 +51,6 @@ class RadicalRankMismatch(ConsistencyError):
     """Gram-matrix rank disagrees with the character-formula multiplicity."""
 
 
-class NegativeExponentError(TrailkitError):
-    """Monomial or trail exponent went negative."""
-
-
 class DomainError(TrailkitError):
     """Arguments outside the stated domain of a closed-form expression."""
 
@@ -101,10 +97,6 @@ class FalseTrailDetected(TrailkitError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-class EnvelopeIncomplete(TrailkitError):
-    """Envelope evaluation gave s-dependent answers; coverage is incomplete."""
 
 
 class ConfigError(TrailkitError):

@@ -11,8 +11,8 @@ driver realizes each point.  The construction never touches module vectors;
 the enumerated trails serve as the ground truth that every per-step check
 is measured against.
 
-Checks recorded per step (JSON report keys "54", "56", "57" follow the
-external schema):
+Checks per step (JSON report keys "54", "56", "57" follow the external
+schema):
   - cover: every function settled before the step lies in exactly one
     block's lower part (the points whose last coordinate vanishes);
   - exact: the functions settled by the step equal the disjoint union of
@@ -25,16 +25,17 @@ external schema):
     required to survive as vertices).
 
 A failed cover or exact check raises :class:`FalseTrailDetected` with the
-offending function and the nearest block; forward checks are report data.
+offending function and the nearest block, and is not recorded: an envelope
+exists only if every layer passed both, so key "54" (cover) is always true
+in a written report.  The forward checks are report data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cartan_core import CartanData, WordJ
-from .errors import (ConsistencyError, EnvelopeIncomplete, FalseTrailDetected,
-                     UnknownLetterError)
+from .errors import ConsistencyError, FalseTrailDetected, UnknownLetterError
 from .linalg import extremal_points
 from .rep_builder import LowestWeightModule
 from .sgraph import CoeffVector, binary_fusion, integer_points
@@ -86,11 +87,6 @@ class ClassBlock:
     lower_vertices: frozenset[LinearFunctionBJ]
     exceptional: bool = False
 
-    def with_a(self, a) -> "ClassBlock":
-        return ClassBlock(self.s, self.step, self.c, tuple(a), self.driving,
-                          self.points, self.functions, self.lower,
-                          self.vertices, self.lower_vertices, self.exceptional)
-
 
 @dataclass(frozen=True)
 class EnvelopeLayer:
@@ -99,8 +95,6 @@ class EnvelopeLayer:
     blocks: tuple[ClassBlock, ...]
     discarded: tuple[LinearFunctionBJ, ...]
     functions: frozenset[LinearFunctionBJ]
-    cover_ok: bool
-    exact_ok: bool
     forward_ok: bool
     forward_vertex_ok: bool
 
@@ -115,7 +109,6 @@ class Envelope:
     global_blocks: tuple[ClassBlock, ...]
     functions: frozenset[LinearFunctionBJ]
     driving: LinearFunctionBJ
-    complete: bool = True
 
     @property
     def cartan(self) -> CartanData:
@@ -150,7 +143,7 @@ class Envelope:
             layers.append({
                 "j": L.j,
                 "classes": classes,
-                "checks": {"54": L.cover_ok, "56": L.forward_ok,
+                "checks": {"54": True, "56": L.forward_ok,
                            "57": L.forward_vertex_ok},
             })
         return {"t": self.t, "layers": layers}
@@ -241,6 +234,21 @@ def _nearest_block(blocks, f: LinearFunctionBJ):
     return best
 
 
+def _escaped(j: int, blocks, f: LinearFunctionBJ, detail: str,
+             class_key=None) -> FalseTrailDetected:
+    """Forensics for a function the blocks fail to account for; the class
+    key defaults to the coefficient tuple of the nearest block."""
+    near = _nearest_block(blocks, f)
+    if near is None:
+        return FalseTrailDetected(j, class_key, f, detail=detail)
+    return FalseTrailDetected(j, near.c if class_key is None else class_key,
+                              f, nearest=near.driving, detail=detail)
+
+
+def _union(sets) -> frozenset:
+    return frozenset().union(*sets)
+
+
 def _check_disjoint(j: int, blocks) -> None:
     for i, a in enumerate(blocks):
         for b in blocks[i + 1:]:
@@ -253,35 +261,23 @@ def _check_disjoint(j: int, blocks) -> None:
                     detail="two blocks overlap instead of being disjoint")
 
 
-def _check_cover(word: WordJ, j: int, prev, blocks) -> None:
+def _check_layer(j: int, prev, truth, blocks) -> None:
+    """Cover (every earlier function lies in a lower block) and exactness
+    (the blocks produce precisely the functions settled by step j)."""
     for f in sorted(prev, key=_fn_key):
         if not any(f in b.lower for b in blocks):
-            near = _nearest_block(blocks, f)
-            raise FalseTrailDetected(
-                j, near.c if near else None, f,
-                nearest=near.driving if near else None,
-                detail="settled function missing from every lower block")
+            raise _escaped(j, blocks, f,
+                           "settled function missing from every lower block")
+    constructed = _union(b.functions for b in blocks)
+    if truth - constructed:
+        raise _escaped(j, blocks, min(truth - constructed, key=_fn_key),
+                       "settled function not produced by any block")
+    if constructed - truth:
+        raise _escaped(j, blocks, min(constructed - truth, key=_fn_key),
+                       "block predicts a function with no trail behind it")
 
 
-def _check_exact(word: WordJ, j: int, truth, blocks) -> None:
-    constructed = set()
-    for b in blocks:
-        constructed |= b.functions
-    for f in sorted(truth - constructed, key=_fn_key):
-        near = _nearest_block(blocks, f)
-        raise FalseTrailDetected(
-            j, near.c if near else None, f,
-            nearest=near.driving if near else None,
-            detail="settled function not produced by any block")
-    for f in sorted(constructed - truth, key=_fn_key):
-        near = _nearest_block(blocks, f)
-        raise FalseTrailDetected(
-            j, near.c if near else None, f,
-            nearest=near.driving if near else None,
-            detail="block predicts a function with no trail behind it")
-
-
-def _attach_class_data(M, word, t, trails, j, s, blocks):
+def _attach_class_data(j, s, trails, blocks):
     """Cross-check blocks against the module-level classes and keep their a.
 
     Each non-exceptional block must correspond to exactly one class whose
@@ -312,7 +308,7 @@ def _attach_class_data(M, word, t, trails, j, s, blocks):
         if frozenset(cls.c_primes) != frozenset(p + (0,) for p in b.points):
             raise ConsistencyError("member coordinates disagree with the "
                                    "block lattice points")
-        out.append(b.with_a(cls.a))
+        out.append(replace(b, a=tuple(cls.a)))
     for cls in by_driver.values():
         raise FalseTrailDetected(
             j, cls.c, trail_function(cls.l_min),
@@ -320,43 +316,36 @@ def _attach_class_data(M, word, t, trails, j, s, blocks):
     return out
 
 
-def _step_blocks(M, word, t, trails, j, s, prev, zt1):
+def _decompose(cartan: CartanData, word: WordJ, t: int, s: int,
+               step: int | None, pool, zt1: LinearFunctionBJ):
+    """Disjoint type-s blocks driven by the functions of ``pool``, least
+    driver first; a driver already inside a block is discarded.
+
+    ``step`` is the word step of the per-step pass; ``None`` sweeps the
+    whole word, including classes settling after the last occurrence of s.
+    """
     blocks, discarded = [], []
     if s == t:
-        blocks.append(_exceptional_block(t, j, zt1, settled=True))
-    n = word.count(s, upto=j)
-    for z, c in _linear_extension(word, _candidates(word, s, n, prev)):
+        blocks.append(_exceptional_block(t, step, zt1, settled=True))
+    n = word.count(s, upto=step)
+    for z, c in _linear_extension(word, _candidates(word, s, n, pool)):
         if any(z in b.functions for b in blocks):
             discarded.append(z)
             continue
-        blocks.append(_make_block(M.cartan, word, s, j, z, c))
-    return blocks, discarded
+        blocks.append(_make_block(cartan, word, s, step, z, c))
+    _check_disjoint(word.m if step is None else step, blocks)
+    return tuple(blocks), tuple(discarded)
 
 
-def _sweep_blocks(M, word, t, s, all_funcs, zt1):
-    """Whole-word type-s decomposition, including classes settling after
-    the last occurrence of s."""
-    blocks, discarded = [], []
-    if s == t:
-        blocks.append(_exceptional_block(t, None, zt1, settled=True))
-    n = word.count(s)
-    for z, c in _linear_extension(word, _candidates(word, s, n, all_funcs)):
-        if any(z in b.functions for b in blocks):
-            discarded.append(z)
-            continue
-        blocks.append(_make_block(M.cartan, word, s, None, z, c))
-    _check_disjoint(word.m, blocks)
-    constructed = set()
-    for b in blocks:
-        constructed |= b.functions
-    if constructed != all_funcs:
-        f = min(constructed ^ all_funcs, key=_fn_key)
-        near = _nearest_block(blocks, f)
-        raise FalseTrailDetected(
-            word.m, ("sweep", s), f,
-            nearest=near.driving if near else None,
-            detail=f"whole-word type-{s} decomposition does not match")
-    return blocks
+def _forward(blocks, later) -> tuple[bool, bool]:
+    """Forward checks of one layer against the next (``None`` after the
+    last step): its vertex functions lie in the next lower blocks, and
+    their extremal elements among the next lower vertex sets."""
+    if later is None:
+        return True, True
+    lhs = _union(b.vertices for b in blocks)
+    return (lhs <= _union(b.lower for b in later),
+            _extremal_subset(lhs) <= _union(b.lower_vertices for b in later))
 
 
 def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
@@ -370,93 +359,65 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
         t = M.t
     if t != M.t:
         raise ConsistencyError(f"module was built for t={M.t}, not t={t}")
-    w = _as_word(M.cartan, word)
+    cartan = M.cartan
+    w = _as_word(cartan, word)
     trails = enumerate_trails(M, w, t)
-    seen: dict[LinearFunctionBJ, object] = {}
-    for K in sorted(trails, key=lambda K: K.exps):
-        z = trail_function(K)
-        if z in seen:
-            raise ConsistencyError("two trails define one function")
-        seen[z] = K
-    all_funcs = frozenset(seen) | (
-        frozenset() if spurious is None else frozenset({spurious}))
+    funcs = frozenset(trail_function(K) for K in trails)
+    if len(funcs) != len(trails):
+        raise ConsistencyError("two trails define one function")
+    all_funcs = funcs if spurious is None else funcs | {spurious}
     t1 = w.position(t, 1)
-    zt1 = trail_function(driving_trail(M.cartan, w, t))
+    zt1 = trail_function(driving_trail(cartan, w, t))
 
-    def settled(j):
-        return frozenset(z for z in all_funcs
-                         if not z.support or z.support[-1] <= j)
-
-    raw = []
+    steps = []          # (j, s, blocks, discarded, settled functions)
     prev: frozenset[LinearFunctionBJ] = frozenset()
-    for j in range(1, w.m + 1):
-        s = w.letters[j - 1]
-        truth = settled(j)
+    for j, s in enumerate(w.letters, start=1):
+        truth = frozenset(z for z in all_funcs
+                          if not z.support or z.support[-1] <= j)
+        blocks, discarded = (), ()
         if j < t1:
             if truth:
                 raise FalseTrailDetected(
                     j, None, min(truth, key=_fn_key),
                     detail="function settles before the driving step")
-            raw.append(dict(j=j, s=s, blocks=(), discarded=(),
-                            functions=truth, cover=True, exact=True))
-            continue
-        if j == t1:
-            blocks, discarded = [_exceptional_block(t, j, zt1,
-                                                    settled=False)], []
+        elif j == t1:
+            blocks = (_exceptional_block(t, j, zt1, settled=False),)
             if truth != frozenset({zt1}):
                 f = min(truth ^ {zt1}, key=_fn_key)
                 raise FalseTrailDetected(
                     j, (), f, nearest=zt1,
                     detail="driving layer is not the single driving function")
         else:
-            blocks, discarded = _step_blocks(M, w, t, trails, j, s, prev, zt1)
-            _check_disjoint(j, blocks)
-            _check_cover(w, j, prev, blocks)
-            _check_exact(w, j, truth, blocks)
-            blocks = _attach_class_data(M, w, t, trails, j, s, blocks)
-        raw.append(dict(j=j, s=s, blocks=tuple(blocks),
-                        discarded=tuple(discarded), functions=truth,
-                        cover=True, exact=True))
+            blocks, discarded = _decompose(cartan, w, t, s, j, prev, zt1)
+            _check_layer(j, prev, truth, blocks)
+            blocks = tuple(_attach_class_data(j, s, trails, blocks))
+        steps.append((j, s, blocks, discarded, truth))
         prev = truth
-
-    layers = []
-    for idx, L in enumerate(raw):
-        j = L["j"]
-        if j < t1 or j == w.m:
-            fwd = fwd_v = True
-        else:
-            lhs = set()
-            for b in L["blocks"]:
-                lhs |= b.vertices
-            rhs, rhs_v = set(), set()
-            for b in raw[idx + 1]["blocks"]:
-                rhs |= b.lower
-                rhs_v |= b.lower_vertices
-            fwd = lhs <= rhs
-            fwd_v = _extremal_subset(lhs) <= rhs_v
-        layers.append(EnvelopeLayer(j, L["s"], L["blocks"], L["discarded"],
-                                    L["functions"], L["cover"], L["exact"],
-                                    fwd, fwd_v))
+    later = [step[2] for step in steps[1:]] + [None]
+    layers = tuple(EnvelopeLayer(*step, *_forward(step[2], nxt))
+                   for step, nxt in zip(steps, later))
 
     global_blocks = []
-    for s in M.cartan.labels:
-        global_blocks.extend(_sweep_blocks(M, w, t, s, all_funcs, zt1))
-    return Envelope(t, w, tuple(layers), tuple(global_blocks), all_funcs, zt1)
+    for s in cartan.labels:
+        blocks, _ = _decompose(cartan, w, t, s, None, all_funcs, zt1)
+        constructed = _union(b.functions for b in blocks)
+        if constructed != all_funcs:
+            raise _escaped(w.m, blocks,
+                           min(constructed ^ all_funcs, key=_fn_key),
+                           f"whole-word type-{s} decomposition does not match",
+                           class_key=("sweep", s))
+        global_blocks.extend(blocks)
+    return Envelope(t, w, layers, tuple(global_blocks), all_funcs, zt1)
 
 
-def check_constructibility(M: LowestWeightModule, word, t: int,
-                           j1: int) -> dict:
+def check_constructibility(env: Envelope, j1: int) -> dict:
     """Forward-containment report up to step j1; failures are entries."""
-    env = construct_envelope(M, word, t)
-    t1 = env.word.position(t, 1)
-    steps = []
-    for L in env.layers:
-        if L.j < t1 or L.j > j1:
-            continue
-        steps.append({"j": L.j, "s": L.s, "forward": L.forward_ok,
-                      "forward_vertex": L.forward_vertex_ok})
+    t1 = env.word.position(env.t, 1)
+    steps = [{"j": L.j, "s": L.s, "forward": L.forward_ok,
+              "forward_vertex": L.forward_vertex_ok}
+             for L in env.layers if t1 <= L.j <= j1]
     return {
-        "t": t,
+        "t": env.t,
         "driving_step": t1,
         "j1": j1,
         "steps": steps,
@@ -468,8 +429,6 @@ def check_constructibility(M: LowestWeightModule, word, t: int,
 def epsilon_star(env: Envelope, s: int, b) -> int:
     """Largest value at b among the type-s vertex functions; checked to
     agree with the maximum over every settled function."""
-    if not env.complete:
-        raise EnvelopeIncomplete("envelope carries unverified layers")
     env.cartan.check_label(s)
     val = max(z.evaluate(b) for z in env.z_t(s))
     full = max(z.evaluate(b) for z in env.functions)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from trailkit import cli
+from trailkit import cli, giant
 
 
 def write_config(tmp_path, obj, name="job.json"):
@@ -166,6 +166,23 @@ def test_verify_byte_determinism(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_verify_builds_each_envelope_once(tmp_path, monkeypatch):
+    calls = []
+    build = cli.construct_envelope
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return build(*args, **kwargs)
+
+    # giant's own name too, so a rebuild inside the library is counted
+    monkeypatch.setattr(cli, "construct_envelope", counting)
+    monkeypatch.setattr(giant, "construct_envelope", counting)
+    cfg = write_config(tmp_path, A2_JOB)
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--suite", "envelope"]) == 0
+    assert calls == [1, 2]
+
+
 def test_verify_inject_spurious(tmp_path, capsys):
     cfg = write_config(tmp_path, G2_JOB)
     rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
@@ -216,6 +233,20 @@ def test_verify_reports_failed_suite(tmp_path, capsys, monkeypatch):
     lambda d: dict(d, **{"class": {"t": 1, "s": 2}}),     # selector missing j
     lambda d: dict(d, depth=-3),                          # bad depth
     lambda d: dict(d, convention="spiral"),               # bad convention
+    lambda d: dict(d, c=["x"]),                           # non-integer c
+    lambda d: dict(d, t=True),                            # boolean t
+    lambda d: dict(d, depth=True),                        # boolean depth
+    lambda d: dict(d, word=[True, 2, 1]),                 # boolean letter
+    lambda d: dict(d, **{"class": {"t": 1, "s": 2, "j": 99}}),  # j > m
+    lambda d: dict(d, **{"class": {"t": 5, "s": 2, "j": 1}}),   # t not a label
+    lambda d: dict(d, **{"class": {"t": 1, "s": 2, "j": 0}}),   # j < 1
+    lambda d: {"cartan": d["cartan"], "word": [1],        # t not in word
+               "class": {"t": 2, "s": 1, "j": 1}},
+    lambda d: dict(d, **{"class": {"t": 1, "s": True, "j": 1}}),  # bool s
+    lambda d: dict(d, t=1.0),                             # float t
+    lambda d: dict(d, word=5),                            # word not a list
+    lambda d: {"cartan": [[2, False], [False, 2]],        # boolean entry
+               "word": [1, 2]},
 ])
 def test_config_errors(tmp_path, capsys, mangle, request):
     cfg = write_config(tmp_path, mangle(dict(A2_JOB)))

@@ -1,0 +1,39 @@
+"""Pinned `verify.json` reports: the bytes must not change across code
+versions.  The files under `tests/data/` were written by `trailkit verify
+--suite all` on the configs below; regenerate them only for a deliberate
+change of report content.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from trailkit import cli
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN = [
+    ("verify_g2_all.json", 0,
+     {"cartan": [[2, -1], [-3, 2]], "word": [1, 2, 1, 2, 1, 2]}),
+    ("verify_c3.json", 0,
+     {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+      "word": [3, 2, 3, 1, 2, 3, 1, 2, 1]}),
+    # a known false trail: exit 5 with the forensic block in the report
+    ("verify_b3_false_trail.json", 5,
+     {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+      "word": [1, 3, 2, 1, 3, 2, 1, 3, 2]}),
+]
+
+
+@pytest.mark.parametrize("name,code,job", GOLDEN,
+                         ids=[g[0].removesuffix(".json") for g in GOLDEN])
+def test_verify_report_matches_golden(tmp_path, name, code, job):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--suite", "all"]) == code
+    assert (out / "verify.json").read_bytes() == (DATA / name).read_bytes()
