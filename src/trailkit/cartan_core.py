@@ -311,6 +311,7 @@ class WordJ:
     cartan: CartanData
     letters: tuple[int, ...]
     _positions: dict = field(default_factory=dict, compare=False, repr=False)
+    _prefix: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         letters = tuple(self.letters)
@@ -354,8 +355,16 @@ class WordJ:
 
     def prefix_weight(self, t: int, j: int) -> Weight:
         """-w_j(omega_t): the extremal weight reached after j letters."""
-        w = wneg(self.cartan.fundamental_weight(t))
-        return weyl_act(self.cartan, self.letters[:j], w)
+        if not 0 <= j <= self.m:
+            raise PositionMissingError(f"prefix length {j} outside [0,{self.m}]")
+        if t not in self._prefix:
+            w = wneg(self.cartan.fundamental_weight(t))
+            out = [w]
+            for i in self.letters:
+                w = reflect(self.cartan, i, w)
+                out.append(w)
+            self._prefix[t] = tuple(out)
+        return self._prefix[t][j]
 
 
 @lru_cache(maxsize=None)
@@ -390,17 +399,30 @@ def positive_roots(cartan: CartanData):
 
 
 @lru_cache(maxsize=None)
-def gcm_inverse(cartan: CartanData) -> tuple[tuple[Fraction, ...], ...]:
+def _scaled_inverse(cartan: CartanData) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, D A^{-1}) with D the least common denominator of A^{-1}, so the
+    scaled inverse has integer entries."""
     from .linalg import invert
 
-    return tuple(tuple(row) for row in invert(cartan.gcm))
+    inv = invert(cartan.gcm)
+    den = 1
+    for row in inv:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    return den, tuple(tuple(int(x * den) for x in row) for row in inv)
 
 
-def root_coordinates(cartan: CartanData, w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of a weight in the simple-root basis (exact rationals)."""
-    inv = gcm_inverse(cartan)
-    n = cartan.n
-    return tuple(sum(inv[r][k] * w[k] for k in range(n)) for r in range(n))
+def root_coordinates(cartan: CartanData, w: Weight) -> tuple[int, ...] | None:
+    """Integer coordinates of a weight in the simple-root basis, or None
+    when the weight is not in the root lattice."""
+    den, scaled = _scaled_inverse(cartan)
+    out = []
+    for row in scaled:
+        q, r = divmod(sum(a * x for a, x in zip(row, w)), den)
+        if r:
+            return None
+        out.append(q)
+    return tuple(out)
 
 
 def longest_word_length(cartan: CartanData) -> int:

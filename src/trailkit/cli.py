@@ -79,6 +79,7 @@ def load_config(path: str, args) -> JobConfig:
     """Read, validate, and merge the job file with flag overrides.
 
     Integer fields take JSON integers only; booleans are rejected.
+    ``inject_spurious`` takes a JSON boolean only.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -140,8 +141,10 @@ def load_config(path: str, args) -> JobConfig:
                   else raw.get("convention", "dual"))
     if convention not in CONVENTIONS:
         raise ConfigError(f"{path}: convention must be one of {CONVENTIONS}")
-    inject = bool(raw.get("inject_spurious", False)) or getattr(
-        args, "inject_spurious", False)
+    inject = raw.get("inject_spurious", False)
+    if not isinstance(inject, bool):
+        raise ConfigError(f"{path}: inject_spurious must be true or false")
+    inject = inject or getattr(args, "inject_spurious", False)
     return JobConfig(cartan, word, t, c, selector, depth, convention, inject)
 
 

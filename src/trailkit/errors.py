@@ -48,7 +48,8 @@ class ConsistencyError(TrailkitError):
 
 
 class RadicalRankMismatch(ConsistencyError):
-    """Gram-matrix rank disagrees with the character-formula multiplicity."""
+    """A built module disagrees with the character formulas or its own
+    defining relations."""
 
 
 class DomainError(TrailkitError):

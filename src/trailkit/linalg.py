@@ -1,9 +1,9 @@
 """Exact rational linear algebra helpers.
 
 Everything works over `fractions.Fraction`; no floats anywhere.  Matrices are
-plain lists of lists (rows).  This is deliberately small: row reduction, a
-solver, an inverse, and an exact convex-hull membership test via a phase-one
-simplex with Bland's rule (needed as an extremality oracle at desk scale).
+plain lists of lists (rows).  This is deliberately small: row reduction, an
+inverse, and an exact convex-hull membership test via a phase-one simplex
+with Bland's rule (needed as an extremality oracle at desk scale).
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        if pv != 1:
+            m[r] = [x / pv if x else x for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
     return m, pivots
@@ -48,28 +49,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
-
-
-def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction]:
-    """One exact solution of A x = b; raises if the system is inconsistent.
-
-    Free variables (if any) are set to zero.
-    """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(a, b)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        raise ConsistencyError("inconsistent linear system")
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    # With free variables zeroed the candidate must still satisfy every row.
-    for r in range(len(red)):
-        lhs = sum(red[r][c] * x[c] for c in range(ncols))
-        if lhs != red[r][ncols]:
-            raise ConsistencyError("inconsistent linear system")
-    return x
 
 
 def invert(a: Sequence[Sequence]) -> Matrix:

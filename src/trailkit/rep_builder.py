@@ -1,10 +1,15 @@
 """Exact construction of fundamental modules in finite type.
 
-The module V(-omega_t) is built as follows: first the highest-weight module
-V(omega_t) is realized as the quotient of the free action of the lowering
-operators by the radical of the contravariant form, computed weight space by
-weight space over exact rationals; then the Chevalley involution swaps the
-raising/lowering matrices to produce the lowest-weight picture.
+The highest-weight module V(omega_t) is built one level below the top
+vector at a time (W. de Graaf, J. Pure Appl. Algebra 164 (2001)).  The
+candidates at a weight are the vectors f_j b, b in the level above, each
+represented by its e-images e_i(f_j b) = f_j(e_i b) + delta_ij <h_i, wt b> b
+from matrices already built.  Only the top vector of an irreducible module
+is killed by every e_i, so candidates are independent exactly when their
+e-images are: one row reduction per weight picks the basis and gives the
+f-columns of the other candidates; the e-columns are the e-images.  The
+Chevalley involution then swaps the raising/lowering matrices to produce
+the lowest-weight module V(-omega_t).
 
 Two independent character oracles (Freudenthal recursion and the Weyl
 dimension formula) cross-check every weight multiplicity during the build;
@@ -36,7 +41,7 @@ from .errors import (
     RadicalRankMismatch,
     ZeroVectorError,
 )
-from .linalg import rref, solve
+from .linalg import rref
 
 _F0 = Fraction(0)
 
@@ -71,8 +76,8 @@ def saturated_weight_set(cartan: CartanData, highest: Weight) -> set[Weight]:
 
 def _height(cartan: CartanData, w: Weight) -> int:
     coords = root_coordinates(cartan, w)
-    assert all(c.denominator == 1 for c in coords)
-    return int(sum(coords))
+    assert coords is not None
+    return sum(coords)
 
 
 def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weight, int]:
@@ -128,39 +133,6 @@ def weyl_dimension(cartan: CartanData, highest: Weight) -> int:
 
 
 # ---------------------------------------------------------------------------
-# contravariant form on words in the lowering operators
-
-
-@lru_cache(maxsize=None)
-def _shapovalov(cartan: CartanData, t: int):
-    """Memoized contravariant form on lowering words for highest weight
-    omega_t:  S(I, J) = <f_I v, f_J v>  with  <f_i x, y> = <x, e_i y>."""
-    a = cartan.gcm
-    memo: dict[tuple, int] = {}
-
-    def s(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-        if not left:
-            return 1 if not right else 0
-        key = (left, right)
-        if key in memo:
-            return memo[key]
-        i = left[0]
-        rest = left[1:]
-        total = 0
-        for p, jp in enumerate(right):
-            if jp != i:
-                continue
-            # e_i crossing f_{right[p]} leaves h_i acting on the tail
-            coeff = (1 if i == t else 0) - sum(a[i - 1][q - 1] for q in right[p + 1:])
-            if coeff:
-                total += coeff * s(rest, right[:p] + right[p + 1:])
-        memo[key] = total
-        return total
-
-    return s
-
-
-# ---------------------------------------------------------------------------
 # the module
 
 
@@ -204,7 +176,8 @@ class ModuleVector:
         return self.weight, tuple(sorted(self.coords.items()))
 
 
-Columns = tuple[tuple[tuple[int, Fraction], ...], ...]
+Column = tuple[tuple[int, Fraction], ...]
+Columns = tuple[Column, ...]
 
 
 class LowestWeightModule:
@@ -280,72 +253,82 @@ class LowestWeightModule:
             p += 1
 
 
+def _e_images(e_cols, f_cols, weights, j: int, b: int) -> dict[int, dict[int, Fraction]]:
+    """e_i(f_j b) = f_j(e_i b) + delta_ij <h_i, wt b> b for every i, as
+    sparse coordinates computed from the columns built so far."""
+    out = {}
+    for i, cols in e_cols.items():
+        acc: dict[int, Fraction] = {}
+        for r, x in cols[b]:
+            for q, y in f_cols[j][r]:
+                acc[q] = acc.get(q, _F0) + x * y
+        if i == j:
+            acc[b] = acc.get(b, _F0) + weights[b][i - 1]
+        out[i] = {q: x for q, x in acc.items() if x}
+    return out
+
+
 def _build_matrices(cartan: CartanData, t: int):
-    """Highest-weight build: returns (words, weights, e_cols, f_cols)."""
+    """Highest-weight build of V(omega_t): returns (weights, e_cols, f_cols).
+
+    Basis index 0 is the top vector; each level below it holds the weights
+    one simple root lower, weight spaces in sorted order.
+    """
     lam = cartan.fundamental_weight(t)
-    s = _shapovalov(cartan, t)
     fmult = freudenthal_multiplicities(cartan, lam)
-    words: list[tuple[int, ...]] = [()]
     weights: list[Weight] = [lam]
-    prev: list[tuple[tuple[int, ...], Weight]] = [((), lam)]
-    while prev:
-        groups: dict[Weight, list[tuple[int, ...]]] = {}
-        for w, mu in prev:
-            for i in cartan.labels:
-                groups.setdefault(wsub(mu, cartan.simple_root(i)), []).append((i,) + w)
-        new: list[tuple[tuple[int, ...], Weight]] = []
+    e_cols: dict[int, list[Column]] = {i: [()] for i in cartan.labels}
+    f_cols: dict[int, list[Column]] = {i: [] for i in cartan.labels}
+    level = [0]
+    while level:
+        groups: dict[Weight, list[tuple[int, int]]] = {}
+        for b in level:
+            for j in cartan.labels:
+                nu = wsub(weights[b], cartan.simple_root(j))
+                groups.setdefault(nu, []).append((j, b))
+        f_level: dict[tuple[int, int], Column] = {}
+        next_level: list[int] = []
         for nu in sorted(groups):
-            cands = sorted(groups[nu])
-            gram = [[s(x, y) for y in cands] for x in cands]
-            _, pivots = rref(gram)
+            cands = groups[nu]
+            images = [_e_images(e_cols, f_cols, weights, j, b) for j, b in cands]
+            keys = sorted({(i, q) for im in images for i, col in im.items() for q in col})
+            red, pivots = rref([[im[i].get(q, _F0) for im in images] for i, q in keys])
             if len(pivots) != fmult.get(nu, 0):
                 raise RadicalRankMismatch(
-                    f"weight {nu}: Gram rank {len(pivots)} != "
+                    f"weight {nu}: rank of the e-images {len(pivots)} != "
                     f"Freudenthal multiplicity {fmult.get(nu, 0)}")
-            new.extend((cands[p], nu) for p in pivots)
-        for w, nu in new:
-            words.append(w)
-            weights.append(nu)
-        prev = new
-    index: dict[tuple[int, ...], int] = {w: k for k, w in enumerate(words)}
-    spaces: dict[Weight, list[int]] = {}
-    for idx, mu in enumerate(weights):
-        spaces.setdefault(mu, []).append(idx)
-    grams = {mu: [[s(words[x], words[y]) for y in idxs] for x in idxs]
-             for mu, idxs in spaces.items()}
-
-    def expand(word_vec: tuple[int, ...], nu: Weight) -> list[tuple[int, Fraction]]:
-        """Coordinates of the (possibly non-basis) word vector at weight nu."""
-        idxs = spaces.get(nu)
-        if not idxs:
-            return []
-        if word_vec in index:
-            return [(index[word_vec], Fraction(1))]
-        rhs = [s(words[x], word_vec) for x in idxs]
-        x = solve(grams[nu], rhs)
-        return [(idxs[k], c) for k, c in enumerate(x) if c]
-
-    f_cols: dict[int, list] = {i: [] for i in cartan.labels}
-    e_cols: dict[int, list] = {i: [] for i in cartan.labels}
-    for idx, (w, mu) in enumerate(zip(words, weights)):
-        for i in cartan.labels:
-            f_cols[i].append(tuple(expand((i,) + w, wsub(mu, cartan.simple_root(i)))))
-            nu = wadd(mu, cartan.simple_root(i))
-            idxs = spaces.get(nu)
-            if not idxs:
-                e_cols[i].append(())
-                continue
-            rhs = [s((i,) + words[x], w) for x in idxs]
-            x = solve(grams[nu], rhs)
-            e_cols[i].append(tuple((idxs[k], c) for k, c in enumerate(x) if c))
-    return (words, weights,
+            new = range(len(weights), len(weights) + len(pivots))
+            for p in pivots:
+                weights.append(nu)
+                for i in cartan.labels:
+                    e_cols[i].append(tuple(sorted(images[p][i].items())))
+            for c, key in enumerate(cands):
+                f_level[key] = tuple((new[r], red[r][c]) for r in range(len(pivots))
+                                     if red[r][c])
+            next_level.extend(new)
+        for b in level:
+            for j in cartan.labels:
+                f_cols[j].append(f_level[j, b])
+        level = next_level
+    return (weights,
             {i: tuple(cols) for i, cols in e_cols.items()},
             {i: tuple(cols) for i, cols in f_cols.items()})
 
 
 def _verify_module(m: LowestWeightModule) -> None:
-    """Build-time invariants: sl(2) commutators and the lowest vector."""
-    for i in m.cartan.labels:
+    """Build-time invariants: the Weyl dimension, columns that move weights
+    by the simple roots, sl(2) commutators and the lowest vector."""
+    cartan = m.cartan
+    if m.dim != weyl_dimension(cartan, cartan.fundamental_weight(m.t)):
+        raise RadicalRankMismatch("dimension disagrees with the Weyl formula")
+    for i in cartan.labels:
+        alpha = cartan.simple_root(i)
+        for name, cols, step in (("e", m.e_cols[i], alpha),
+                                 ("f", m.f_cols[i], wneg(alpha))):
+            if len(cols) != m.dim or any(
+                    not 0 <= r < m.dim or m.weights[r] != wadd(m.weights[b], step)
+                    for b, col in enumerate(cols) for r, _ in col):
+                raise RadicalRankMismatch(f"{name}_{i} does not move weights by its root")
         low = m.apply_f(i, m.lowest_vector())
         if not low.is_zero():
             raise RadicalRankMismatch(f"f_{i} does not kill the lowest vector")
@@ -357,6 +340,11 @@ def _verify_module(m: LowestWeightModule) -> None:
             if comm.key() != want.key():
                 raise RadicalRankMismatch(
                     f"[e_{i}, f_{i}] is not alpha_{i}^vee on weight {mu}")
+
+
+# Version of the TRAILKIT_CACHE_DIR payload; a file of any other version
+# (or none) holds matrices in another basis and is rebuilt.
+CACHE_FORMAT = 2
 
 
 def _cache_key(cartan: CartanData, t: int) -> str:
@@ -371,9 +359,9 @@ def _cache_save(path: str, m: LowestWeightModule) -> None:
                          for col in cols] for i, cols in cols_by_i.items()}
 
     data = {
+        "format": CACHE_FORMAT,
         "t": m.t,
         "weights": [list(w) for w in m.weights],
-        "lowest": m.lowest_index,
         "E": enc(m.e_cols),
         "F": enc(m.f_cols),
     }
@@ -384,28 +372,36 @@ def _cache_save(path: str, m: LowestWeightModule) -> None:
 
 
 def _cache_load(path: str, cartan: CartanData, t: int) -> LowestWeightModule | None:
+    """The cached module, or None for a miss: no readable file, a payload
+    of another format version or for another t, or a module that fails
+    the build-time checks."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if data["t"] != t:
+        if data.get("format") != CACHE_FORMAT or data["t"] != t:
             return None
 
         def dec(cols_by_i):
-            return {int(i): tuple(tuple((r, Fraction(num, den)) for r, num, den in col)
-                                  for col in cols) for i, cols in cols_by_i.items()}
+            return {i: tuple(tuple((r, Fraction(num, den)) for r, num, den in col)
+                             for col in cols_by_i[str(i)]) for i in cartan.labels}
 
-        return LowestWeightModule(
-            cartan, t, tuple(tuple(w) for w in data["weights"]),
-            data["lowest"], dec(data["E"]), dec(data["F"]))
-    except (OSError, KeyError, ValueError, TypeError):
+        module = LowestWeightModule(
+            cartan, t, tuple(tuple(w) for w in data["weights"]), 0,
+            dec(data["E"]), dec(data["F"]))
+        _verify_module(module)
+    except (OSError, AttributeError, IndexError, KeyError, TypeError,
+            ValueError, ZeroDivisionError, RadicalRankMismatch):
         return None
+    return module
 
 
 @lru_cache(maxsize=None)
 def build_fundamental(cartan: CartanData, t: int) -> LowestWeightModule:
     """Build V(-omega_t) with exact raising/lowering matrices.
 
-    Set TRAILKIT_CACHE_DIR to persist built modules as JSON across runs.
+    Set TRAILKIT_CACHE_DIR to persist built modules as JSON across runs; a
+    cached module passes the same checks as a fresh build before it is
+    used, and a file that fails them is rebuilt and overwritten.
     """
     require_finite(cartan)
     cartan.check_label(t)
@@ -417,7 +413,7 @@ def build_fundamental(cartan: CartanData, t: int) -> LowestWeightModule:
         cached = _cache_load(cache_path, cartan, t)
         if cached is not None:
             return cached
-    _, weights, e_cols, f_cols = _build_matrices(cartan, t)
+    weights, e_cols, f_cols = _build_matrices(cartan, t)
     # Chevalley flip: negate weights, swap the operator families.
     module = LowestWeightModule(
         cartan, t,
@@ -426,8 +422,6 @@ def build_fundamental(cartan: CartanData, t: int) -> LowestWeightModule:
         e_cols=f_cols,
         f_cols=e_cols,
     )
-    if module.dim != weyl_dimension(cartan, cartan.fundamental_weight(t)):
-        raise RadicalRankMismatch("dimension disagrees with the Weyl formula")
     _verify_module(module)
     if cache_path:
         _cache_save(cache_path, module)

@@ -156,7 +156,7 @@ class Trail:
                 raise ConsistencyError(f"weight step at position {j} is not "
                                        f"{n} alpha_{word.letters[j - 1]}")
             diff = root_coordinates(word.cartan, wsub(self.gamma[j], drive[j]))
-            if any(x < 0 or x.denominator != 1 for x in diff):
+            if diff is None or any(x < 0 for x in diff):
                 raise ConsistencyError(
                     f"weight at position {j} drops below the driving trail")
         if self.phi != _trivialization_step(word, self.t, self.gamma):
@@ -345,7 +345,7 @@ def make_trail(M: LowestWeightModule, word, t: int, exps) -> Trail | None:
         i = word.letters[j - 1]
         g = wadd(gamma[-1], wscale(exps[j - 1], M.cartan.simple_root(i)))
         diff = root_coordinates(M.cartan, wsub(g, drive[j]))
-        if any(x < 0 for x in diff):
+        if diff is None or any(x < 0 for x in diff):
             return None
         gamma.append(g)
     if gamma[word.m] != word.prefix_weight(t, word.m):
@@ -374,17 +374,21 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
     drive = _driving_weights(word, t)
     final = word.prefix_weight(t, m)
     letters_after = [set(word.letters[j:]) for j in range(m + 1)]
+    # Root coordinates relative to gamma_1: a node's are its raising counts,
+    # the driving trail's are the lower bounds of (P), the final weight's
+    # the upper bounds.
+    low = [root_coordinates(cartan, wsub(g, drive[0])) for g in drive]
+    high = root_coordinates(cartan, wsub(final, drive[0]))
     found: list[Trail] = []
 
-    def admissible(g: Weight, j: int) -> bool:
-        over = root_coordinates(cartan, wsub(g, drive[j]))
-        if any(x < 0 for x in over):
+    def admissible(x: list[int], j: int) -> bool:
+        if any(a < b for a, b in zip(x, low[j])):
             return False
-        deficit = root_coordinates(cartan, wsub(final, g))
-        return all(x >= 0 for x in deficit) and all(
-            c + 1 in letters_after[j] for c, x in enumerate(deficit) if x > 0)
+        return all(a <= h and (a == h or c + 1 in letters_after[j])
+                   for c, (a, h) in enumerate(zip(x, high)))
 
-    def search(j: int, gamma: list[Weight], v: ModuleVector, exps: list[int]):
+    def search(j: int, gamma: list[Weight], x: list[int], v: ModuleVector,
+               exps: list[int]):
         if j > m:
             phi = _trivialization_step(word, t, gamma)
             found.append(Trail(word, t, tuple(gamma), tuple(exps), phi))
@@ -393,9 +397,10 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
         alpha = cartan.simple_root(i)
         n = 0
         g = gamma[-1]
+        x = list(x)
         while True:
-            if admissible(g, j):
-                search(j + 1, gamma + [g], v, exps + [n])
+            if admissible(x, j):
+                search(j + 1, gamma + [g], x, v, exps + [n])
             n += 1
             if max_exp is not None and n > max_exp:
                 raise DepthExhausted(
@@ -404,8 +409,9 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
             if v.is_zero():
                 return
             g = wadd(g, alpha)
+            x[i - 1] += 1
 
-    search(1, [drive[0]], extremal_vector(M, (t,)), [])
+    search(1, [drive[0]], [0] * cartan.n, extremal_vector(M, (t,)), [])
 
     trails = frozenset(found)
     first = word.position(t, 1)

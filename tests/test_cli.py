@@ -247,6 +247,7 @@ def test_verify_reports_failed_suite(tmp_path, capsys, monkeypatch):
     lambda d: dict(d, word=5),                            # word not a list
     lambda d: {"cartan": [[2, False], [False, 2]],        # boolean entry
                "word": [1, 2]},
+    lambda d: dict(d, inject_spurious="false"),           # string flag
 ])
 def test_config_errors(tmp_path, capsys, mangle, request):
     cfg = write_config(tmp_path, mangle(dict(A2_JOB)))

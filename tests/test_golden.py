@@ -1,7 +1,7 @@
-"""Pinned `verify.json` reports: the bytes must not change across code
-versions.  The files under `tests/data/` were written by `trailkit verify
---suite all` on the configs below; regenerate them only for a deliberate
-change of report content.
+"""Pinned reports: the bytes must not change across code versions.  The
+files under `tests/data/` were written by `trailkit verify --suite all`
+and `trailkit enumerate` on the configs below; regenerate them only for a
+deliberate change of report content.
 """
 
 from __future__ import annotations
@@ -37,3 +37,32 @@ def test_verify_report_matches_golden(tmp_path, name, code, job):
     assert cli.main(["verify", "--config", str(cfg), "--out", str(out),
                      "--suite", "all"]) == code
     assert (out / "verify.json").read_bytes() == (DATA / name).read_bytes()
+
+
+C5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+      [0, 0, -1, 2, -2], [0, 0, 0, -1, 2]]
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+
+# Greedy reduced words of w0 (the least admissible label at every step);
+# both modules have weight spaces of dimension > 1.
+GOLDEN_TRAILS = [
+    ("trails_c5_t4.json",
+     {"cartan": C5, "t": 4,
+      "word": [1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4, 3, 2, 5,
+               4, 3, 5, 4, 5]}),
+    ("trails_e6_t2.json",
+     {"cartan": E6, "t": 2,
+      "word": [1, 2, 3, 1, 4, 2, 3, 1, 4, 3, 5, 4, 2, 3, 1, 4, 3, 5, 4, 2,
+               6, 5, 4, 2, 3, 1, 4, 3, 5, 4, 2, 6, 5, 4, 3, 1]}),
+]
+
+
+@pytest.mark.parametrize("name,job", GOLDEN_TRAILS,
+                         ids=[g[0].removesuffix(".json") for g in GOLDEN_TRAILS])
+def test_enumerate_report_matches_golden(tmp_path, name, job):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["enumerate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "trails.json").read_bytes() == (DATA / name).read_bytes()

@@ -1,6 +1,16 @@
 from __future__ import annotations
 
+import json
+import os
+import resource
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import pytest
+
+import trailkit
 
 from trailkit import (
     WordJ,
@@ -13,6 +23,7 @@ from trailkit import (
     weyl_act,
     weyl_dimension,
 )
+from trailkit import rep_builder
 from trailkit.errors import NotFiniteTypeError, UnknownLetterError, ZeroVectorError
 
 from conftest import FULL_WORDS, GCM, cartan_key
@@ -173,3 +184,117 @@ def test_module_cache_roundtrip(tmp_path, monkeypatch, cartans):
     assert second.weights == first.weights
     assert second.e_cols == first.e_cols
     assert second.f_cols == first.f_cols
+
+
+def _tamper_version(data):
+    del data["format"]
+
+
+def _tamper_coefficient(data):
+    col = next(col for col in data["E"]["1"] if col)
+    col[0][1] *= 3
+
+
+@pytest.mark.parametrize("tamper", [_tamper_version, _tamper_coefficient],
+                         ids=["versionless", "coefficient"])
+def test_module_cache_rebuilds_bad_file(tmp_path, monkeypatch, cartans, tamper):
+    monkeypatch.setenv("TRAILKIT_CACHE_DIR", str(tmp_path))
+    build = build_fundamental.__wrapped__      # skip the in-memory memo
+    c = cartans["B2"]
+    fresh = build(c, 1)
+    (path,) = tmp_path.iterdir()
+    good = path.read_bytes()
+    data = json.loads(good)
+    tamper(data)
+    path.write_text(json.dumps(data))
+    builds = []
+    real = rep_builder._build_matrices
+    monkeypatch.setattr(rep_builder, "_build_matrices",
+                        lambda *a: builds.append(a) or real(*a))
+    again = build(c, 1)
+    assert builds == [(c, 1)]                  # a miss: rebuilt, not loaded
+    assert (again.weights, again.e_cols, again.f_cols) == (
+        fresh.weights, fresh.e_cols, fresh.f_cols)
+    assert path.read_bytes() == good           # and the file overwritten
+
+
+# --- relations the build does not check itself --------------------------------
+
+
+def _power(apply, i: int, k: int, v):
+    for _ in range(k):
+        v = apply(i, v)
+    return v
+
+
+def _serre(m, apply, i: int, j: int, v):
+    """(ad x_i)^{1-a_ij} x_j applied to v, for x = e or x = f."""
+    k = 1 - m.cartan.pairing(i, j)
+    total = m.zero()
+    for r in range(k + 1):
+        term = _power(apply, i, k - r, apply(j, _power(apply, i, r, v)))
+        total = total.add(term.scale((-1) ** r * comb(k, r)))
+    return total
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4"])
+def test_commutation_and_serre_relations(cartans, name):
+    c = cartans[name]
+    for t in c.labels:
+        m = build_fundamental(c, t)
+        for idx in range(m.dim):
+            v = m.basis_vector(idx)
+            for i in c.labels:
+                for j in c.labels:
+                    if i == j:
+                        continue
+                    comm = m.apply_e(i, m.apply_f(j, v)).add(
+                        m.apply_f(j, m.apply_e(i, v)).scale(-1))
+                    assert comm.is_zero(), (name, t, i, j)
+                    assert _serre(m, m.apply_e, i, j, v).is_zero(), (name, t, i, j)
+                    assert _serre(m, m.apply_f, i, j, v).is_zero(), (name, t, i, j)
+
+
+# --- every fundamental module up to rank 6 -------------------------------------
+
+RANK_6_TYPES = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)]
+                + [("C", n) for n in range(3, 7)] + [("D", n) for n in range(4, 7)]
+                + [("E", 6), ("F", 4), ("G", 2)])
+
+_BUILD_ALL = """
+import json, sys
+from trailkit.cartan_core import _standard_gcm, validate_gcm
+from trailkit.rep_builder import (build_fundamental, freudenthal_multiplicities,
+                                  weyl_dimension)
+for family, n in json.loads(sys.argv[1]):
+    c = validate_gcm(_standard_gcm(family, n))
+    for t in c.labels:
+        lam = c.fundamental_weight(t)
+        mult = freudenthal_multiplicities(c, lam)
+        print(json.dumps([family + str(n), t, build_fundamental(c, t).dim,
+                          weyl_dimension(c, lam), sum(mult.values())]),
+              flush=True)
+"""
+
+ADDRESS_SPACE_CAP = 2 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+def test_every_fundamental_up_to_rank_6_builds_in_2gb():
+    env = {k: v for k, v in os.environ.items() if k != "TRAILKIT_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(trailkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUILD_ALL, json.dumps(RANK_6_TYPES)],
+        capture_output=True, text=True, env=env, timeout=600,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rows = {(name, t): (dim, weyl, freudenthal) for name, t, dim, weyl, freudenthal
+            in map(json.loads, proc.stdout.splitlines())}
+    assert len(rows) == sum(n for _, n in RANK_6_TYPES)
+    for key, (dim, weyl, freudenthal) in rows.items():
+        assert dim == weyl == freudenthal, key
+    assert rows["F4", 2][0] == 1274 and rows["F4", 3][0] == 273
+    assert rows["E6", 3][0] == 351

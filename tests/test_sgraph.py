@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trailkit.errors import ConsistencyError, PointOutside
-from trailkit.linalg import extremal_points, in_convex_hull, invert, rank, rref, solve
+from trailkit.linalg import extremal_points, in_convex_hull, invert, rank, rref
 from trailkit.sgraph import (
     CoeffVector,
     binary_fusion,
@@ -33,10 +33,7 @@ def test_rref_and_rank():
     assert rank([[1, 2], [2, 4]]) == 1
 
 
-def test_solve_and_invert():
-    assert solve([[2, 0], [0, 4]], [6, 8]) == [3, 2]
-    with pytest.raises(ConsistencyError):
-        solve([[1, 1], [1, 1]], [0, 1])
+def test_invert():
     assert invert([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     with pytest.raises(ConsistencyError):
         invert([[1, 1], [1, 1]])
