@@ -44,6 +44,11 @@ from .trails import (driving_trail, enumerate_trails, face_function,
 
 SUITES = ("sl2", "sgraph", "trails", "envelope", "all")
 
+# Largest box prod(c_i + 1) that an explicit "c" may span.  `sgraph` scans
+# the whole box for lattice points and runs one extremality LP per point;
+# at 512 the slowest shape, c = [511], takes about 8 s.
+SGRAPH_BOX_LIMIT = 512
+
 
 class JobConfig:
     """Validated instance data for one invocation."""
@@ -78,7 +83,8 @@ def _int_list(path: str, key: str, value) -> tuple[int, ...]:
 def load_config(path: str, args) -> JobConfig:
     """Read, validate, and merge the job file with flag overrides.
 
-    Integer fields take JSON integers only; booleans are rejected.
+    Integer fields take JSON integers only; booleans are rejected.  An
+    explicit ``c`` may span at most ``SGRAPH_BOX_LIMIT`` lattice points.
     ``inject_spurious`` takes a JSON boolean only.
     """
     try:
@@ -115,6 +121,13 @@ def load_config(path: str, args) -> JobConfig:
         c = _int_list(path, "c", c)
         if any(x < 0 for x in c):
             raise ConfigError(f"{path}: c entries must be non-negative")
+        box = 1
+        for x in c:
+            box *= x + 1
+            if box > SGRAPH_BOX_LIMIT:
+                raise ConfigError(
+                    f"{path}: c spans more than {SGRAPH_BOX_LIMIT} lattice "
+                    f"points (the product of c_i + 1)")
     selector = raw.get("class")
     if selector is not None:
         if not isinstance(selector, dict):

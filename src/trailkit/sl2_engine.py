@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import comb, factorial
 
 from .errors import DomainError, NotApplicable
@@ -28,7 +30,8 @@ class Sl2Config:
     """Labels (a, k, l) with their prefix-sum calculus.
 
     ``b_i = k_i - l_i`` are the per-position drops; prefix sums are 1-based:
-    ``a_pref(j) = a_1 + ... + a_j`` and ``a_pref(0) = 0``.
+    ``a_pref(j) = a_1 + ... + a_j`` for ``0 <= j <= n``, and
+    ``a_pref(0) = 0``.  They are computed once, on first use.
     """
 
     a: tuple[int, ...]
@@ -60,14 +63,19 @@ class Sl2Config:
     def has_negative_b(self) -> bool:
         return any(x < y for x, y in zip(self.k, self.l))
 
+    @cached_property
+    def _prefix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(accumulate(x, initial=0))
+                     for x in (self.a, self.k, self.l))
+
     def a_pref(self, j: int) -> int:
-        return sum(self.a[:j])
+        return self._prefix[0][j]
 
     def k_pref(self, j: int) -> int:
-        return sum(self.k[:j])
+        return self._prefix[1][j]
 
     def l_pref(self, j: int) -> int:
-        return sum(self.l[:j])
+        return self._prefix[2][j]
 
 
 def coefficient_A_factors(cfg: Sl2Config):
@@ -81,16 +89,15 @@ def coefficient_A_factors(cfg: Sl2Config):
         return 0, [], []
     binomials = [comb(ki, li) for ki, li in zip(cfg.k, cfg.l)]
     linear = []
-    for j in range(1, cfg.n + 1):
-        base = cfg.a_pref(j) + 1 - cfg.k_pref(j - 1) - cfg.l_pref(j)
-        linear.extend(base - i for i in range(1, cfg.b[j - 1] + 1))
+    a_pref, k_pref, l_pref = cfg._prefix
+    for j, bj in enumerate(cfg.b, 1):
+        base = a_pref[j] + 1 - k_pref[j - 1] - l_pref[j]
+        linear.extend(base - i for i in range(1, bj + 1))
     return factorial(cfg.b_total), binomials, linear
 
 
 def coefficient_A(cfg: Sl2Config) -> int:
     """Coefficient of v_l in f^b v_k (closed form); 0 when some b_i < 0."""
-    if cfg.has_negative_b:
-        return 0
     head, binomials, linear = coefficient_A_factors(cfg)
     out = head
     for x in binomials:

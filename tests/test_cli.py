@@ -105,6 +105,14 @@ def test_sgraph_class_selector(tmp_path):
                      ((1, 0, 0), (1, 0, 2), 2)]
 
 
+def test_sgraph_box_at_the_limit_is_accepted(tmp_path):
+    assert cli.SGRAPH_BOX_LIMIT == 8 ** 3
+    cfg = write_config(tmp_path, dict(A2_JOB, c=[7, 7, 7]))
+    assert cli.main(["sgraph", "--config", cfg, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "sgraph.json").read_text())
+    assert len(payload["points"]) == 120
+
+
 def test_sgraph_needs_c_or_selector(tmp_path, capsys):
     cfg = write_config(tmp_path, A2_JOB)
     assert cli.main(["sgraph", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -248,6 +256,8 @@ def test_verify_reports_failed_suite(tmp_path, capsys, monkeypatch):
     lambda d: {"cartan": [[2, False], [False, 2]],        # boolean entry
                "word": [1, 2]},
     lambda d: dict(d, inject_spurious="false"),           # string flag
+    lambda d: dict(d, c=[40] * 6),                        # box 41**6
+    lambda d: dict(d, c=[512]),                           # box just over
 ])
 def test_config_errors(tmp_path, capsys, mangle, request):
     cfg = write_config(tmp_path, mangle(dict(A2_JOB)))
