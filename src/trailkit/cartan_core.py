@@ -305,13 +305,16 @@ class WordJ:
 
     ``position(s, k)`` is the index j of the k-th occurrence of s counting
     from the start of ``letters`` (the first letter is the one acting
-    first).  ``occurrence(j)`` inverts it.
+    first).  ``occurrence(j)`` inverts it.  Data derived from the word alone
+    is kept per instance (:meth:`memoized`), so it lives exactly as long as
+    the word.
     """
 
     cartan: CartanData
     letters: tuple[int, ...]
     _positions: dict = field(default_factory=dict, compare=False, repr=False)
     _prefix: dict = field(default_factory=dict, compare=False, repr=False)
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         letters = tuple(self.letters)
@@ -365,6 +368,14 @@ class WordJ:
                 out.append(w)
             self._prefix[t] = tuple(out)
         return self._prefix[t][j]
+
+    def memoized(self, key, build):
+        """``build()``, computed on the first request for ``key`` and kept
+        on this word.  ``key`` must determine the value given the word."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
 
 @lru_cache(maxsize=None)

@@ -99,23 +99,23 @@ def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weig
             continue
         num = 0
         for (b, _), beta_w in zip(pos, pos_w):
-            k = 1
-            while True:
-                nu = wadd(mu, wscale(k, beta_w))
-                if nu not in mult:
-                    break
+            nu = wadd(mu, beta_w)
+            while nu in mult:
                 # (nu, beta) with beta in root coordinates b
                 num += mult[nu] * sum(b[j] * d[j] * nu[j] for j in range(n))
-                k += 1
+                nu = wadd(nu, beta_w)
         # denominator (|highest+rho|^2 - |mu+rho|^2) = (highest+mu+2rho, highest-mu)
         diff = root_coordinates(cartan, wsub(highest, mu))
         tot = wadd(wadd(highest, mu), wadd(rho, rho))
         denom = sum(diff[j] * d[j] * tot[j] for j in range(n))
         assert denom != 0
-        val = Fraction(2 * num) / denom
-        assert val.denominator == 1 and val >= 0
+        val, rem = divmod(2 * num, denom)
+        if rem or val < 0:
+            raise RadicalRankMismatch(
+                f"weight {mu}: Freudenthal multiplicity {2 * num}/{denom} is "
+                f"not a non-negative integer")
         if val:
-            mult[mu] = int(val)
+            mult[mu] = val
     return mult
 
 

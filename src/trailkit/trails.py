@@ -25,7 +25,7 @@ grouped into classes carrying the a/k/l/c/c' data used downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import ge, sub
 
 from .cartan_core import (
     CartanData,
@@ -112,8 +112,14 @@ def _as_word(cartan: CartanData, word) -> WordJ:
     return WordJ(cartan, tuple(word))
 
 
-def _driving_weights(word: WordJ, t: int) -> tuple[Weight, ...]:
-    """Weights gamma_1..gamma_{m+1} of the driving trail of type t."""
+def _driving_data(word: WordJ, t: int):
+    """(gamma, low) of the driving trail of type t, computed once per word:
+    its weights gamma_1..gamma_{m+1}, and their integer root coordinates
+    relative to gamma_1 (the lower bounds of (P) in those coordinates)."""
+    return word.memoized(("driving", t), lambda: _build_driving_data(word, t))
+
+
+def _build_driving_data(word: WordJ, t: int):
     if word.count(t) == 0:
         raise TNotInWord(f"letter {t} does not occur in {word.letters}")
     p1 = word.position(t, 1)
@@ -122,7 +128,8 @@ def _driving_weights(word: WordJ, t: int) -> tuple[Weight, ...]:
     gamma = [start] * (p1 + 1)
     for j in range(p1 + 1, word.m + 1):
         gamma.append(word.prefix_weight(t, j))
-    return tuple(gamma)
+    low = tuple(root_coordinates(word.cartan, wsub(g, start)) for g in gamma)
+    return tuple(gamma), low
 
 
 @dataclass(frozen=True)
@@ -144,22 +151,26 @@ class Trail:
     def __post_init__(self):
         word, m = self.word, self.word.m
         assert len(self.gamma) == m + 1 and len(self.exps) == m
-        drive = _driving_weights(word, self.t)
-        if self.gamma[0] != drive[0]:
+        drive, low = _driving_data(word, self.t)
+        gamma, cartan = self.gamma, word.cartan
+        if gamma[0] != drive[0]:
             raise ConsistencyError("trail does not start at -s_t(omega_t)")
-        for j in range(1, m + 1):
-            n = self.exps[j - 1]
+        # x holds the root coordinates of gamma_j - gamma_1, the raising
+        # counts so far.  With gamma_1 and every step checked, those of
+        # gamma_j - drive_j are exactly x - low_j.
+        x = [0] * cartan.n
+        for j, (i, n) in enumerate(zip(word.letters, self.exps), start=1):
             if n < 0:
                 raise ConsistencyError(f"negative exponent at position {j}")
-            alpha = word.cartan.simple_root(word.letters[j - 1])
-            if wsub(self.gamma[j], self.gamma[j - 1]) != wscale(n, alpha):
+            if (list(map(sub, gamma[j], gamma[j - 1]))
+                    != [n * a for a in cartan.simple_root(i)]):
                 raise ConsistencyError(f"weight step at position {j} is not "
-                                       f"{n} alpha_{word.letters[j - 1]}")
-            diff = root_coordinates(word.cartan, wsub(self.gamma[j], drive[j]))
-            if diff is None or any(x < 0 for x in diff):
+                                       f"{n} alpha_{i}")
+            x[i - 1] += n
+            if not all(map(ge, x, low[j])):
                 raise ConsistencyError(
                     f"weight at position {j} drops below the driving trail")
-        if self.phi != _trivialization_step(word, self.t, self.gamma):
+        if self.phi != _trivialization_step(word, self.t, gamma):
             raise ConsistencyError("declared trivialization step is wrong")
 
     @property
@@ -205,7 +216,7 @@ def driving_trail(cartan: CartanData, word, t: int) -> Trail:
     """The driving trail of type t: constant at -s_t(omega_t) through the
     first occurrence of t, then the extremal weights -w_j(omega_t)."""
     word = _as_word(cartan, word)
-    gamma = _driving_weights(word, t)
+    gamma = _driving_data(word, t)[0]
     exps = []
     for j in range(1, word.m + 1):
         i = word.letters[j - 1]
@@ -229,17 +240,20 @@ def trail_function(K: Trail) -> LinearFunctionBJ:
 
 def kashiwara_function(cartan: CartanData, word, s: int, k: int) -> LinearFunctionBJ:
     """r_s^k = m_s^k + sum over positions j after (s,k) of
-    alpha_{i_j}^vee(alpha_s) m_j; for k = 0 the sum runs over the whole word."""
+    alpha_{i_j}^vee(alpha_s) m_j; for k = 0 the sum runs over the whole word.
+    Built once per word and (s, k)."""
     word = _as_word(cartan, word)
     cartan.check_label(s)
-    if k == 0:
-        coeffs = {j: cartan.pairing(word.letters[j - 1], s)
-                  for j in range(1, word.m + 1)}
-        return LinearFunctionBJ.from_coeffs(coeffs)
-    u = word.position(s, k)
-    coeffs = {u: 1}
-    for j in range(u + 1, word.m + 1):
-        coeffs[j] = cartan.pairing(word.letters[j - 1], s)
+    return word.memoized(("kashiwara", s, k),
+                         lambda: _build_kashiwara(word, s, k))
+
+
+def _build_kashiwara(word: WordJ, s: int, k: int) -> LinearFunctionBJ:
+    u = 1 if k == 0 else word.position(s, k)
+    coeffs = {j: word.cartan.pairing(word.letters[j - 1], s)
+              for j in range(u, word.m + 1)}
+    if k:
+        coeffs[u] = 1
     return LinearFunctionBJ.from_coeffs(coeffs)
 
 
@@ -272,9 +286,13 @@ def face_function(cartan: CartanData, word, s: int,
     return weights, LinearFunctionBJ.from_coeffs(coeffs)
 
 
-@lru_cache(maxsize=None)
 def _face_basis(word: WordJ) -> dict[int, LinearFunctionBJ]:
-    """Closed-face functions keyed by their top support position (s,k)."""
+    """Closed-face functions keyed by their top support position (s,k),
+    computed once per word."""
+    return word.memoized("face_basis", lambda: _build_face_basis(word))
+
+
+def _build_face_basis(word: WordJ) -> dict[int, LinearFunctionBJ]:
     basis = {}
     for s in word.cartan.labels:
         for k in range(2, word.count(s) + 1):
@@ -339,15 +357,16 @@ def make_trail(M: LowestWeightModule, word, t: int, exps) -> Trail | None:
     exps = tuple(exps)
     if len(exps) != word.m or any(n < 0 for n in exps):
         return None
-    drive = _driving_weights(word, t)
+    drive, low = _driving_data(word, t)
     gamma = [drive[0]]
+    x = [0] * M.cartan.n  # root coordinates of gamma_j - gamma_1
     for j in range(1, word.m + 1):
         i = word.letters[j - 1]
-        g = wadd(gamma[-1], wscale(exps[j - 1], M.cartan.simple_root(i)))
-        diff = root_coordinates(M.cartan, wsub(g, drive[j]))
-        if diff is None or any(x < 0 for x in diff):
+        n = exps[j - 1]
+        gamma.append(wadd(gamma[-1], wscale(n, M.cartan.simple_root(i))))
+        x[i - 1] += n
+        if not all(map(ge, x, low[j])):
             return None
-        gamma.append(g)
     if gamma[word.m] != word.prefix_weight(t, word.m):
         return None
     if _chain(M, word, t, exps) is None:
@@ -371,14 +390,12 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
         raise ConsistencyError(f"module is built for t={M.t}, not t={t}")
     cartan = M.cartan
     m = word.m
-    drive = _driving_weights(word, t)
-    final = word.prefix_weight(t, m)
+    drive, low = _driving_data(word, t)
     letters_after = [set(word.letters[j:]) for j in range(m + 1)]
     # Root coordinates relative to gamma_1: a node's are its raising counts,
-    # the driving trail's are the lower bounds of (P), the final weight's
-    # the upper bounds.
-    low = [root_coordinates(cartan, wsub(g, drive[0])) for g in drive]
-    high = root_coordinates(cartan, wsub(final, drive[0]))
+    # the driving trail's are the lower bounds of (P), and the final weight
+    # -w_m(omega_t) = drive_{m+1} gives the upper bounds.
+    high = low[m]
     found: list[Trail] = []
 
     def admissible(x: list[int], j: int) -> bool:

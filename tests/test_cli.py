@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trailkit import cli, giant
 
@@ -297,3 +302,54 @@ def test_flags_override_config(tmp_path):
     report = json.loads((tmp_path / "verify.json").read_text())
     for m in report["envelope"]["modules"]:
         assert len(m["epsilon_star_elements"]) == 3
+
+
+# --- the report writer -------------------------------------------------------
+
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=-2 ** 100, max_value=2 ** 100)
+           | st.sampled_from([0, 1, True, False, -1]) | st.text())
+_REPORTS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=4)),
+    max_leaves=40)
+
+
+def _written(obj) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "report.json")
+        cli._write_json(path, obj)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORTS)
+def test_write_json_matches_the_stdlib_encoder(obj):
+    want = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    assert _written(obj) == want.encode("utf-8")
+
+
+def test_write_json_fixed_cases():
+    for obj in ({}, [], (), "", [[], {}], {"é\x00": "\x1f \U0001f600"},
+                {10: 1, 2: [True, 1, False, 0], -3: None},
+                [10 ** 40, -10 ** 40], {"z": {"y": {"x": [[1]]}}}):
+        assert _written(obj) == (
+            json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+def test_write_json_chunks_a_long_report():
+    obj = {"rows": [{"k": [i, -i], "s": str(i)} for i in range(20000)]}
+    assert _written(obj) == (
+        json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "obj", [1.5, [Fraction(1, 2)], {"a": {"b": 0.0}}, {1: 0, "a": 0}],
+    ids=["float", "fraction", "nested-float", "mixed-keys"])
+def test_write_json_rejects_what_reports_never_hold(obj):
+    with pytest.raises(TypeError):
+        _written(obj)

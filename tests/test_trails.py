@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import re
+import weakref
 
 import pytest
 
 from trailkit import (
     LinearFunctionBJ,
     Sl2Config,
+    Trail,
+    WordJ,
+    build_fundamental,
     coefficient_A,
+    construct_envelope,
     driving_function,
     driving_trail,
     enumerate_trails,
@@ -23,6 +30,8 @@ from trailkit import (
     try_remove_face,
     xt_leq,
 )
+from trailkit import trails
+from trailkit.cartan_core import root_coordinates
 from trailkit.errors import (
     ConsistencyError,
     MixedTrivialization,
@@ -263,6 +272,10 @@ def test_kashiwara_function_values(full_words):
     # r^0 - r^1 keeps only the twisted first occurrence
     diff = kashiwara_function(c, w, 2, 0) - kashiwara_function(c, w, 2, 1)
     assert diff.as_dict() == {1: -1, 2: 1}
+    # built once per word; an equal word builds an equal function
+    assert kashiwara_function(c, w, 1, 2) is kashiwara_function(c, w, 1, 2)
+    assert (kashiwara_function(c, w.letters, 1, 2)
+            == kashiwara_function(c, w, 1, 2))
 
 
 def test_xt_cone_membership(modules, full_words):
@@ -340,3 +353,83 @@ def test_rigidify_positivity():
             assert all(x <= y for x, y in zip(lt, l))
             assert lt[-1] == 0
             assert coefficient_A(Sl2Config(a, l, lt)) > 0
+
+
+# --- the trail axioms, checked on construction ------------------------------
+
+
+def _weights_for(word, t, exps):
+    """gamma_1..gamma_{m+1} reached from -s_t(omega_t) by the exponents."""
+    c = word.cartan
+    g = tuple(r - f for r, f in zip(c.simple_root(t), c.fundamental_weight(t)))
+    gamma = [g]
+    for i, n in zip(word.letters, exps):
+        g = tuple(a + n * r for a, r in zip(g, c.simple_root(i)))
+        gamma.append(g)
+    return tuple(gamma)
+
+
+def _axiom_error(K, message, **changes):
+    fields = {"word": K.word, "t": K.t, "gamma": K.gamma, "exps": K.exps,
+              "phi": K.phi, **changes}
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        Trail(**fields)
+
+
+def test_trail_axiom_violations_raise(full_words):
+    w = full_words["G2"]
+    K = driving_trail(w.cartan, w, 2)           # exps (0, 0, 1, 2, 1, 1)
+    Trail(K.word, K.t, K.gamma, K.exps, K.phi)  # the valid trail passes
+    _axiom_error(K, "trail does not start at -s_t(omega_t)",
+                 gamma=((0, 0),) + K.gamma[1:])
+    _axiom_error(K, "negative exponent at position 4",
+                 exps=(0, 0, 1, -1, 1, 1))
+    _axiom_error(K, "weight step at position 3 is not 2 alpha_1",
+                 exps=(0, 0, 2, 2, 1, 1))
+    # each step checked, but position 3 stays below the driving trail
+    flat = (0, 0, 0, 3, 2, 1)
+    _axiom_error(K, "weight at position 3 drops below the driving trail",
+                 gamma=_weights_for(w, 2, flat), exps=flat)
+    _axiom_error(K, "declared trivialization step is wrong", phi=K.phi + 1)
+
+
+def test_make_trail_rejects_a_drop_below_the_driving_trail(modules,
+                                                           full_words):
+    w = full_words["G2"]
+    assert make_trail(modules["G2", 2], w, 2, (0, 0, 0, 3, 2, 1)) is None
+    assert make_trail(modules["G2", 2], w, 2, (0, 0, 1, 2, 1, 1)) is not None
+
+
+def test_enumeration_computes_root_coordinates_once_per_position(
+        cartans, monkeypatch):
+    # the driving data is computed once per (word, t); trails reuse it
+    calls = []
+
+    def counted(cartan, w):
+        calls.append(w)
+        return root_coordinates(cartan, w)
+
+    monkeypatch.setattr(trails, "root_coordinates", counted)
+    c = cartans["B3"]
+    word = WordJ(c, (1, 2, 1, 3, 2, 1, 3, 2, 3))
+    M = build_fundamental(c, 3)
+    found = enumerate_trails(M, word, 3)
+    assert len(found) == 7
+    assert len(calls) <= word.m + 1
+    calls.clear()
+    assert enumerate_trails(M, word, 3) == found
+    assert calls == []
+
+
+def test_word_is_not_kept_alive_by_a_cache(cartans):
+    # a word no other test builds, so no equal word is cached before it
+    c = cartans["B3"]
+    word = WordJ(c, (3, 2, 3, 1, 2, 3, 1, 2, 1))
+    M = build_fundamental(c, 1)
+    enumerate_trails(M, word, 1)
+    env = construct_envelope(M, word, 1)
+    assert env.functions
+    ref = weakref.ref(word)
+    del word, env
+    gc.collect()
+    assert ref() is None
