@@ -33,6 +33,7 @@ in a written report.  The forward checks are report data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .cartan_core import CartanData, WordJ
 from .errors import ConsistencyError, FalseTrailDetected, UnknownLetterError
@@ -40,8 +41,8 @@ from .linalg import extremal_points
 from .rep_builder import LowestWeightModule
 from .sgraph import CoeffVector, binary_fusion, integer_points
 from .trails import (LinearFunctionBJ, _as_word, driving_trail,
-                     enumerate_trails, face_function, group_ts_classes,
-                     trail_function, xt_leq)
+                     enumerate_trails, face_cone_coordinates, face_function,
+                     group_ts_classes, trail_function, xt_leq)
 
 
 def _fn_key(f: LinearFunctionBJ):
@@ -117,15 +118,31 @@ class Envelope:
     def layer(self, j: int) -> EnvelopeLayer:
         return self.layers[j - 1]
 
+    @cached_property
+    def _ordered(self) -> tuple[LinearFunctionBJ, ...]:
+        """The settled functions in a fixed order."""
+        return tuple(sorted(self.functions, key=_fn_key))
+
+    @cached_property
+    def _type_vertices(self) -> dict:
+        """Per type s, the vertex functions of the whole-word type-s
+        decomposition and their indices in ``_ordered``."""
+        index = {f: i for i, f in enumerate(self._ordered)}
+        per_s: dict[int, set[LinearFunctionBJ]] = {}
+        for b in self.global_blocks:
+            per_s.setdefault(b.s, set()).update(b.vertices)
+        return {s: (frozenset(zs), tuple(index[f] for f in zs))
+                for s, zs in per_s.items()}
+
+    def _vertices(self, s: int):
+        found = self._type_vertices.get(s)
+        if found is None:
+            raise UnknownLetterError(f"no type-{s} decomposition recorded")
+        return found
+
     def z_t(self, s: int) -> frozenset[LinearFunctionBJ]:
         """Vertex functions of the whole-word type-s decomposition."""
-        out: set[LinearFunctionBJ] = set()
-        for b in self.global_blocks:
-            if b.s == s:
-                out |= b.vertices
-        if not out:
-            raise UnknownLetterError(f"no type-{s} decomposition recorded")
-        return frozenset(out)
+        return self._vertices(s)[0]
 
     def to_json_dict(self) -> dict:
         layers = []
@@ -159,12 +176,15 @@ def _expand(driving: LinearFunctionBJ, faces: dict[int, LinearFunctionBJ],
 
 
 def _make_block(cartan: CartanData, word: WordJ, s: int, step: int | None,
-                z: LinearFunctionBJ, c: tuple[int, ...]) -> ClassBlock:
+                z: LinearFunctionBJ, c: tuple[int, ...],
+                fusions: dict) -> ClassBlock:
     faces = {k: face_function(cartan, word, s, k)[1]
              for k in range(2, len(c) + 2)}
-    cv = CoeffVector.make(c)
-    g = binary_fusion(cv)
-    pts = tuple(sorted(integer_points(cv)))
+    if c not in fusions:  # blocks of one shape share their S-graph
+        cv = CoeffVector.make(c)
+        fusions[c] = (cv, binary_fusion(cv),
+                      tuple(sorted(integer_points(cv))))
+    cv, g, pts = fusions[c]
     funcs = tuple(_expand(z, faces, p) for p in pts)
     if len(set(funcs)) != len(funcs):
         raise ConsistencyError("distinct lattice points expanded to one "
@@ -201,16 +221,48 @@ def _exceptional_block(t: int, step: int | None, zt1: LinearFunctionBJ,
 
 
 def _linear_extension(word: WordJ, cands):
-    """Deterministic linear extension of the face-cone order, least first."""
-    remaining = sorted(cands, key=lambda zc: _fn_key(zc[0]))
+    """Deterministic linear extension of the face-cone order, least first:
+    each pick is the first candidate, in function order, that no other
+    remaining candidate lies below.
+
+    Face-cone coordinates are linear, so every candidate's coordinates are
+    computed once relative to the first candidate r: z - w lies in the cone
+    iff both z - r and w - r have coordinates and their difference is
+    non-negative.  Exactly one of them without coordinates makes the pair
+    incomparable; when neither has any, ``xt_leq`` decides.
+    """
+    ordered = sorted(cands, key=lambda zc: _fn_key(zc[0]))
+    if not ordered:
+        return []
+    r = ordered[0][0]
+    coords = [face_cone_coordinates(word, z - r) for z, _ in ordered]
+
+    def leq(i: int, j: int) -> bool:
+        ci, cj = coords[i], coords[j]
+        if ci is None and cj is None:
+            return xt_leq(word, ordered[i][0], ordered[j][0])
+        if ci is None or cj is None:
+            return False
+        return all(cj.get(u, 0) >= ci.get(u, 0)
+                   for u in ci.keys() | cj.keys())
+
+    n = len(ordered)
+    above = [[j for j in range(n) if j != i and leq(i, j)] for i in range(n)]
+    below = [0] * n     # remaining candidates below each one
+    for js in above:
+        for j in js:
+            below[j] += 1
+    remaining = list(range(n))
     out = []
     while remaining:
-        for idx, (z, _) in enumerate(remaining):
-            if not any(xt_leq(word, w, z) for w, _ in remaining if w != z):
-                out.append(remaining.pop(idx))
+        for idx, i in enumerate(remaining):
+            if below[i] == 0:
                 break
         else:
             raise ConsistencyError("cycle in the face-cone order")
+        out.append(ordered[remaining.pop(idx)])
+        for j in above[i]:
+            below[j] -= 1
     return out
 
 
@@ -317,12 +369,13 @@ def _attach_class_data(j, s, trails, blocks):
 
 
 def _decompose(cartan: CartanData, word: WordJ, t: int, s: int,
-               step: int | None, pool, zt1: LinearFunctionBJ):
+               step: int | None, pool, zt1: LinearFunctionBJ, fusions: dict):
     """Disjoint type-s blocks driven by the functions of ``pool``, least
     driver first; a driver already inside a block is discarded.
 
     ``step`` is the word step of the per-step pass; ``None`` sweeps the
     whole word, including classes settling after the last occurrence of s.
+    ``fusions`` is the envelope's memo of S-graphs by coefficient tuple.
     """
     blocks, discarded = [], []
     if s == t:
@@ -332,7 +385,7 @@ def _decompose(cartan: CartanData, word: WordJ, t: int, s: int,
         if any(z in b.functions for b in blocks):
             discarded.append(z)
             continue
-        blocks.append(_make_block(cartan, word, s, step, z, c))
+        blocks.append(_make_block(cartan, word, s, step, z, c, fusions))
     _check_disjoint(word.m if step is None else step, blocks)
     return tuple(blocks), tuple(discarded)
 
@@ -368,6 +421,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
     all_funcs = funcs if spurious is None else funcs | {spurious}
     t1 = w.position(t, 1)
     zt1 = trail_function(driving_trail(cartan, w, t))
+    fusions: dict = {}  # c -> (CoeffVector, S-graph, sorted lattice points)
 
     steps = []          # (j, s, blocks, discarded, settled functions)
     prev: frozenset[LinearFunctionBJ] = frozenset()
@@ -388,7 +442,8 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                     j, (), f, nearest=zt1,
                     detail="driving layer is not the single driving function")
         else:
-            blocks, discarded = _decompose(cartan, w, t, s, j, prev, zt1)
+            blocks, discarded = _decompose(cartan, w, t, s, j, prev, zt1,
+                                           fusions)
             _check_layer(j, prev, truth, blocks)
             blocks = tuple(_attach_class_data(j, s, trails, blocks))
         steps.append((j, s, blocks, discarded, truth))
@@ -399,7 +454,8 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
 
     global_blocks = []
     for s in cartan.labels:
-        blocks, _ = _decompose(cartan, w, t, s, None, all_funcs, zt1)
+        blocks, _ = _decompose(cartan, w, t, s, None, all_funcs, zt1,
+                               fusions)
         constructed = _union(b.functions for b in blocks)
         if constructed != all_funcs:
             raise _escaped(w.m, blocks,
@@ -426,16 +482,28 @@ def check_constructibility(env: Envelope, j1: int) -> dict:
     }
 
 
+def epsilon_star_values(env: Envelope, labels, b) -> dict[int, int]:
+    """For each type s in ``labels``, the largest value at b among the
+    type-s vertex functions, checked to agree with the maximum over every
+    settled function.  Each function is evaluated once, whatever the number
+    of labels; the first label whose maximum misses raises."""
+    values = [z.evaluate(b) for z in env._ordered]
+    full = max(values)
+    out = {}
+    for s in labels:
+        val = max(values[i] for i in env._vertices(s)[1])
+        if val != full:
+            raise ConsistencyError(
+                f"type-{s} maximum {val} misses the overall maximum {full}")
+        out[s] = val
+    return out
+
+
 def epsilon_star(env: Envelope, s: int, b) -> int:
     """Largest value at b among the type-s vertex functions; checked to
     agree with the maximum over every settled function."""
     env.cartan.check_label(s)
-    val = max(z.evaluate(b) for z in env.z_t(s))
-    full = max(z.evaluate(b) for z in env.functions)
-    if val != full:
-        raise ConsistencyError(
-            f"type-{s} maximum {val} misses the overall maximum {full}")
-    return val
+    return epsilon_star_values(env, (s,), b)[s]
 
 
 def extremality_report(env: Envelope) -> dict:

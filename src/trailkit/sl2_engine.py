@@ -113,20 +113,24 @@ def rigid_regime(cfg: Sl2Config) -> bool:
                for j in range(1, cfg.n + 1))
 
 
-_RECUR_MEMO: dict[tuple, int] = {}
-
-
-def coefficient_A_oracle(cfg: Sl2Config) -> int:
+def coefficient_A_oracle(cfg: Sl2Config,
+                         memo: dict[tuple, int] | None = None) -> int:
     """Same coefficient by the first-order recurrence
 
     A_b(k, l) = -sum_t k_t (k_t + 2 k^(t-1) - a^(t) - 1) A_{b-1}(k - d_t, l)
 
     with base case A_0(k, l) = [k == l].
+
+    ``memo`` maps (a, k, l) to computed values; a caller checking many
+    configurations passes one dict to share them.  None keeps a fresh dict
+    for this call only.
     """
+    if memo is None:
+        memo = {}
     a, k, l = cfg.a, cfg.k, cfg.l
     key = (a, k, l)
-    if key in _RECUR_MEMO:
-        return _RECUR_MEMO[key]
+    if key in memo:
+        return memo[key]
     if sum(k) <= sum(l):
         return 1 if k == l else 0
     total = 0
@@ -137,9 +141,10 @@ def coefficient_A_oracle(cfg: Sl2Config) -> int:
         kt = k[t]
         if kt > 0:
             sub = Sl2Config(a, k[:t] + (kt - 1,) + k[t + 1:], l)
-            total -= kt * (kt + 2 * k_pref - a_pref - 1) * coefficient_A_oracle(sub)
+            total -= (kt * (kt + 2 * k_pref - a_pref - 1)
+                      * coefficient_A_oracle(sub, memo))
         k_pref += kt
-    _RECUR_MEMO[key] = total
+    memo[key] = total
     return total
 
 

@@ -22,7 +22,6 @@ from trailkit import (
     construct_envelope,
     validate_gcm,
 )
-from trailkit import sl2_engine
 from trailkit.bj_crystal import b_infinity, generate_binf
 from trailkit.cartan_core import is_reduced, reflect
 from trailkit.cli import main as cli_main
@@ -85,12 +84,12 @@ def test_criterion_1_sl2_coefficient_three_ways():
         for n in (1, 2, 3):
             # closed form against the downward recurrence
             for a in itertools.product(rng, repeat=n):
+                memo: dict = {}  # the recurrence never changes a
                 for k in itertools.product(rng, repeat=n):
                     for l in itertools.product(rng, repeat=n):
                         cfg = Sl2Config(a, k, l)
                         assert coefficient_A(cfg) == \
-                            coefficient_A_oracle(cfg), cfg
-                sl2_engine._RECUR_MEMO.clear()
+                            coefficient_A_oracle(cfg, memo), cfg
             # closed form against direct operator expansion: applying the
             # lowering string to the nested state of k must equal the
             # A-weighted sum of nested states over all l <= k, graded by

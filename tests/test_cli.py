@@ -196,6 +196,34 @@ def test_verify_builds_each_envelope_once(tmp_path, monkeypatch):
     assert calls == [1, 2]
 
 
+def test_verify_generates_the_crystal_once_per_config(tmp_path,
+                                                      monkeypatch):
+    calls = []
+    generate = cli.generate_binf
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_binf", counting)
+    a3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+          "word": [1, 2, 1, 3, 2, 1]}
+    cfg = write_config(tmp_path, a3)
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--suite", "envelope"]) == 0
+    assert calls == [4]
+    report = json.loads((tmp_path / "verify.json").read_text())
+    listings = [m["epsilon_star_elements"]
+                for m in report["envelope"]["modules"]]
+    assert len(listings) == 3 and listings[0] == listings[1] == listings[2]
+    # a false trail at the first label stops the run before any crystal
+    calls.clear()
+    cfg = write_config(tmp_path, G2_JOB)
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--suite", "envelope", "--inject-spurious"]) == 5
+    assert calls == []
+
+
 def test_verify_inject_spurious(tmp_path, capsys):
     cfg = write_config(tmp_path, G2_JOB)
     rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path),

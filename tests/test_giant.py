@@ -1,19 +1,29 @@
 from __future__ import annotations
 
-import pytest
+from collections import Counter
+from dataclasses import replace
 
-from trailkit import build_fundamental, construct_envelope, validate_gcm
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import ENVELOPE_FIXTURES, cartan_key
+
+from trailkit import build_fundamental, construct_envelope, giant, validate_gcm
+from trailkit.bj_crystal import generate_binf
+from trailkit.cartan_core import is_reduced
 from trailkit.errors import (
     ConsistencyError,
     FalseTrailDetected,
     UnknownLetterError,
 )
-from trailkit.giant import check_constructibility, epsilon_star, extremality_report
+from trailkit.giant import (check_constructibility, epsilon_star,
+                           epsilon_star_values, extremality_report)
 from trailkit.trails import (
     LinearFunctionBJ,
     driving_trail,
     enumerate_trails,
     trail_function,
+    xt_leq,
 )
 
 
@@ -126,6 +136,138 @@ def test_g2_t2_epsilon_star(envelopes):
     for b, val in [({}, 0), ({2: 1}, 1), ({4: 2, 5: 1}, 4)]:
         assert epsilon_star(env, 1, b) == val
         assert epsilon_star(env, 2, b) == val
+
+
+def test_epsilon_star_values_match_brute_force(envelopes, cartans,
+                                               full_words):
+    for (key, t), env in envelopes.items():
+        labels = env.cartan.labels
+        vertex_sets = {s: frozenset().union(*(b.vertices
+                                              for b in env.global_blocks
+                                              if b.s == s))
+                       for s in labels}
+        for s in labels:
+            assert env.z_t(s) == vertex_sets[s]
+            assert env.z_t(s) is env.z_t(s)
+        for b in generate_binf(cartans[cartan_key(key)], full_words[key], 3):
+            vals = epsilon_star_values(env, labels, b.as_dict())
+            full = max(z.evaluate(b.as_dict()) for z in env.functions)
+            for s in labels:
+                brute = max(z.evaluate(b.as_dict()) for z in vertex_sets[s])
+                assert vals[s] == brute == full, (key, t, s, b)
+                assert epsilon_star(env, s, b.as_dict()) == full
+
+
+def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
+    env = envelopes["G2", 2]
+    top = LinearFunctionBJ.from_coeffs({6: 1})
+    assert top in env.z_t(1) and top in env.z_t(2)
+    blocks = tuple(replace(b, vertices=b.vertices - {top}) if b.s == 1 else b
+                   for b in env.global_blocks)
+    bad = replace(env, global_blocks=blocks)
+    assert top not in bad.z_t(1)
+    b = {6: 5}      # only the removed function is non-zero here
+    assert epsilon_star(bad, 2, b) == 5
+    message = "type-1 maximum 0 misses the overall maximum 5"
+    with pytest.raises(ConsistencyError, match=message):
+        epsilon_star(bad, 1, b)
+    with pytest.raises(ConsistencyError, match=message):
+        epsilon_star_values(bad, (1, 2), b)
+    assert epsilon_star_values(env, (1, 2), b) == {1: 5, 2: 5}
+
+
+def test_construct_envelope_fuses_each_shape_once(monkeypatch):
+    fused = Counter()
+    fuse = giant.binary_fusion
+
+    def counting(cv):
+        fused[cv.c] += 1
+        return fuse(cv)
+
+    monkeypatch.setattr(giant, "binary_fusion", counting)
+    c3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+    word = (3, 2, 3, 1, 2, 3, 1, 2, 1)
+    blocks = 0
+    for t in c3.labels:
+        fused.clear()
+        env = construct_envelope(build_fundamental(c3, t), word, t)
+        assert max(fused.values()) == 1, t
+        shaped = [b for L in env.layers for b in L.blocks
+                  if not b.exceptional]
+        shaped += [b for b in env.global_blocks if not b.exceptional]
+        assert set(fused) == {b.c for b in shaped}
+        blocks += len(shaped)
+    assert blocks > 3 * len(fused)    # shapes do repeat within an envelope
+
+
+def _pairwise_linear_extension(word, cands):
+    """The extension as computed before face-cone coordinates were shared:
+    every pick compares remaining candidates pairwise through xt_leq."""
+    remaining = sorted(cands, key=lambda zc: zc[0].terms)
+    out = []
+    while remaining:
+        for idx, (z, _) in enumerate(remaining):
+            if not any(xt_leq(word, w, z) for w, _ in remaining if w != z):
+                out.append(remaining.pop(idx))
+                break
+        else:
+            raise ConsistencyError("cycle in the face-cone order")
+    return out
+
+
+def _reduced_words_of_w0(cartan):
+    out = []
+
+    def extend(word):
+        grown = [word + (i,) for i in cartan.labels
+                 if is_reduced(cartan, word + (i,))]
+        if not grown:
+            out.append(word)
+        for w in grown:
+            extend(w)
+
+    extend(())
+    return out
+
+
+def test_linear_extension_matches_pairwise_order(monkeypatch, modules,
+                                                 full_words, cartans):
+    extend = giant._linear_extension
+    compared = []
+
+    def checked(word, cands):
+        got = extend(word, cands)
+        assert got == _pairwise_linear_extension(word, cands)
+        compared.append(len(cands))
+        return got
+
+    monkeypatch.setattr(giant, "_linear_extension", checked)
+    for key, t in ENVELOPE_FIXTURES:
+        construct_envelope(modules[cartan_key(key), t], full_words[key], t)
+    b3 = cartans["B3"]
+    words = _reduced_words_of_w0(b3)
+    assert len(words) == 42
+    for t in b3.labels:
+        M = build_fundamental(b3, t)
+        for word in words:
+            try:
+                construct_envelope(M, word, t)
+            except FalseTrailDetected:
+                pass    # ROADMAP item 1: B3 omega_2 fails on some words
+    assert max(compared) >= 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(1, 6), st.integers(-2, 2),
+                                max_size=4), max_size=8))
+def test_linear_extension_matches_pairwise_order_off_the_face_lattice(
+        full_words, coeff_maps):
+    # arbitrary functions: many differences have no face-cone coordinates
+    word = full_words["G2"]
+    funcs = {LinearFunctionBJ.from_coeffs(m) for m in coeff_maps}
+    cands = [(z, ()) for z in funcs]
+    assert (giant._linear_extension(word, cands)
+            == _pairwise_linear_extension(word, cands))
 
 
 # --- small frozen fixtures --------------------------------------------------

@@ -39,6 +39,31 @@ def test_verify_report_matches_golden(tmp_path, name, code, job):
     assert (out / "verify.json").read_bytes() == (DATA / name).read_bytes()
 
 
+def test_constant_suites_run_once_per_process(tmp_path, monkeypatch):
+    name, code, job = GOLDEN[0]
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job), encoding="utf-8")
+    argv = ["verify", "--config", str(cfg), "--suite", "all", "--out"]
+    assert cli.main(argv + [str(tmp_path / "first")]) == code
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # the names the sl(2) and S-graph suites call; envelope fusions go
+    # through giant's own binary_fusion
+    monkeypatch.setattr(cli, "coefficient_A_oracle",
+                        counting(cli.coefficient_A_oracle))
+    monkeypatch.setattr(cli, "binary_fusion", counting(cli.binary_fusion))
+    out = tmp_path / "second"
+    assert cli.main(argv + [str(out)]) == code
+    assert calls == []
+    assert (out / "verify.json").read_bytes() == (DATA / name).read_bytes()
+
+
 C5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
       [0, 0, -1, 2, -2], [0, 0, 0, -1, 2]]
 E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailkit import sl2_engine
 from trailkit.errors import DomainError, NotApplicable
 from trailkit.sl2_engine import (
     Sl2Config,
@@ -69,12 +68,12 @@ def test_rigid_regime_factors_positive():
 
 def test_oracle_matches_closed_form_exhaustively_n2():
     rng = range(4)
+    memo: dict = {}
     for a in itertools.product(rng, repeat=2):
         for k in itertools.product(rng, repeat=2):
             for l in itertools.product(rng, repeat=2):
                 cfg = Sl2Config(a, k, l)
-                assert coefficient_A(cfg) == coefficient_A_oracle(cfg)
-    sl2_engine._RECUR_MEMO.clear()
+                assert coefficient_A(cfg) == coefficient_A_oracle(cfg, memo)
 
 
 @st.composite
