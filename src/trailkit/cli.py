@@ -82,6 +82,18 @@ def _int_list(path: str, key: str, value) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _check_box(where: str, c: tuple[int, ...]) -> None:
+    """Reject a coefficient tuple whose box prod(c_i + 1) exceeds
+    ``SGRAPH_BOX_LIMIT`` lattice points."""
+    box = 1
+    for x in c:
+        box *= x + 1
+        if box > SGRAPH_BOX_LIMIT:
+            raise ConfigError(
+                f"{where}: c spans more than {SGRAPH_BOX_LIMIT} lattice "
+                f"points (the product of c_i + 1)")
+
+
 def load_config(path: str, args) -> JobConfig:
     """Read, validate, and merge the job file with flag overrides.
 
@@ -101,8 +113,12 @@ def load_config(path: str, args) -> JobConfig:
     for key in ("cartan", "word"):
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")
+    matrix = raw["cartan"]
+    if not (isinstance(matrix, list)
+            and all(isinstance(row, list) for row in matrix)):
+        raise ConfigError(f"{path}: cartan must be a list of integer rows")
     try:
-        cartan = validate_gcm(raw["cartan"])
+        cartan = validate_gcm(matrix)
     except NotFiniteTypeError:
         raise
     except TrailkitError as e:
@@ -123,13 +139,7 @@ def load_config(path: str, args) -> JobConfig:
         c = _int_list(path, "c", c)
         if any(x < 0 for x in c):
             raise ConfigError(f"{path}: c entries must be non-negative")
-        box = 1
-        for x in c:
-            box *= x + 1
-            if box > SGRAPH_BOX_LIMIT:
-                raise ConfigError(
-                    f"{path}: c spans more than {SGRAPH_BOX_LIMIT} lattice "
-                    f"points (the product of c_i + 1)")
+        _check_box(path, c)
     selector = raw.get("class")
     if selector is not None:
         if not isinstance(selector, dict):
@@ -291,17 +301,27 @@ def _sgraph_payload(c: tuple[int, ...]) -> tuple[dict, str]:
 
 
 def cmd_sgraph(cfg: JobConfig, out: str) -> int:
-    """One graph per requested coefficient tuple, as DOT plus a table."""
+    """One graph per requested coefficient tuple, as DOT plus a table.
+
+    A class selector's coefficient tuples are held to the same box limit
+    as an explicit ``c``, all of them before the first graph is computed.
+    """
     jobs: list[tuple[str, tuple[int, ...], dict | None]] = []
     if cfg.c is not None:
         jobs.append(("sgraph", cfg.c, None))
     elif cfg.selector is not None:
         sel = cfg.selector
         t, s, j = sel["t"], sel["s"], sel["j"]
+        if cfg.word.letters[j - 1] != s:
+            raise ConfigError(
+                f"class selector: position {j} carries letter "
+                f"{cfg.word.letters[j - 1]}, not s={s}")
         M = build_fundamental(cfg.cartan, t)
         trails = enumerate_trails(M, cfg.word, t)
         classes = group_ts_classes([K for K in trails if K.phi <= j], s, j)
         for idx, cls in enumerate(sorted(classes, key=lambda x: x.c)):
+            _check_box(f"class selector t={t} s={s} j={j}, class {idx}",
+                       cls.c)
             jobs.append((f"sgraph_class{idx}", cls.c,
                          {"t": t, "s": s, "j": j, "a": list(cls.a),
                           "size": len(cls.members)}))
@@ -475,7 +495,10 @@ def cmd_verify(cfg: JobConfig, out: str, suite: str) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of ``main`` can share it."""
     parser = argparse.ArgumentParser(
         prog="trailkit",
         description="exact trail enumeration, S-graphs, and verification")

@@ -40,9 +40,9 @@ from .errors import ConsistencyError, FalseTrailDetected, UnknownLetterError
 from .linalg import extremal_points
 from .rep_builder import LowestWeightModule
 from .sgraph import CoeffVector, binary_fusion, integer_points
-from .trails import (LinearFunctionBJ, _as_word, driving_trail,
-                     enumerate_trails, face_cone_coordinates, face_function,
-                     group_ts_classes, trail_function, xt_leq)
+from .trails import (LinearFunctionBJ, _as_word, _face_basis, driving_trail,
+                     enumerate_trails, face_cone_coordinates, group_ts_classes,
+                     trail_function, xt_leq)
 
 
 def _fn_key(f: LinearFunctionBJ):
@@ -175,11 +175,10 @@ def _expand(driving: LinearFunctionBJ, faces: dict[int, LinearFunctionBJ],
     return f
 
 
-def _make_block(cartan: CartanData, word: WordJ, s: int, step: int | None,
-                z: LinearFunctionBJ, c: tuple[int, ...],
-                fusions: dict) -> ClassBlock:
-    faces = {k: face_function(cartan, word, s, k)[1]
-             for k in range(2, len(c) + 2)}
+def _make_block(word: WordJ, s: int, step: int | None, z: LinearFunctionBJ,
+                c: tuple[int, ...], fusions: dict) -> ClassBlock:
+    basis = _face_basis(word)  # the closed faces F_s^k, by position (s,k)
+    faces = {k: basis[word.position(s, k)] for k in range(2, len(c) + 2)}
     if c not in fusions:  # blocks of one shape share their S-graph
         cv = CoeffVector.make(c)
         fusions[c] = (cv, binary_fusion(cv),
@@ -368,8 +367,8 @@ def _attach_class_data(j, s, trails, blocks):
     return out
 
 
-def _decompose(cartan: CartanData, word: WordJ, t: int, s: int,
-               step: int | None, pool, zt1: LinearFunctionBJ, fusions: dict):
+def _decompose(word: WordJ, t: int, s: int, step: int | None, pool,
+               zt1: LinearFunctionBJ, fusions: dict):
     """Disjoint type-s blocks driven by the functions of ``pool``, least
     driver first; a driver already inside a block is discarded.
 
@@ -385,7 +384,7 @@ def _decompose(cartan: CartanData, word: WordJ, t: int, s: int,
         if any(z in b.functions for b in blocks):
             discarded.append(z)
             continue
-        blocks.append(_make_block(cartan, word, s, step, z, c, fusions))
+        blocks.append(_make_block(word, s, step, z, c, fusions))
     _check_disjoint(word.m if step is None else step, blocks)
     return tuple(blocks), tuple(discarded)
 
@@ -442,8 +441,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                     j, (), f, nearest=zt1,
                     detail="driving layer is not the single driving function")
         else:
-            blocks, discarded = _decompose(cartan, w, t, s, j, prev, zt1,
-                                           fusions)
+            blocks, discarded = _decompose(w, t, s, j, prev, zt1, fusions)
             _check_layer(j, prev, truth, blocks)
             blocks = tuple(_attach_class_data(j, s, trails, blocks))
         steps.append((j, s, blocks, discarded, truth))
@@ -454,8 +452,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
 
     global_blocks = []
     for s in cartan.labels:
-        blocks, _ = _decompose(cartan, w, t, s, None, all_funcs, zt1,
-                               fusions)
+        blocks, _ = _decompose(w, t, s, None, all_funcs, zt1, fusions)
         constructed = _union(b.functions for b in blocks)
         if constructed != all_funcs:
             raise _escaped(w.m, blocks,

@@ -14,6 +14,12 @@ the lowest-weight module V(-omega_t).
 Two independent character oracles (Freudenthal recursion and the Weyl
 dimension formula) cross-check every weight multiplicity during the build;
 disagreement raises RadicalRankMismatch.
+
+Each operator also carries an integer form: the lcm D of its column
+denominators and its columns scaled by D.  Zero tests and the build-time
+commutator check run on these forms with integer vectors that are known
+only up to a positive factor, which never changes whether a vector
+vanishes; the Fraction columns remain the exact matrices.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from typing import NamedTuple
 
 from .cartan_core import (
     CartanData,
@@ -80,19 +88,51 @@ def _height(cartan: CartanData, w: Weight) -> int:
     return sum(coords)
 
 
+def _dominant_conjugates(cartan: CartanData, weights) -> dict[Weight, Weight]:
+    """Each weight of a Weyl-stable set mapped to the dominant weight of its
+    orbit.  An orbit is walked down from its dominant weight by the simple
+    reflections s_i at weights with a positive i-th coordinate, which reach
+    every element of the orbit."""
+    roots = [cartan.simple_root(i) for i in cartan.labels]
+    dom: dict[Weight, Weight] = {}
+    for lam in weights:
+        if min(lam) < 0:
+            continue
+        dom[lam] = lam
+        queue = [lam]
+        while queue:
+            mu = queue.pop()
+            for p, alpha in zip(mu, roots):
+                if p > 0:
+                    nu = tuple(x - p * a for x, a in zip(mu, alpha))
+                    if nu not in dom:
+                        dom[nu] = lam
+                        queue.append(nu)
+    return dom
+
+
 def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weight, int]:
-    """Weight multiplicities of the irreducible highest-weight module."""
+    """Weight multiplicities of the irreducible highest-weight module.
+
+    Freudenthal's recursion runs over the dominant weights only, highest
+    first.  Multiplicities are Weyl-invariant, so every other weight, both
+    on the root strings of the recursion and in the returned dict, takes
+    the multiplicity of its dominant conjugate (R. V. Moody and J. Patera,
+    Bull. AMS 7 (1982)).
+    """
     require_finite(cartan)
     d = cartan.symmetrizer
     n = cartan.n
     weights = saturated_weight_set(cartan, highest)
-    by_height = sorted(weights, key=lambda mu: (_height(cartan, wsub(highest, mu)), mu))
+    dom = _dominant_conjugates(cartan, weights)
+    by_height = sorted((mu for mu, lam in dom.items() if mu == lam),
+                       key=lambda mu: (_height(cartan, wsub(highest, mu)), mu))
     pos = positive_roots(cartan)
     # each positive root in fundamental-weight coordinates, for stepping
     pos_w = [tuple(sum(cartan.gcm[k][j] * b[j] for j in range(n)) for k in range(n))
              for b, _ in pos]
     rho = cartan.rho()
-    mult: dict[Weight, int] = {}
+    mult: dict[Weight, int] = {}  # dominant weights of non-zero multiplicity
     for mu in by_height:
         if mu == highest:
             mult[mu] = 1
@@ -100,9 +140,10 @@ def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weig
         num = 0
         for (b, _), beta_w in zip(pos, pos_w):
             nu = wadd(mu, beta_w)
-            while nu in mult:
+            # nu lies strictly above mu, and so does its dominant conjugate
+            while dom.get(nu) in mult:
                 # (nu, beta) with beta in root coordinates b
-                num += mult[nu] * sum(b[j] * d[j] * nu[j] for j in range(n))
+                num += mult[dom[nu]] * sum(b[j] * d[j] * nu[j] for j in range(n))
                 nu = wadd(nu, beta_w)
         # denominator (|highest+rho|^2 - |mu+rho|^2) = (highest+mu+2rho, highest-mu)
         diff = root_coordinates(cartan, wsub(highest, mu))
@@ -116,7 +157,7 @@ def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weig
                 f"not a non-negative integer")
         if val:
             mult[mu] = val
-    return mult
+    return {mu: mult[lam] for mu, lam in dom.items() if lam in mult}
 
 
 def weyl_dimension(cartan: CartanData, highest: Weight) -> int:
@@ -178,6 +219,40 @@ class ModuleVector:
 
 Column = tuple[tuple[int, Fraction], ...]
 Columns = tuple[Column, ...]
+IntColumns = tuple[tuple[tuple[int, int], ...], ...]
+
+
+class IntegerForm(NamedTuple):
+    """An operator scaled to integer entries: ``cols`` is ``scale`` times
+    its Fraction columns, ``scale`` the lcm of their denominators."""
+
+    scale: int
+    cols: IntColumns
+
+
+def _integer_form(cols: Columns) -> IntegerForm:
+    """The IntegerForm of an operator given by its Fraction columns."""
+    scale = lcm(1, *(x.denominator for col in cols for _, x in col))
+    return IntegerForm(scale, tuple(
+        tuple((r, x.numerator * (scale // x.denominator)) for r, x in col)
+        for col in cols))
+
+
+def projective_vector(v: ModuleVector) -> dict[int, int]:
+    """A positive integer multiple of v, as basis index -> non-zero int."""
+    scale = lcm(1, *(x.denominator for x in v.coords.values()))
+    return {b: x.numerator * (scale // x.denominator) for b, x in v.coords.items()}
+
+
+def apply_projective(cols: IntColumns, v: dict[int, int]) -> dict[int, int]:
+    """The image of the integer vector v under integer-form columns, zero
+    coordinates dropped: a positive multiple of the exact image, so it is
+    empty exactly when that image vanishes."""
+    out: dict[int, int] = {}
+    for b, c in v.items():
+        for r, x in cols[b]:
+            out[r] = out.get(r, 0) + c * x
+    return {r: y for r, y in out.items() if y}
 
 
 class LowestWeightModule:
@@ -185,6 +260,7 @@ class LowestWeightModule:
 
     ``e_cols[i]`` / ``f_cols[i]`` map 1-based simple index i to a tuple of
     sparse columns (one per basis index); e_i raises the weight by alpha_i.
+    ``e_int[i]`` / ``f_int[i]`` are the same operators as IntegerForms.
     """
 
     def __init__(self, cartan: CartanData, t: int, weights: tuple[Weight, ...],
@@ -196,6 +272,8 @@ class LowestWeightModule:
         self.lowest_index = lowest_index
         self.e_cols = e_cols
         self.f_cols = f_cols
+        self.e_int = {i: _integer_form(cols) for i, cols in e_cols.items()}
+        self.f_int = {i: _integer_form(cols) for i, cols in f_cols.items()}
         spaces: dict[Weight, list[int]] = {}
         for idx, mu in enumerate(weights):
             spaces.setdefault(mu, []).append(idx)
@@ -317,7 +395,12 @@ def _build_matrices(cartan: CartanData, t: int):
 
 def _verify_module(m: LowestWeightModule) -> None:
     """Build-time invariants: the Weyl dimension, columns that move weights
-    by the simple roots, sl(2) commutators and the lowest vector."""
+    by the simple roots, sl(2) commutators and the lowest vector.
+
+    The commutator is checked on the integer forms, as
+    D_e D_f (e_i f_i - f_i e_i) = D_e D_f <alpha_i^vee, mu> on every basis
+    vector of weight mu.
+    """
     cartan = m.cartan
     if m.dim != weyl_dimension(cartan, cartan.fundamental_weight(m.t)):
         raise RadicalRankMismatch("dimension disagrees with the Weyl formula")
@@ -329,15 +412,19 @@ def _verify_module(m: LowestWeightModule) -> None:
                     not 0 <= r < m.dim or m.weights[r] != wadd(m.weights[b], step)
                     for b, col in enumerate(cols) for r, _ in col):
                 raise RadicalRankMismatch(f"{name}_{i} does not move weights by its root")
-        low = m.apply_f(i, m.lowest_vector())
-        if not low.is_zero():
+        e, f = m.e_int[i], m.f_int[i]
+        if apply_projective(f.cols, {m.lowest_index: 1}):
             raise RadicalRankMismatch(f"f_{i} does not kill the lowest vector")
-        for idx, mu in enumerate(m.weights):
-            v = m.basis_vector(idx)
-            comm = m.apply_e(i, m.apply_f(i, v)).add(
-                m.apply_f(i, m.apply_e(i, v)).scale(-1))
-            want = v.scale(mu[i - 1])
-            if comm.key() != want.key():
+        scale = e.scale * f.scale
+        for b, mu in enumerate(m.weights):
+            acc = {b: -scale * mu[i - 1]}
+            for r, x in f.cols[b]:
+                for q, y in e.cols[r]:
+                    acc[q] = acc.get(q, 0) + x * y
+            for r, x in e.cols[b]:
+                for q, y in f.cols[r]:
+                    acc[q] = acc.get(q, 0) - x * y
+            if any(acc.values()):
                 raise RadicalRankMismatch(
                     f"[e_{i}, f_{i}] is not alpha_{i}^vee on weight {mu}")
 

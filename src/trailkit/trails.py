@@ -45,7 +45,12 @@ from .errors import (
     OpenFaceRequest,
     TNotInWord,
 )
-from .rep_builder import LowestWeightModule, ModuleVector, extremal_vector
+from .rep_builder import (
+    LowestWeightModule,
+    apply_projective,
+    extremal_vector,
+    projective_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,12 @@ def _as_word(cartan: CartanData, word) -> WordJ:
     return WordJ(cartan, tuple(word))
 
 
+def _letter_roots(word: WordJ) -> tuple[Weight, ...]:
+    """alpha_{i_j} for every position j (index j-1), computed once per word."""
+    return word.memoized("letter_roots", lambda: tuple(
+        word.cartan.simple_root(i) for i in word.letters))
+
+
 def _driving_data(word: WordJ, t: int):
     """(gamma, low) of the driving trail of type t, computed once per word:
     its weights gamma_1..gamma_{m+1}, and their integer root coordinates
@@ -159,11 +170,12 @@ class Trail:
         # counts so far.  With gamma_1 and every step checked, those of
         # gamma_j - drive_j are exactly x - low_j.
         x = [0] * cartan.n
-        for j, (i, n) in enumerate(zip(word.letters, self.exps), start=1):
+        steps = zip(word.letters, self.exps, _letter_roots(word))
+        for j, (i, n, alpha) in enumerate(steps, start=1):
             if n < 0:
                 raise ConsistencyError(f"negative exponent at position {j}")
             if (list(map(sub, gamma[j], gamma[j - 1]))
-                    != [n * a for a in cartan.simple_root(i)]):
+                    != [n * a for a in alpha]):
                 raise ConsistencyError(f"weight step at position {j} is not "
                                        f"{n} alpha_{i}")
             x[i - 1] += n
@@ -335,16 +347,22 @@ def in_xt_cone(word: WordJ, t: int, f: LinearFunctionBJ) -> bool:
     return xt_leq(word, driving_function(word.cartan, word, t), f)
 
 
+def _start_vector(M: LowestWeightModule, t: int) -> dict[int, int]:
+    """v_{-s_t omega_t} as an integer vector, known up to a positive factor."""
+    return projective_vector(extremal_vector(M, (t,)))
+
+
 def _chain(M: LowestWeightModule, word: WordJ, t: int,
-           exps) -> list[ModuleVector] | None:
-    """Vectors v_1..v_{m+1} along the word, or None if any vanishes."""
-    v = extremal_vector(M, (t,))
+           exps) -> list[dict[int, int]] | None:
+    """Vectors v_1..v_{m+1} along the word, each a positive multiple of the
+    exact one in integers, or None if any vanishes."""
+    v = _start_vector(M, t)
     out = [v]
-    for j in range(1, word.m + 1):
-        i = word.letters[j - 1]
-        for _ in range(exps[j - 1]):
-            v = M.apply_e(i, v)
-            if v.is_zero():
+    for i, n in zip(word.letters, exps):
+        cols = M.e_int[i].cols
+        for _ in range(n):
+            v = apply_projective(cols, v)
+            if not v:
                 return None
         out.append(v)
     return out
@@ -360,10 +378,11 @@ def make_trail(M: LowestWeightModule, word, t: int, exps) -> Trail | None:
     drive, low = _driving_data(word, t)
     gamma = [drive[0]]
     x = [0] * M.cartan.n  # root coordinates of gamma_j - gamma_1
+    roots = _letter_roots(word)
     for j in range(1, word.m + 1):
         i = word.letters[j - 1]
         n = exps[j - 1]
-        gamma.append(wadd(gamma[-1], wscale(n, M.cartan.simple_root(i))))
+        gamma.append(wadd(gamma[-1], wscale(n, roots[j - 1])))
         x[i - 1] += n
         if not all(map(ge, x, low[j])):
             return None
@@ -382,8 +401,10 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
     Branches are cut when the partial monomial vector vanishes, when a
     weight drops below the driving trail, or when the deficit to the final
     extremal weight -w_m(omega_t) can no longer be filled by the remaining
-    letters.  Finite-dimensionality bounds every branch; ``max_exp`` is a
-    safety cap for use with truncations and raises DepthExhausted when hit.
+    letters.  The partial monomial vectors are integer vectors over the
+    integer forms of the e_i, exact up to a positive factor.
+    Finite-dimensionality bounds every branch; ``max_exp`` is a safety cap
+    for use with truncations and raises DepthExhausted when hit.
     """
     word = _as_word(M.cartan, word)
     if t != M.t:
@@ -404,14 +425,17 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
         return all(a <= h and (a == h or c + 1 in letters_after[j])
                    for c, (a, h) in enumerate(zip(x, high)))
 
-    def search(j: int, gamma: list[Weight], x: list[int], v: ModuleVector,
+    roots = _letter_roots(word)
+
+    def search(j: int, gamma: list[Weight], x: list[int], v: dict[int, int],
                exps: list[int]):
         if j > m:
             phi = _trivialization_step(word, t, gamma)
             found.append(Trail(word, t, tuple(gamma), tuple(exps), phi))
             return
         i = word.letters[j - 1]
-        alpha = cartan.simple_root(i)
+        alpha = roots[j - 1]
+        cols = M.e_int[i].cols
         n = 0
         g = gamma[-1]
         x = list(x)
@@ -422,13 +446,13 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
             if max_exp is not None and n > max_exp:
                 raise DepthExhausted(
                     f"exponent cap {max_exp} hit at position {j}")
-            v = M.apply_e(i, v)
-            if v.is_zero():
+            v = apply_projective(cols, v)
+            if not v:
                 return
             g = wadd(g, alpha)
             x[i - 1] += 1
 
-    search(1, [drive[0]], [0] * cartan.n, extremal_vector(M, (t,)), [])
+    search(1, [drive[0]], [0] * cartan.n, _start_vector(M, t), [])
 
     trails = frozenset(found)
     first = word.position(t, 1)
@@ -607,13 +631,15 @@ def _shift_face(K: Trail, s: int, k: int, M: LowestWeightModule,
 def minimal_in_class(M: LowestWeightModule, cls: TsClass, K: Trail) -> bool:
     """Whether f_s kills the vector entering every position (s,i)."""
     chain = _chain(M, K.word, K.t, K.exps)
-    return all(M.apply_f(cls.s, chain[p - 1]).is_zero() for p in cls.positions)
+    cols = M.f_int[cls.s].cols
+    return not any(apply_projective(cols, chain[p - 1]) for p in cls.positions)
 
 
 def maximal_in_class(M: LowestWeightModule, cls: TsClass, K: Trail) -> bool:
     """Whether e_s kills the vector leaving every position (s,i)."""
     chain = _chain(M, K.word, K.t, K.exps)
-    return all(M.apply_e(cls.s, chain[p]).is_zero() for p in cls.positions)
+    cols = M.e_int[cls.s].cols
+    return not any(apply_projective(cols, chain[p]) for p in cls.positions)
 
 
 def minimax_decompose(cls: TsClass, M: LowestWeightModule) -> tuple[Trail, tuple[int, ...]]:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trailkit import cli, giant
@@ -116,6 +118,31 @@ def test_sgraph_box_at_the_limit_is_accepted(tmp_path):
     assert cli.main(["sgraph", "--config", cfg, "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "sgraph.json").read_text())
     assert len(payload["points"]) == 120
+
+
+def test_sgraph_class_selector_respects_the_box_limit(tmp_path, capsys,
+                                                     monkeypatch):
+    # the G2 classes at step 5 have c = (0,0,0), (0,1,0) and (1,0,0):
+    # boxes of 1, 2 and 2 lattice points
+    def no_lp(cv):
+        raise AssertionError("extremality LP run before the box check")
+
+    monkeypatch.setattr(cli, "SGRAPH_BOX_LIMIT", 1)
+    monkeypatch.setattr(cli, "extremal_functions", no_lp)
+    cfg = write_config(tmp_path,
+                       dict(G2_JOB, **{"class": {"t": 2, "s": 1, "j": 5}}))
+    assert cli.main(["sgraph", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "c spans more than 1 lattice points (the product of c_i + 1)" in err
+    assert not list(tmp_path.glob("sgraph_class*"))
+
+
+def test_sgraph_selector_position_must_carry_s(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(A2_JOB, word=[1],
+                                      **{"class": {"t": 1, "s": 2, "j": 1}}))
+    assert cli.main(["sgraph", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "position 1 carries letter 1, not s=2" in capsys.readouterr().err
 
 
 def test_sgraph_needs_c_or_selector(tmp_path, capsys):
@@ -241,6 +268,18 @@ def test_verify_inject_spurious(tmp_path, capsys):
         "nearest": [[1, 1]],
         "detail": "driving layer is not the single driving function",
     }
+
+
+def test_main_calls_in_one_process_share_no_flags(tmp_path):
+    # the parser is built once and reused: no flag may leak into the next call
+    cfg = write_config(tmp_path, A2_JOB)
+    argv = ["verify", "--config", cfg, "--out", str(tmp_path),
+            "--suite", "envelope"]
+    assert cli.main(argv + ["--inject-spurious"]) == 5
+    assert cli.main(argv) == 0
+    assert cli.build_parser() is cli.build_parser()
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert "false_trail" not in report
 
 
 def test_verify_inject_spurious_config_key(tmp_path):
@@ -381,3 +420,76 @@ def test_write_json_chunks_a_long_report():
 def test_write_json_rejects_what_reports_never_hold(obj):
     with pytest.raises(TypeError):
         _written(obj)
+
+
+# --- fuzzed configs ----------------------------------------------------------
+
+_JUNK = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+         | st.lists(st.integers(-1, 2), max_size=2) | st.just({}))
+# Cartan matrices of rank <= 2 with one reduced word each (its prefixes are
+# reduced too), and two matrices outside finite type.
+_INSTANCES = [([[2]], [1]), ([[2, 0], [0, 2]], [2, 1]),
+              ([[2, -1], [-1, 2]], [1, 2, 1]), ([[2, -1], [-2, 2]], [2, 1, 2, 1]),
+              ([[2, -2], [-1, 2]], [1, 2, 1, 2]),
+              ([[2, -1], [-3, 2]], [1, 2, 1, 2, 1, 2]),
+              ([[2, -2], [-2, 2]], [1, 2, 1]), ([[2, -1], [-4, 2]], [2, 1])]
+_KEYS = ("cartan", "word", "t", "c", "class", "depth", "convention",
+         "inject_spurious")
+
+
+@st.composite
+def _configs(draw):
+    """A valid-looking config, with some keys dropped or replaced by values
+    of another type; now and then a random matrix or no object at all."""
+    matrix, word = draw(st.sampled_from(_INSTANCES))
+    config = {"cartan": matrix,
+              "word": word[:draw(st.integers(1, len(word)))]}
+    config.update(draw(st.fixed_dictionaries({}, optional={
+        "t": st.integers(1, 2),
+        "c": st.lists(st.integers(0, 3), max_size=3),
+        "class": st.fixed_dictionaries({"t": st.integers(1, 2),
+                                        "s": st.integers(1, 2),
+                                        "j": st.integers(1, 6)}),
+        "depth": st.integers(0, 5),
+        "convention": st.sampled_from(["dual", "straight"]),
+        "inject_spurious": st.booleans(),
+    })))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(_KEYS))
+        if draw(st.booleans()):
+            config.pop(key, None)
+        else:
+            config[key] = draw(_JUNK | st.integers(-1, 9)
+                               | st.sampled_from(["spiral", [1, 9], [7, 7, 7]]))
+    if draw(st.integers(0, 9)) == 0:
+        n = draw(st.integers(1, 2))
+        config["cartan"] = draw(st.lists(
+            st.lists(st.integers(-4, 2), min_size=n, max_size=n),
+            min_size=n, max_size=n))
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_JUNK)
+    return config
+
+
+_COMMANDS = st.sampled_from(
+    [["enumerate"], ["sgraph"]]
+    + [["verify", "--suite", name] for name in cli.SUITES]
+    + [["verify", "--suite", "envelope", "--inject-spurious"]])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_configs(), _COMMANDS)
+def test_fuzzed_configs_exit_cleanly(config, command):
+    """Any config gets a documented exit code and no traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "job.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured), \
+                contextlib.redirect_stderr(captured):
+            code = cli.main([*command, "--config", path,
+                             "--out", os.path.join(d, "out")])
+    assert code in (0, 2, 3, 4, 5), captured.getvalue()
+    assert "Traceback" not in captured.getvalue()

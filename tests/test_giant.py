@@ -3,12 +3,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import ENVELOPE_FIXTURES, cartan_key
 
-from trailkit import build_fundamental, construct_envelope, giant, validate_gcm
+from trailkit import (build_fundamental, construct_envelope, giant, trails,
+                      validate_gcm)
 from trailkit.bj_crystal import generate_binf
 from trailkit.cartan_core import is_reduced
 from trailkit.errors import (
@@ -198,6 +201,26 @@ def test_construct_envelope_fuses_each_shape_once(monkeypatch):
         assert set(fused) == {b.c for b in shaped}
         blocks += len(shaped)
     assert blocks > 3 * len(fused)    # shapes do repeat within an envelope
+
+
+def test_blocks_read_faces_from_the_word_memo(monkeypatch):
+    callers = Counter()
+    real = trails.face_function
+
+    def recording(*args):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(trails, "face_function", recording)
+    monkeypatch.setattr(giant, "face_function", recording, raising=False)
+    c3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+    word = (3, 2, 3, 1, 2, 3, 1, 2, 1)  # a fresh WordJ: the memo starts empty
+    for t in c3.labels:
+        env = construct_envelope(build_fundamental(c3, t), word, t)
+        assert any(not b.exceptional and b.c for L in env.layers
+                   for b in L.blocks)
+    assert callers["trailkit.giant"] == 0
+    assert callers["trailkit.trails"] > 0      # the memo was built here
 
 
 def _pairwise_linear_extension(word, cands):

@@ -5,10 +5,13 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trailkit
 
@@ -24,7 +27,10 @@ from trailkit import (
     weyl_dimension,
 )
 from trailkit import rep_builder
-from trailkit.errors import NotFiniteTypeError, UnknownLetterError, ZeroVectorError
+from trailkit.cartan_core import (_standard_gcm, positive_roots, root_coordinates,
+                                  wadd, wsub)
+from trailkit.errors import (NotFiniteTypeError, RadicalRankMismatch,
+                             UnknownLetterError, ZeroVectorError)
 
 from conftest import FULL_WORDS, GCM, cartan_key
 
@@ -298,3 +304,118 @@ def test_every_fundamental_up_to_rank_6_builds_in_2gb():
         assert dim == weyl == freudenthal, key
     assert rows["F4", 2][0] == 1274 and rows["F4", 3][0] == 273
     assert rows["E6", 3][0] == 351
+
+
+# --- the dominant-weight Freudenthal recursion and the integer forms ----------
+
+
+def _freudenthal_all_weights(cartan, highest):
+    """Freudenthal's recursion over every weight, highest first: the
+    reference for the dominant-weight recursion of the library."""
+    d = cartan.symmetrizer
+    n = cartan.n
+    weights = rep_builder.saturated_weight_set(cartan, highest)
+    by_height = sorted(weights, key=lambda mu: (
+        sum(root_coordinates(cartan, wsub(highest, mu))), mu))
+    pos = positive_roots(cartan)
+    pos_w = [tuple(sum(cartan.gcm[k][j] * b[j] for j in range(n))
+                   for k in range(n)) for b, _ in pos]
+    rho = cartan.rho()
+    mult = {}
+    for mu in by_height:
+        if mu == highest:
+            mult[mu] = 1
+            continue
+        num = 0
+        for (b, _), beta_w in zip(pos, pos_w):
+            nu = wadd(mu, beta_w)
+            while nu in mult:
+                num += mult[nu] * sum(b[j] * d[j] * nu[j] for j in range(n))
+                nu = wadd(nu, beta_w)
+        diff = root_coordinates(cartan, wsub(highest, mu))
+        tot = wadd(wadd(highest, mu), wadd(rho, rho))
+        denom = sum(diff[j] * d[j] * tot[j] for j in range(n))
+        val, rem = divmod(2 * num, denom)
+        assert rem == 0 and val >= 0, mu
+        if val:
+            mult[mu] = val
+    return mult
+
+
+def test_dominant_freudenthal_matches_the_full_recursion():
+    for family, n in RANK_6_TYPES:
+        c = validate_gcm(_standard_gcm(family, n))
+        for t in c.labels:
+            lam = c.fundamental_weight(t)
+            assert (freudenthal_multiplicities(c, lam)
+                    == _freudenthal_all_weights(c, lam)), (family, n, t)
+
+
+def test_dominant_freudenthal_on_non_fundamental_weights(cartans):
+    for name, lam in (("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 1)),
+                      ("C3", (1, 0, 1)), ("D4", (0, 1, 0, 1))):
+        c = cartans[name]
+        assert (freudenthal_multiplicities(c, lam)
+                == _freudenthal_all_weights(c, lam)), name
+
+
+RANK_4_FUNDAMENTALS = [(family + str(n), t)
+                       for family, n in RANK_6_TYPES if n <= 4
+                       for t in range(1, n + 1)]
+
+
+def _module(tag: str, t: int):
+    return build_fundamental(validate_gcm(_standard_gcm(tag[0], int(tag[1:]))), t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RANK_4_FUNDAMENTALS), st.floats(0, 1, exclude_max=True),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=12))
+def test_integer_forms_agree_with_fraction_operators(instance, start, walk):
+    m = _module(*instance)
+    idx = int(start * m.dim)
+    v = m.basis_vector(idx)
+    w = {idx: 1}
+    for raising, k in walk:
+        i = k % m.cartan.n + 1
+        if raising:
+            v, w = m.apply_e(i, v), rep_builder.apply_projective(m.e_int[i].cols, w)
+        else:
+            v, w = m.apply_f(i, v), rep_builder.apply_projective(m.f_int[i].cols, w)
+        assert v.is_zero() == (not w)
+        if not w:
+            break
+        # w is a positive multiple of the exact vector v
+        assert w.keys() == v.coords.keys()
+        ratios = {Fraction(x) / v.coords[b] for b, x in w.items()}
+        assert len(ratios) == 1 and min(ratios) > 0
+
+
+def test_integer_forms_scale_the_fraction_columns(modules):
+    for m in modules.values():
+        for fracs, ints in ((m.e_cols, m.e_int), (m.f_cols, m.f_int)):
+            for i, cols in fracs.items():
+                scale, icols = ints[i]
+                assert scale >= 1 and all(
+                    (x * scale).denominator == 1 for col in cols for _, x in col)
+                assert icols == tuple(tuple((r, int(x * scale)) for r, x in col)
+                                      for col in cols)
+
+
+def test_verify_module_catches_a_changed_non_integer_entry(cartans):
+    m = build_fundamental(cartans["C3"], 2)
+    rep_builder._verify_module(m)
+    name, i, b, k = next(
+        (name, i, b, k) for name, cols_by_i in (("e", m.e_cols), ("f", m.f_cols))
+        for i, cols in cols_by_i.items() for b, col in enumerate(cols)
+        for k, (_, x) in enumerate(col) if x == Fraction(1, 2))
+    cols_by_i = {"e": dict(m.e_cols), "f": dict(m.f_cols)}
+    col = list(cols_by_i[name][i][b])
+    col[k] = (col[k][0], Fraction(1, 3))
+    cols = list(cols_by_i[name][i])
+    cols[b] = tuple(col)
+    cols_by_i[name][i] = tuple(cols)
+    tampered = rep_builder.LowestWeightModule(
+        m.cartan, m.t, m.weights, m.lowest_index, cols_by_i["e"], cols_by_i["f"])
+    with pytest.raises(RadicalRankMismatch, match=r"\[e_\d, f_\d\] is not"):
+        rep_builder._verify_module(tampered)
