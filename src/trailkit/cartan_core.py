@@ -226,7 +226,10 @@ def validate_gcm(matrix) -> CartanData:
     "A1xA1") is attached when the matrix matches a standard one up to
     simultaneous permutation.
     """
-    a = [list(row) for row in matrix]
+    try:
+        a = [list(row) for row in matrix]
+    except TypeError:
+        raise NotGCMError("matrix must be a list of integer rows") from None
     n = len(a)
     if n == 0 or any(len(row) != n for row in a):
         raise NotGCMError("matrix must be square and non-empty")

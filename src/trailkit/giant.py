@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .cartan_core import CartanData, WordJ
+from . import linalg
 from .errors import ConsistencyError, FalseTrailDetected, UnknownLetterError
-from .linalg import extremal_points
 from .rep_builder import LowestWeightModule
 from .sgraph import CoeffVector, binary_fusion, integer_points
 from .trails import (LinearFunctionBJ, _as_word, _face_basis, driving_trail,
@@ -49,18 +49,29 @@ def _fn_key(f: LinearFunctionBJ):
     return f.terms
 
 
-def _extremal_subset(funcs) -> frozenset[LinearFunctionBJ]:
+def _extremal_subset(funcs, known: frozenset = frozenset(),
+                     within: frozenset = frozenset()
+                     ) -> frozenset[LinearFunctionBJ]:
     """Extremal elements of a finite set of linear functions.
 
     Coefficients at positions outside every support are zero throughout, so
-    the union of supports serves as the coordinate axes.
+    the union of supports serves as the coordinate axes.  ``known`` holds
+    extremal elements of the set ``within``.  A point extremal in a set is
+    extremal in every subset that contains it, so when ``funcs`` lies
+    inside ``within`` an element of ``known`` is taken as extremal without
+    an LP; otherwise every element is tested.
     """
     fs = sorted(funcs, key=_fn_key)
     if len(fs) <= 2:
         return frozenset(fs)
+    if not within.issuperset(fs):
+        known = frozenset()
     axes = sorted({q for f in fs for q, _ in f.terms})
     coords = [tuple(f.coeff(q) for q in axes) for f in fs]
-    return frozenset(fs[i] for i in extremal_points(coords))
+    return frozenset(
+        f for i, f in enumerate(fs)
+        if f in known
+        or not linalg.in_convex_hull(coords[i], coords[:i] + coords[i + 1:]))
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,10 @@ class EnvelopeLayer:
 
 @dataclass(frozen=True)
 class Envelope:
-    """The full per-step decomposition plus the whole-word sweep per type."""
+    """The full per-step decomposition plus the whole-word sweep per type.
+
+    ``extremal`` holds the extremal elements of ``functions``.
+    """
 
     t: int
     word: WordJ
@@ -110,6 +124,7 @@ class Envelope:
     global_blocks: tuple[ClassBlock, ...]
     functions: frozenset[LinearFunctionBJ]
     driving: LinearFunctionBJ
+    extremal: frozenset[LinearFunctionBJ]
 
     @property
     def cartan(self) -> CartanData:
@@ -328,15 +343,16 @@ def _check_layer(j: int, prev, truth, blocks) -> None:
                        "block predicts a function with no trail behind it")
 
 
-def _attach_class_data(j, s, trails, blocks):
+def _attach_class_data(j, s, trails, fn_of, blocks):
     """Cross-check blocks against the module-level classes and keep their a.
 
     Each non-exceptional block must correspond to exactly one class whose
     l-minimal function is the block driver, with equal coefficient tuples,
-    member functions and member coordinates.
+    member functions and member coordinates.  ``fn_of`` maps each trail's
+    exponents to its function.
     """
     classes = group_ts_classes([K for K in trails if K.phi <= j], s, j)
-    by_driver = {trail_function(cls.l_min): cls for cls in classes}
+    by_driver = {fn_of[cls.l_min.exps]: cls for cls in classes}
     out = []
     for b in blocks:
         if b.exceptional:
@@ -350,7 +366,7 @@ def _attach_class_data(j, s, trails, blocks):
         if cls.c != b.c + (0,):
             raise ConsistencyError(
                 f"class coefficients {cls.c} disagree with block {b.c}")
-        member_fns = frozenset(trail_function(K) for K in cls.members)
+        member_fns = frozenset(fn_of[K.exps] for K in cls.members)
         if member_fns != b.functions:
             f = min(member_fns ^ b.functions, key=_fn_key)
             raise FalseTrailDetected(
@@ -362,19 +378,21 @@ def _attach_class_data(j, s, trails, blocks):
         out.append(replace(b, a=tuple(cls.a)))
     for cls in by_driver.values():
         raise FalseTrailDetected(
-            j, cls.c, trail_function(cls.l_min),
+            j, cls.c, fn_of[cls.l_min.exps],
             detail="module class missed by the block construction")
     return out
 
 
 def _decompose(word: WordJ, t: int, s: int, step: int | None, pool,
-               zt1: LinearFunctionBJ, fusions: dict):
+               zt1: LinearFunctionBJ, fusions: dict, built: dict):
     """Disjoint type-s blocks driven by the functions of ``pool``, least
     driver first; a driver already inside a block is discarded.
 
     ``step`` is the word step of the per-step pass; ``None`` sweeps the
     whole word, including classes settling after the last occurrence of s.
     ``fusions`` is the envelope's memo of S-graphs by coefficient tuple.
+    ``built`` is its memo of blocks by (s, driver, c): a block depends on
+    nothing else but its step, so the sweep reuses the per-step blocks.
     """
     blocks, discarded = [], []
     if s == t:
@@ -384,20 +402,27 @@ def _decompose(word: WordJ, t: int, s: int, step: int | None, pool,
         if any(z in b.functions for b in blocks):
             discarded.append(z)
             continue
-        blocks.append(_make_block(word, s, step, z, c, fusions))
+        if step is None and (s, z, c) in built:
+            blocks.append(replace(built[s, z, c], step=None))
+        else:
+            built[s, z, c] = _make_block(word, s, step, z, c, fusions)
+            blocks.append(built[s, z, c])
     _check_disjoint(word.m if step is None else step, blocks)
     return tuple(blocks), tuple(discarded)
 
 
-def _forward(blocks, later) -> tuple[bool, bool]:
+def _forward(blocks, later, functions, extremal) -> tuple[bool, bool]:
     """Forward checks of one layer against the next (``None`` after the
     last step): its vertex functions lie in the next lower blocks, and
-    their extremal elements among the next lower vertex sets."""
+    their extremal elements among the next lower vertex sets.
+    ``extremal`` holds the extremal elements of the envelope's
+    ``functions``; those among the vertex functions need no LP."""
     if later is None:
         return True, True
     lhs = _union(b.vertices for b in blocks)
     return (lhs <= _union(b.lower for b in later),
-            _extremal_subset(lhs) <= _union(b.lower_vertices for b in later))
+            _extremal_subset(lhs, extremal, functions)
+            <= _union(b.lower_vertices for b in later))
 
 
 def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
@@ -414,13 +439,15 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
     cartan = M.cartan
     w = _as_word(cartan, word)
     trails = enumerate_trails(M, w, t)
-    funcs = frozenset(trail_function(K) for K in trails)
+    fn_of = {K.exps: trail_function(K) for K in trails}
+    funcs = frozenset(fn_of.values())
     if len(funcs) != len(trails):
         raise ConsistencyError("two trails define one function")
     all_funcs = funcs if spurious is None else funcs | {spurious}
     t1 = w.position(t, 1)
     zt1 = trail_function(driving_trail(cartan, w, t))
     fusions: dict = {}  # c -> (CoeffVector, S-graph, sorted lattice points)
+    built: dict = {}    # (s, driver, c) -> block
 
     steps = []          # (j, s, blocks, discarded, settled functions)
     prev: frozenset[LinearFunctionBJ] = frozenset()
@@ -441,18 +468,22 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                     j, (), f, nearest=zt1,
                     detail="driving layer is not the single driving function")
         else:
-            blocks, discarded = _decompose(w, t, s, j, prev, zt1, fusions)
+            blocks, discarded = _decompose(w, t, s, j, prev, zt1, fusions,
+                                           built)
             _check_layer(j, prev, truth, blocks)
-            blocks = tuple(_attach_class_data(j, s, trails, blocks))
+            blocks = tuple(_attach_class_data(j, s, trails, fn_of, blocks))
         steps.append((j, s, blocks, discarded, truth))
         prev = truth
+    extremal = _extremal_subset(all_funcs)
     later = [step[2] for step in steps[1:]] + [None]
-    layers = tuple(EnvelopeLayer(*step, *_forward(step[2], nxt))
-                   for step, nxt in zip(steps, later))
+    layers = tuple(
+        EnvelopeLayer(*step, *_forward(step[2], nxt, all_funcs, extremal))
+        for step, nxt in zip(steps, later))
 
     global_blocks = []
     for s in cartan.labels:
-        blocks, _ = _decompose(w, t, s, None, all_funcs, zt1, fusions)
+        blocks, _ = _decompose(w, t, s, None, all_funcs, zt1, fusions,
+                               built)
         constructed = _union(b.functions for b in blocks)
         if constructed != all_funcs:
             raise _escaped(w.m, blocks,
@@ -460,7 +491,8 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                            f"whole-word type-{s} decomposition does not match",
                            class_key=("sweep", s))
         global_blocks.extend(blocks)
-    return Envelope(t, w, layers, tuple(global_blocks), all_funcs, zt1)
+    return Envelope(t, w, layers, tuple(global_blocks), all_funcs, zt1,
+                    extremal)
 
 
 def check_constructibility(env: Envelope, j1: int) -> dict:
@@ -506,10 +538,10 @@ def epsilon_star(env: Envelope, s: int, b) -> int:
 def extremality_report(env: Envelope) -> dict:
     """Extremal functions of the whole set versus per-type vertex sets.
 
-    Containment or equality is reported, never asserted.
+    Containment or equality is reported, never asserted.  The extremal set
+    is the one the envelope computed; this runs no LP.
     """
-    funcs = sorted(env.functions, key=_fn_key)
-    ext = _extremal_subset(funcs)
+    ext = env.extremal
     per_s = {}
     for s in env.cartan.labels:
         zs = env.z_t(s)
@@ -520,7 +552,7 @@ def extremality_report(env: Envelope) -> dict:
         }
     return {
         "t": env.t,
-        "functions": len(funcs),
+        "functions": len(env.functions),
         "extremal": len(ext),
         "extremal_functions": [list(map(list, _fn_key(z))) for z in
                                sorted(ext, key=_fn_key)],

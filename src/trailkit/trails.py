@@ -43,6 +43,7 @@ from .errors import (
     MixedTrivialization,
     NoMaximalTrail,
     OpenFaceRequest,
+    PositionMissingError,
     TNotInWord,
 )
 from .rep_builder import (
@@ -524,8 +525,10 @@ def group_ts_classes(trails, s: int, j: int) -> list[TsClass]:
     word, t = trails[0].word, trails[0].t
     if any(K.word != word or K.t != t for K in trails):
         raise ConsistencyError("trails come from different enumerations")
-    if word.letters[j - 1] != s:
-        raise ValueError(f"position {j} carries letter {word.letters[j - 1]}, not {s}")
+    letter = word.occurrence(j)[0]  # a j off the word raises here
+    if letter != s:
+        raise PositionMissingError(
+            f"position {j} carries letter {letter}, not {s}")
     n = word.count(s, upto=j)
     positions = tuple(word.position(s, i) for i in range(1, n + 1))
 

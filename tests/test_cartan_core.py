@@ -47,6 +47,12 @@ def test_validate_gcm_rejects(matrix, message):
         validate_gcm(matrix)
 
 
+@pytest.mark.parametrize("matrix", [None, 3, [1, 2], [[2, -1], 5], {1: 2}])
+def test_validate_gcm_rejects_non_rows(matrix):
+    with pytest.raises(NotGCMError):
+        validate_gcm(matrix)
+
+
 def test_non_finite_matrices():
     affine = validate_gcm([[2, -2], [-2, 2]])
     assert not affine.finite_type

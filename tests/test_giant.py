@@ -8,10 +8,10 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import ENVELOPE_FIXTURES, cartan_key
+from conftest import ENVELOPE_FIXTURES, GCM, cartan_key
 
-from trailkit import (build_fundamental, construct_envelope, giant, trails,
-                      validate_gcm)
+from trailkit import (build_fundamental, construct_envelope, giant, linalg,
+                      trails, validate_gcm)
 from trailkit.bj_crystal import generate_binf
 from trailkit.cartan_core import is_reduced
 from trailkit.errors import (
@@ -74,6 +74,118 @@ def test_block_invariants(envelopes):
         for b in env.global_blocks:
             assert b.step is None
             assert b.vertices <= b.functions <= env.functions
+
+
+# --- extremality once per envelope ------------------------------------------
+
+
+def test_envelope_extremal_set_is_the_plain_lp_result(envelopes):
+    for (key, t), env in envelopes.items():
+        assert env.extremal == giant._extremal_subset(env.functions), (key, t)
+        rep = extremality_report(env)
+        assert rep["extremal"] == len(env.extremal)
+
+
+_points = st.lists(st.dictionaries(st.integers(1, 4), st.integers(-3, 3),
+                                   max_size=4), max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_points, st.lists(st.booleans(), max_size=10), _points)
+def test_known_extremal_points_match_the_plain_lp(maps, keep, extra):
+    whole = frozenset(LinearFunctionBJ.from_coeffs(m) for m in maps)
+    known = giant._extremal_subset(whole)
+    part = {f for f, k in zip(sorted(whole, key=giant._fn_key), keep) if k}
+    assert (giant._extremal_subset(part, known, whole)
+            == giant._extremal_subset(part))
+    # points outside the whole set void the shortcut: every point is tested
+    part |= {LinearFunctionBJ.from_coeffs(m) for m in extra}
+    assert (giant._extremal_subset(part, known, whole)
+            == giant._extremal_subset(part))
+
+
+def _counting_lp(monkeypatch):
+    calls = []
+    real = linalg.in_convex_hull
+
+    def counting(point, gens):
+        calls.append(len(gens))
+        return real(point, gens)
+
+    monkeypatch.setattr(linalg, "in_convex_hull", counting)
+    return calls
+
+
+def test_known_extremal_points_skip_their_lp(monkeypatch):
+    f = LinearFunctionBJ.from_coeffs
+    whole = frozenset({f({1: 1, 2: 1}), f({}), f({2: 3}), f({1: 3})})
+    known = giant._extremal_subset(whole)
+    assert known == whole - {f({1: 1, 2: 1})}
+    calls = _counting_lp(monkeypatch)
+    assert giant._extremal_subset(whole, known, whole) == known
+    assert calls == [3]     # only the one point not known to be extremal
+    # (1,1) is extremal in {(1,1), (0,0), (0,3)} but lies between (0,0) and
+    # (2,2), a point outside the whole set: the shortcut must not apply
+    small = frozenset({f({1: 1, 2: 1}), f({}), f({2: 3})})
+    small_known = giant._extremal_subset(small)
+    assert small_known == small
+    calls.clear()
+    grown = small | {f({1: 2, 2: 2})}
+    assert (giant._extremal_subset(grown, small_known, small)
+            == grown - {f({1: 1, 2: 1})})
+    assert len(calls) == 4
+
+
+def test_minuscule_forward_checks_and_report_run_no_lp(monkeypatch, cartans):
+    calls = _counting_lp(monkeypatch)
+    in_forward = []     # (vertex functions, LPs) per _forward call
+    forward = giant._forward
+
+    def marked(blocks, *rest):
+        before = len(calls)
+        out = forward(blocks, *rest)
+        in_forward.append((len(giant._union(b.vertices for b in blocks)),
+                           len(calls) - before))
+        return out
+
+    monkeypatch.setattr(giant, "_forward", marked)
+    M = build_fundamental(cartans["C3"], 1)     # minuscule, dimension 6
+    env = construct_envelope(M, (3, 2, 3, 1, 2, 3, 1, 2, 1), 1)
+    assert env.extremal == env.functions and len(env.functions) == 5
+    assert calls                              # the one global pass
+    assert len(in_forward) == env.word.m
+    assert max(n for n, _ in in_forward) >= 3
+    assert sum(lps for _, lps in in_forward) == 0
+    calls.clear()
+    rep = extremality_report(env)
+    assert calls == []
+    assert rep["functions"] == rep["extremal"] == len(env.functions)
+
+
+def test_sweep_reuses_the_per_step_blocks(monkeypatch):
+    built = Counter()
+    make = giant._make_block
+
+    def counting(word, s, step, z, c, fusions):
+        built[s, z, c] += 1
+        return make(word, s, step, z, c, fusions)
+
+    monkeypatch.setattr(giant, "_make_block", counting)
+    c3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
+    word = (3, 2, 3, 1, 2, 3, 1, 2, 1)
+    reused = 0
+    for t in c3.labels:
+        built.clear()
+        env = construct_envelope(build_fundamental(c3, t), word, t)
+        assert max(built.values()) == 1, t
+        shaped = [b for b in env.global_blocks if not b.exceptional]
+        for b in shaped:
+            assert b.step is None and b.a is None
+            assert b == make(env.word, b.s, None, b.driving, b.c, {})
+        per_step = {(b.s, b.driving, b.c) for L in env.layers
+                    for b in L.blocks if not b.exceptional}
+        reused += sum((b.s, b.driving, b.c) in per_step for b in shaped)
+    assert reused > 0
 
 
 def test_layer_accessor(envelopes):
@@ -291,6 +403,58 @@ def test_linear_extension_matches_pairwise_order_off_the_face_lattice(
     cands = [(z, ()) for z in funcs]
     assert (giant._linear_extension(word, cands)
             == _pairwise_linear_extension(word, cands))
+
+
+# --- every reduced word of w0 in rank 3 ------------------------------------
+
+FAMILY = ("A3", "B3", "C3")
+
+# (type, t, word) pairs that report a false trail today (ROADMAP item 1):
+# V(omega_2) of B3 and C3 has a zero weight of multiplicity 2 (B3: 3).
+KNOWN_FALSE_TRAILS = {
+    ("B3", 2, w) for w in (
+        "132132132", "132132312", "132312132", "132312312", "132321232",
+        "312132132", "312132312", "312312132", "312312312", "312321232",
+        "321232132", "321232312")
+} | {
+    ("C3", 2, w) for w in (
+        "132132132", "132132312", "132312132", "132312312",
+        "312132132", "312132312", "312312132", "312312312")
+}
+
+
+def _family_cases():
+    cases = []
+    for name in FAMILY:
+        cartan = validate_gcm(GCM[name])
+        words = _reduced_words_of_w0(cartan)
+        for t in cartan.labels:
+            for word in words:
+                key = (name, t, "".join(map(str, word)))
+                marks = ()
+                if key in KNOWN_FALSE_TRAILS:
+                    marks = pytest.mark.xfail(
+                        strict=True, raises=FalseTrailDetected,
+                        reason="false trail on a module with a weight of "
+                               "multiplicity above 1 (ROADMAP item 1)")
+                cases.append(pytest.param(name, t, word, marks=marks,
+                                          id="-".join(map(str, key))))
+    return cases
+
+
+def test_family_sizes():
+    sizes = {name: len(_reduced_words_of_w0(validate_gcm(GCM[name])))
+             for name in FAMILY}
+    assert sizes == {"A3": 16, "B3": 42, "C3": 42}
+    assert len(KNOWN_FALSE_TRAILS) == 20
+
+
+@pytest.mark.parametrize("name,t,word", _family_cases())
+def test_every_w0_word_of_rank_3(cartans, name, t, word):
+    env = construct_envelope(build_fundamental(cartans[name], t), word, t)
+    assert all((L.forward_ok, L.forward_vertex_ok) == (True, True)
+               for L in env.layers)
+    assert env.extremal == giant._extremal_subset(env.functions)
 
 
 # --- small frozen fixtures --------------------------------------------------

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from trailkit import cli
+from trailkit import cli, validate_gcm
+from trailkit.cartan_core import is_reduced
 
 DATA = Path(__file__).parent / "data"
 
@@ -91,3 +92,30 @@ def test_enumerate_report_matches_golden(tmp_path, name, job):
     out = tmp_path / "out"
     assert cli.main(["enumerate", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "trails.json").read_bytes() == (DATA / name).read_bytes()
+
+
+# Pinned by sha256 only: the report is about 1 MB and takes seconds to
+# build, so tier-1 does not run it.  CI runs `trailkit verify` on each job
+# in a fresh process and checks the report with `sha256sum -c`.
+E6_W0 = [2, 6, 3, 4, 5, 6, 1, 4, 2, 4, 5, 3, 1, 4, 5, 6, 3, 2, 1, 4, 5, 2,
+         6, 4, 3, 1, 4, 5, 2, 4, 3, 4, 5, 6, 2, 4]
+
+GOLDEN_DIGESTS = [
+    # E6 omega_1: 232 trails, all extremal
+    ("verify_e6_t1_envelope.sha256", "envelope",
+     {"cartan": E6, "t": 1, "word": E6_W0}),
+]
+
+
+@pytest.mark.parametrize("name,suite,job", GOLDEN_DIGESTS,
+                         ids=[g[0].removesuffix(".sha256")
+                              for g in GOLDEN_DIGESTS])
+def test_digest_pins_are_well_formed(name, suite, job):
+    digest, fname = (DATA / name).read_text(encoding="ascii").split()
+    assert fname == "verify.json"
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    assert suite in cli.SUITES
+    cartan = validate_gcm(job["cartan"])
+    word = job["word"]      # a reduced word of w0: no letter extends it
+    assert is_reduced(cartan, word)
+    assert not any(is_reduced(cartan, word + [i]) for i in cartan.labels)

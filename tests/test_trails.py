@@ -36,6 +36,7 @@ from trailkit.errors import (
     ConsistencyError,
     MixedTrivialization,
     OpenFaceRequest,
+    PositionMissingError,
 )
 from trailkit.trails import face_cone_coordinates
 
@@ -199,8 +200,10 @@ def test_group_classes_guards(modules, full_words):
                 key=lambda K: K.exps)
     with pytest.raises(MixedTrivialization):
         group_ts_classes(ts, 1, 3)         # includes phi > 3 trails
-    with pytest.raises(ValueError):
+    with pytest.raises(PositionMissingError, match="carries letter 2, not 1"):
         group_ts_classes([K for K in ts if K.phi <= 4], 1, 4)  # letter is 2
+    with pytest.raises(PositionMissingError, match="outside"):
+        group_ts_classes(ts, 1, 7)         # the word has six letters
 
 
 def test_lower_members(modules, full_words):
