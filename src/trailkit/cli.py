@@ -37,8 +37,8 @@ from .giant import (check_constructibility, construct_envelope,
                     epsilon_star_values, extremality_report)
 from .rep_builder import build_fundamental
 from .sgraph import (CoeffVector, binary_fusion, display_tuple,
-                     extremal_functions, integer_points, is_connected,
-                     line_count, neighbor_graph, to_dot)
+                     integer_points, is_connected, line_count,
+                     neighbor_graph, to_dot)
 from .sl2_engine import (Sl2Config, coefficient_A, coefficient_A_oracle,
                          vanishing_identity)
 from .trails import (driving_trail, enumerate_trails, face_function,
@@ -47,8 +47,9 @@ from .trails import (driving_trail, enumerate_trails, face_function,
 SUITES = ("sl2", "sgraph", "trails", "envelope", "all")
 
 # Largest box prod(c_i + 1) that an explicit "c" may span.  `sgraph` scans
-# the whole box for lattice points and runs one extremality LP per point;
-# at 512 the slowest shape, c = [511], takes about 8 s.
+# the whole box for lattice points and counts the points on every line
+# through each of them; at 512 the slowest shape, c = [511], takes about
+# 0.8 s.
 SGRAPH_BOX_LIMIT = 512
 
 
@@ -294,7 +295,7 @@ def _sgraph_payload(c: tuple[int, ...]) -> tuple[dict, str]:
                       "display": list(display_tuple(v.func))}
                      for v in g.vertices],
         "points": [list(p) for p in pts],
-        "extremal_points": [list(p) for p in sorted(extremal_functions(cv))],
+        "extremal_points": [list(p) for p in sorted(g.functions())],
         "line_counts": counts,
     }
     return payload, to_dot(g)

@@ -78,13 +78,13 @@ def _extremal_subset(funcs, known: frozenset = frozenset(),
 class ClassBlock:
     """One type-s class realized as driving function plus face multiples.
 
-    ``points`` are the lattice tuples of the coefficient polytope, in the
-    same order as ``functions``; ``lower`` collects the functions whose
-    last point coordinate vanishes (equivalently, for a block built at word
-    step j, whose support stays below j).  ``vertices`` are the S-graph
-    vertex functions and ``lower_vertices`` the extremal elements of the
-    lower set; when the last entry of ``c`` is non-zero these coincide with
-    the label-n vertex functions.
+    ``points`` are the lattice tuples of the coefficient polytope;
+    ``lower`` collects the functions whose last point coordinate vanishes
+    (equivalently, for a block built at word step j, whose support stays
+    below j).  ``vertices`` are the S-graph vertex functions and
+    ``lower_vertices`` those on the face c'_{n-1} = 0, which are the
+    extremal elements of the lower set; when the last entry of ``c`` is
+    non-zero these are the label-n vertex functions.
     """
 
     s: int
@@ -196,9 +196,8 @@ def _make_block(word: WordJ, s: int, step: int | None, z: LinearFunctionBJ,
     faces = {k: basis[word.position(s, k)] for k in range(2, len(c) + 2)}
     if c not in fusions:  # blocks of one shape share their S-graph
         cv = CoeffVector.make(c)
-        fusions[c] = (cv, binary_fusion(cv),
-                      tuple(sorted(integer_points(cv))))
-    cv, g, pts = fusions[c]
+        fusions[c] = (binary_fusion(cv), tuple(sorted(integer_points(cv))))
+    g, pts = fusions[c]
     funcs = tuple(_expand(z, faces, p) for p in pts)
     if len(set(funcs)) != len(funcs):
         raise ConsistencyError("distinct lattice points expanded to one "
@@ -214,16 +213,12 @@ def _make_block(word: WordJ, s: int, step: int | None, z: LinearFunctionBJ,
                                        "last point coordinate")
         if is_lower:
             lower.add(f)
-    vertices = frozenset(_expand(z, faces, v.func) for v in g.vertices)
-    lower_vertices = _extremal_subset(lower)
-    if c and c[-1] != 0:
-        label_n = frozenset(_expand(z, faces, g.vertices[i].func)
-                            for i in g.with_label(cv.n))
-        if lower_vertices != label_n:
-            raise ConsistencyError("extremal lower functions deviate from "
-                                   "the label-n vertex functions")
+    # S-graph vertex functions are lattice points, so they are expanded
+    # already; the lower ones are the vertices of the face c'_{n-1} = 0
+    expanded = dict(zip(pts, funcs))
+    vertices = frozenset(expanded[p] for p in g.functions())
     return ClassBlock(s, step, c, None, z, pts, frozenset(functions),
-                      frozenset(lower), vertices, lower_vertices)
+                      frozenset(lower), vertices, vertices & lower)
 
 
 def _exceptional_block(t: int, step: int | None, zt1: LinearFunctionBJ,
@@ -446,7 +441,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
     all_funcs = funcs if spurious is None else funcs | {spurious}
     t1 = w.position(t, 1)
     zt1 = trail_function(driving_trail(cartan, w, t))
-    fusions: dict = {}  # c -> (CoeffVector, S-graph, sorted lattice points)
+    fusions: dict = {}  # c -> (S-graph, sorted lattice points)
     built: dict = {}    # (s, driver, c) -> block
 
     steps = []          # (j, s, blocks, discarded, settled functions)

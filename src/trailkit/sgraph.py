@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ConsistencyError, PointOutside
+from .errors import ConsistencyError, DomainError, PointOutside
 from .linalg import extremal_points
 
 
@@ -247,7 +247,8 @@ def lower_integer_points(coeffs: CoeffVector) -> frozenset[tuple[int, ...]]:
 
 
 def extremal_functions(coeffs: CoeffVector) -> frozenset[tuple[int, ...]]:
-    """Extremal points of the integer-point set, by exact convex-hull tests."""
+    """Extremal points of the integer-point set, by one exact convex-hull
+    test per point: a test oracle for the S-graph vertex functions."""
     pts = sorted(integer_points(coeffs))
     return frozenset(pts[i] for i in extremal_points(pts))
 
@@ -301,6 +302,8 @@ def line_count(coeffs: CoeffVector, point, u: int) -> int:
     For the lift-maximal u the count is checked against the closed form
     1 + (c'_{u+1} + c_u - c_{u+1}) - c'_{u-1} (clamped at 1).
     """
+    if not 1 <= u <= coeffs.n:
+        raise DomainError(f"line type {u} is outside 1..{coeffs.n}")
     point = tuple(point)
     if not polytope_membership(coeffs, point):
         raise PointOutside(f"{point} is not in the polytope of {coeffs.c}")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trailkit import cli, giant
+from trailkit import cli, giant, linalg
+from trailkit.sgraph import CoeffVector, extremal_functions
 
 
 def write_config(tmp_path, obj, name="job.json"):
@@ -120,15 +121,32 @@ def test_sgraph_box_at_the_limit_is_accepted(tmp_path):
     assert len(payload["points"]) == 120
 
 
+def test_sgraph_extremal_points_come_from_the_s_graph(tmp_path,
+                                                     monkeypatch):
+    oracle = sorted(extremal_functions(CoeffVector.make((7, 7, 7))))
+
+    def no_lp(point, gens):
+        raise AssertionError("sgraph ran an extremality LP")
+
+    monkeypatch.setattr(linalg, "in_convex_hull", no_lp)
+    for c, want in (([511], [(0,), (511,)]), ([7, 7, 7], oracle)):
+        cfg = write_config(tmp_path, dict(A2_JOB, c=c))
+        assert cli.main(["sgraph", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "sgraph.json").read_text())
+        assert payload["extremal_points"] == [list(p) for p in want], c
+
+
 def test_sgraph_class_selector_respects_the_box_limit(tmp_path, capsys,
                                                      monkeypatch):
     # the G2 classes at step 5 have c = (0,0,0), (0,1,0) and (1,0,0):
     # boxes of 1, 2 and 2 lattice points
-    def no_lp(cv):
-        raise AssertionError("extremality LP run before the box check")
+    def no_work(cv):
+        raise AssertionError("S-graph work run before the box check")
 
     monkeypatch.setattr(cli, "SGRAPH_BOX_LIMIT", 1)
-    monkeypatch.setattr(cli, "extremal_functions", no_lp)
+    monkeypatch.setattr(cli, "binary_fusion", no_work)
+    monkeypatch.setattr(cli, "integer_points", no_work)
     cfg = write_config(tmp_path,
                        dict(G2_JOB, **{"class": {"t": 2, "s": 1, "j": 5}}))
     assert cli.main(["sgraph", "--config", cfg, "--out", str(tmp_path)]) == 2

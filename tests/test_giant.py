@@ -21,6 +21,7 @@ from trailkit.errors import (
 )
 from trailkit.giant import (check_constructibility, epsilon_star,
                            epsilon_star_values, extremality_report)
+from trailkit.sgraph import CoeffVector, binary_fusion
 from trailkit.trails import (
     LinearFunctionBJ,
     driving_trail,
@@ -74,6 +75,27 @@ def test_block_invariants(envelopes):
         for b in env.global_blocks:
             assert b.step is None
             assert b.vertices <= b.functions <= env.functions
+        _assert_lower_vertices_match_the_lp(env)
+
+
+def _assert_lower_vertices_match_the_lp(env):
+    """Every per-step and global block's lower vertex set is the LP's
+    extremal subset of its lower set and, when the last entry of c is
+    non-zero, the expanded label-n vertex functions of its S-graph."""
+    basis = trails._face_basis(env.word)
+    oracle = {}     # global blocks reuse per-step lower sets
+    for b in [b for L in env.layers for b in L.blocks] + list(
+            env.global_blocks):
+        if b.lower not in oracle:
+            oracle[b.lower] = giant._extremal_subset(b.lower)
+        assert b.lower_vertices == oracle[b.lower], (b.s, b.step, b.c)
+        if b.c and b.c[-1] != 0:
+            faces = {k: basis[env.word.position(b.s, k)]
+                     for k in range(2, len(b.c) + 2)}
+            g = binary_fusion(CoeffVector.make(b.c))
+            assert b.lower_vertices == frozenset(
+                giant._expand(b.driving, faces, p)
+                for p in g.lower_functions()), (b.s, b.step, b.c)
 
 
 # --- extremality once per envelope ------------------------------------------
@@ -160,6 +182,25 @@ def test_minuscule_forward_checks_and_report_run_no_lp(monkeypatch, cartans):
     rep = extremality_report(env)
     assert calls == []
     assert rep["functions"] == rep["extremal"] == len(env.functions)
+
+
+def test_blocks_run_no_lp(monkeypatch, cartans):
+    calls = _counting_lp(monkeypatch)
+    in_blocks = []
+    make = giant._make_block
+
+    def marked(*args):
+        before = len(calls)
+        block = make(*args)
+        in_blocks.append(len(calls) - before)
+        return block
+
+    monkeypatch.setattr(giant, "_make_block", marked)
+    for t in cartans["C3"].labels:
+        construct_envelope(build_fundamental(cartans["C3"], t),
+                           (3, 2, 3, 1, 2, 3, 1, 2, 1), t)
+    assert calls and in_blocks      # the global pass still runs its LPs
+    assert sum(in_blocks) == 0
 
 
 def test_sweep_reuses_the_per_step_blocks(monkeypatch):
@@ -455,6 +496,7 @@ def test_every_w0_word_of_rank_3(cartans, name, t, word):
     assert all((L.forward_ok, L.forward_vertex_ok) == (True, True)
                for L in env.layers)
     assert env.extremal == giant._extremal_subset(env.functions)
+    _assert_lower_vertices_match_the_lp(env)
 
 
 # --- small frozen fixtures --------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailkit.errors import ConsistencyError, PointOutside
+from trailkit.errors import ConsistencyError, DomainError, PointOutside
 from trailkit.linalg import extremal_points, in_convex_hull, invert, rank, rref
 from trailkit.sgraph import (
     CoeffVector,
@@ -170,6 +170,12 @@ def test_line_tables_32():
         assert line_count(cv, p, 3) == 1          # type-n lines are points
     with pytest.raises(PointOutside):
         line_count(cv, (2, 0), 1)
+
+
+@pytest.mark.parametrize("u", [-1, 0, 4])
+def test_line_count_rejects_a_type_outside_1_to_n(u):
+    with pytest.raises(DomainError):
+        line_count(CoeffVector.make((3, 2)), (0, 0), u)
 
 
 def test_display_tuple():
