@@ -52,6 +52,11 @@ SUITES = ("sl2", "sgraph", "trails", "envelope", "all")
 # 0.8 s.
 SGRAPH_BOX_LIMIT = 512
 
+# Largest crystal depth.  The crystal grows fast with the depth: on the E6
+# greedy w0 it has 405, 3,235 and 19,886 elements at depths 4, 6 and 8,
+# and generating them alone takes 0.02, 0.22 and 1.3 s (2-vCPU VM).
+DEPTH_LIMIT = 4
+
 
 class JobConfig:
     """Validated instance data for one invocation."""
@@ -99,8 +104,9 @@ def load_config(path: str, args) -> JobConfig:
     """Read, validate, and merge the job file with flag overrides.
 
     Integer fields take JSON integers only; booleans are rejected.  An
-    explicit ``c`` may span at most ``SGRAPH_BOX_LIMIT`` lattice points.
-    ``inject_spurious`` takes a JSON boolean only.
+    explicit ``c`` may span at most ``SGRAPH_BOX_LIMIT`` lattice points,
+    and ``depth`` may not exceed ``DEPTH_LIMIT``.  ``inject_spurious``
+    takes a JSON boolean only.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -161,8 +167,9 @@ def load_config(path: str, args) -> JobConfig:
         if t is None:
             t = selector["t"]
     depth = args.depth if args.depth is not None else raw.get("depth", 4)
-    if not _is_int(depth) or depth < 0:
-        raise ConfigError(f"{path}: depth must be a non-negative integer")
+    if not _is_int(depth) or not 0 <= depth <= DEPTH_LIMIT:
+        raise ConfigError(
+            f"{path}: depth must be an integer in 0..{DEPTH_LIMIT}")
     convention = (args.convention if args.convention is not None
                   else raw.get("convention", "dual"))
     if convention not in CONVENTIONS:
@@ -250,12 +257,22 @@ def _write_json(path: str, obj) -> None:
         fh.write("".join(out))
 
 
+def _require_labels(cfg: JobConfig, labels, why: str) -> None:
+    """Reject a word that lacks one of ``labels``, before any module is
+    built."""
+    for s in labels:
+        if s not in cfg.word.letters:
+            raise ConfigError(f"label {s} does not occur in the word "
+                              f"{list(cfg.word.letters)}; {why}")
+
+
 def _fn_terms(z) -> list[list[int]]:
     return [list(term) for term in z.terms]
 
 
 def cmd_enumerate(cfg: JobConfig, out: str) -> int:
     """Module build + trail dump with per-trivialization-step counts."""
+    _require_labels(cfg, cfg.labels, "without t, every label is enumerated")
     modules = []
     for t in cfg.labels:
         M = build_fundamental(cfg.cartan, t)
@@ -439,7 +456,7 @@ def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
             raise
         rep = check_constructibility(env, cfg.word.m)
         if crystal is None:
-            elems = generate_binf(cfg.cartan, cfg.word, min(cfg.depth, 4),
+            elems = generate_binf(cfg.cartan, cfg.word, cfg.depth,
                                   cfg.convention)
             crystal = (sorted(elems, key=lambda b: (b.total, b.coords)),
                        dump_elements(elems))
@@ -467,6 +484,9 @@ def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
 
 def cmd_verify(cfg: JobConfig, out: str, suite: str) -> int:
     """Run the selected check suites; write one combined report."""
+    if suite in ("envelope", "all"):
+        _require_labels(cfg, cfg.cartan.labels,
+                        "the envelope suite's crystal lowers by every label")
     report: dict = {"suite": suite}
     path = os.path.join(out, "verify.json")
     forensics: dict = {}
@@ -511,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="job JSON path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--depth", type=int, default=None,
-                       help="crystal generation depth")
+                       help="crystal generation depth, at most "
+                       f"{DEPTH_LIMIT} (default 4)")
         p.add_argument("--convention", choices=CONVENTIONS, default=None,
                        help="pairing convention for crystal checks")
         if name == "verify":

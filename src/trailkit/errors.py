@@ -68,10 +68,6 @@ class MixedTrivialization(TrailkitError):
     """Trails grouped together trivialize at different steps."""
 
 
-class DepthExhausted(TrailkitError):
-    """Exponent search cap hit before enumeration provably closed."""
-
-
 class NoMaximalTrail(TrailkitError):
     """No trail in the class satisfies the maximality condition."""
 

@@ -25,7 +25,7 @@ grouped into classes carrying the a/k/l/c/c' data used downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge, sub
+from operator import ge
 
 from .cartan_core import (
     CartanData,
@@ -33,13 +33,11 @@ from .cartan_core import (
     WordJ,
     root_coordinates,
     wadd,
-    wneg,
     wscale,
     wsub,
 )
 from .errors import (
     ConsistencyError,
-    DepthExhausted,
     MixedTrivialization,
     NoMaximalTrail,
     OpenFaceRequest,
@@ -146,45 +144,51 @@ def _build_driving_data(word: WordJ, t: int):
 
 @dataclass(frozen=True)
 class Trail:
-    """A trail, stored by its weight sequence and exponents.
+    """A trail, stored by its exponents n_1..n_m.
 
-    Structural axioms (T), (B) and (P) are enforced on construction;
-    realizability against the module is enforced by the constructors that
-    hold a module (:func:`enumerate_trails`, :func:`make_trail`,
-    :func:`try_adjoin_face`), since the weight data alone cannot decide it.
+    By (T) the exponents fix every weight from gamma_1 = -s_t(omega_t), so
+    construction walks them once, checks n_j >= 0, (P) and the end weight,
+    and keeps the weights ``gamma`` and the trivialization step ``phi`` as
+    derived attributes.  Realizability needs a module, so the constructors
+    that hold one (:func:`enumerate_trails`, :func:`make_trail`) check it.
     """
 
     word: WordJ
     t: int
-    gamma: tuple[Weight, ...]
     exps: tuple[int, ...]
-    phi: int
 
     def __post_init__(self):
-        word, m = self.word, self.word.m
-        assert len(self.gamma) == m + 1 and len(self.exps) == m
+        word = self.word
+        assert len(self.exps) == word.m
         drive, low = _driving_data(word, self.t)
-        gamma, cartan = self.gamma, word.cartan
-        if gamma[0] != drive[0]:
-            raise ConsistencyError("trail does not start at -s_t(omega_t)")
+        # equal weights of the trails of one (word, t) share one tuple
+        shared = word.memoized(("weights", self.t), dict)
         # x holds the root coordinates of gamma_j - gamma_1, the raising
-        # counts so far.  With gamma_1 and every step checked, those of
-        # gamma_j - drive_j are exactly x - low_j.
-        x = [0] * cartan.n
+        # counts so far, so those of gamma_j - drive_j are x - low_j.
+        x = [0] * word.cartan.n
+        g = drive[0]
+        gamma = [g]
         steps = zip(word.letters, self.exps, _letter_roots(word))
         for j, (i, n, alpha) in enumerate(steps, start=1):
             if n < 0:
                 raise ConsistencyError(f"negative exponent at position {j}")
-            if (list(map(sub, gamma[j], gamma[j - 1]))
-                    != [n * a for a in alpha]):
-                raise ConsistencyError(f"weight step at position {j} is not "
-                                       f"{n} alpha_{i}")
             x[i - 1] += n
             if not all(map(ge, x, low[j])):
                 raise ConsistencyError(
                     f"weight at position {j} drops below the driving trail")
-        if self.phi != _trivialization_step(word, self.t, gamma):
-            raise ConsistencyError("declared trivialization step is wrong")
+            if n:
+                g = wadd(g, wscale(n, alpha))
+                g = shared.setdefault(g, g)
+            gamma.append(g)
+        m, t = word.m, self.t
+        if g != word.prefix_weight(t, m):
+            raise ConsistencyError("trail does not end at -w_m(omega_t)")
+        # phi: the least step with gamma_{j+1} = -w_j(omega_t) for j >= phi
+        phi = m
+        while phi > 1 and gamma[phi - 1] == word.prefix_weight(t, phi - 1):
+            phi -= 1
+        object.__setattr__(self, "gamma", tuple(gamma))
+        object.__setattr__(self, "phi", phi)
 
     @property
     def m(self) -> int:
@@ -213,31 +217,17 @@ class Trail:
         }
 
 
-def _trivialization_step(word: WordJ, t: int, gamma) -> int:
-    """Least phi with gamma_{j+1} = -w_j(omega_t) for every j >= phi."""
-    if gamma[word.m] != word.prefix_weight(t, word.m):
-        raise ConsistencyError("trail does not end at -w_m(omega_t)")
-    phi = word.m
-    for j in range(word.m - 1, 0, -1):
-        if gamma[j] != word.prefix_weight(t, j):
-            break
-        phi = j
-    return phi
-
-
 def driving_trail(cartan: CartanData, word, t: int) -> Trail:
     """The driving trail of type t: constant at -s_t(omega_t) through the
     first occurrence of t, then the extremal weights -w_j(omega_t)."""
     word = _as_word(cartan, word)
-    gamma = _driving_data(word, t)[0]
-    exps = []
-    for j in range(1, word.m + 1):
-        i = word.letters[j - 1]
-        d = wsub(gamma[j], gamma[j - 1])
-        n = d[i - 1] // 2
-        assert d == wscale(n, cartan.simple_root(i)) and n >= 0
-        exps.append(n)
-    return Trail(word, t, gamma, tuple(exps), word.position(t, 1))
+    drive = _driving_data(word, t)[0]
+    # alpha_i has 2 at coordinate i, so a step n alpha_i raises it by 2n
+    K = Trail(word, t, tuple((b[i - 1] - a[i - 1]) // 2 for i, a, b
+                             in zip(word.letters, drive, drive[1:])))
+    if K.gamma != drive:
+        raise ConsistencyError("the driving weights do not form a trail")
+    return K
 
 
 def trail_function(K: Trail) -> LinearFunctionBJ:
@@ -374,29 +364,18 @@ def make_trail(M: LowestWeightModule, word, t: int, exps) -> Trail | None:
     realizability fail."""
     word = _as_word(M.cartan, word)
     exps = tuple(exps)
-    if len(exps) != word.m or any(n < 0 for n in exps):
+    if len(exps) != word.m:
         return None
-    drive, low = _driving_data(word, t)
-    gamma = [drive[0]]
-    x = [0] * M.cartan.n  # root coordinates of gamma_j - gamma_1
-    roots = _letter_roots(word)
-    for j in range(1, word.m + 1):
-        i = word.letters[j - 1]
-        n = exps[j - 1]
-        gamma.append(wadd(gamma[-1], wscale(n, roots[j - 1])))
-        x[i - 1] += n
-        if not all(map(ge, x, low[j])):
-            return None
-    if gamma[word.m] != word.prefix_weight(t, word.m):
+    try:
+        K = Trail(word, t, exps)
+    except ConsistencyError:
         return None
     if _chain(M, word, t, exps) is None:
         return None
-    phi = _trivialization_step(word, t, gamma)
-    return Trail(word, t, tuple(gamma), exps, phi)
+    return K
 
 
-def enumerate_trails(M: LowestWeightModule, word, t: int,
-                     max_exp: int | None = None) -> frozenset[Trail]:
+def enumerate_trails(M: LowestWeightModule, word, t: int) -> frozenset[Trail]:
     """All trails for (word, t), by depth-first search on exponents.
 
     Branches are cut when the partial monomial vector vanishes, when a
@@ -404,21 +383,20 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
     extremal weight -w_m(omega_t) can no longer be filled by the remaining
     letters.  The partial monomial vectors are integer vectors over the
     integer forms of the e_i, exact up to a positive factor.
-    Finite-dimensionality bounds every branch; ``max_exp`` is a safety cap
-    for use with truncations and raises DepthExhausted when hit.
+    Finite-dimensionality bounds every branch.
     """
     word = _as_word(M.cartan, word)
     if t != M.t:
         raise ConsistencyError(f"module is built for t={M.t}, not t={t}")
-    cartan = M.cartan
     m = word.m
-    drive, low = _driving_data(word, t)
+    low = _driving_data(word, t)[1]
     letters_after = [set(word.letters[j:]) for j in range(m + 1)]
     # Root coordinates relative to gamma_1: a node's are its raising counts,
     # the driving trail's are the lower bounds of (P), and the final weight
     # -w_m(omega_t) = drive_{m+1} gives the upper bounds.
     high = low[m]
     found: list[Trail] = []
+    exps: list[int] = []  # the exponents of the current node
 
     def admissible(x: list[int], j: int) -> bool:
         if any(a < b for a, b in zip(x, low[j])):
@@ -426,38 +404,30 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
         return all(a <= h and (a == h or c + 1 in letters_after[j])
                    for c, (a, h) in enumerate(zip(x, high)))
 
-    roots = _letter_roots(word)
-
-    def search(j: int, gamma: list[Weight], x: list[int], v: dict[int, int],
-               exps: list[int]):
+    def search(j: int, x: list[int], v: dict[int, int]):
         if j > m:
-            phi = _trivialization_step(word, t, gamma)
-            found.append(Trail(word, t, tuple(gamma), tuple(exps), phi))
+            found.append(Trail(word, t, tuple(exps)))
             return
         i = word.letters[j - 1]
-        alpha = roots[j - 1]
         cols = M.e_int[i].cols
         n = 0
-        g = gamma[-1]
         x = list(x)
         while True:
             if admissible(x, j):
-                search(j + 1, gamma + [g], x, v, exps + [n])
+                exps.append(n)
+                search(j + 1, x, v)
+                exps.pop()
             n += 1
-            if max_exp is not None and n > max_exp:
-                raise DepthExhausted(
-                    f"exponent cap {max_exp} hit at position {j}")
             v = apply_projective(cols, v)
             if not v:
                 return
-            g = wadd(g, alpha)
             x[i - 1] += 1
 
-    search(1, [drive[0]], [0] * cartan.n, _start_vector(M, t), [])
+    search(1, [0] * M.cartan.n, _start_vector(M, t))
 
     trails = frozenset(found)
     first = word.position(t, 1)
-    drv = driving_trail(cartan, word, t)
+    drv = driving_trail(M.cartan, word, t)
     earliest = [K for K in trails if K.phi <= first]
     if earliest != [drv]:
         raise ConsistencyError(
@@ -469,7 +439,7 @@ def enumerate_trails(M: LowestWeightModule, word, t: int,
 class TsClass:
     """Trails of one signature, trivializing together at step j = (s, n).
 
-    ``e_signature`` records the exponents at the non-s positions before j;
+    The signature is the exponents at the non-s positions before j;
     ``positions`` are the occurrences (s,1)..(s,n); ``a`` the eigenvalue
     drops; ``members`` are sorted by their exponent tuples ``k_tuples`` at
     the s-positions; ``l_min`` is the lexicographically least member, whose
@@ -479,7 +449,6 @@ class TsClass:
 
     s: int
     j: int
-    e_signature: tuple[tuple[int, int], ...]
     positions: tuple[int, ...]
     a: tuple[int, ...]
     members: tuple[Trail, ...]
@@ -568,7 +537,7 @@ def group_ts_classes(trails, s: int, j: int) -> list[TsClass]:
             c_primes.append(cp)
         if c_primes[l_idx] != (0,) * n:
             raise ConsistencyError("the lex-least member must have c' = 0")
-        out.append(TsClass(s, j, sig, positions, a, members, k_tuples,
+        out.append(TsClass(s, j, positions, a, members, k_tuples,
                            l_min, c, tuple(c_primes)))
     return out
 

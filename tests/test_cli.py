@@ -348,12 +348,29 @@ def test_verify_reports_failed_suite(tmp_path, capsys, monkeypatch):
     lambda d: dict(d, inject_spurious="false"),           # string flag
     lambda d: dict(d, c=[40] * 6),                        # box 41**6
     lambda d: dict(d, c=[512]),                           # box just over
+    lambda d: dict(d, depth=5),                           # depth over 4
+    lambda d: dict(d, word=[1]),                          # label 2 absent
 ])
 def test_config_errors(tmp_path, capsys, mangle, request):
     cfg = write_config(tmp_path, mangle(dict(A2_JOB)))
     assert cli.main(["enumerate", "--config", cfg,
                      "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_verify_envelope_needs_every_label(tmp_path, capsys):
+    # the crystal of the envelope suite lowers by every label, so a word
+    # without label 3 is a config error there even with t given; the
+    # trails suite reads only the word
+    cfg = write_config(tmp_path, {"cartan": [[2, -1, 0], [-1, 2, -1],
+                                             [0, -1, 2]],
+                                  "word": [1, 2], "t": 1})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--suite", "envelope"]) == 2
+    assert "label 3 does not occur" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--suite", "trails"]) == 0
 
 
 def test_config_missing_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import re
@@ -28,6 +29,7 @@ from trailkit import (
     trail_function,
     try_adjoin_face,
     try_remove_face,
+    validate_gcm,
     xt_leq,
 )
 from trailkit import trails
@@ -40,7 +42,8 @@ from trailkit.errors import (
 )
 from trailkit.trails import face_cone_coordinates
 
-from conftest import FULL_WORDS, cartan_key
+from conftest import FULL_WORDS, GCM, cartan_key
+from test_giant import _reduced_words_of_w0
 
 # every trail of every fixture module, frozen as exponent tuples
 EXPECTED_TRAILS = {
@@ -361,39 +364,22 @@ def test_rigidify_positivity():
 # --- the trail axioms, checked on construction ------------------------------
 
 
-def _weights_for(word, t, exps):
-    """gamma_1..gamma_{m+1} reached from -s_t(omega_t) by the exponents."""
-    c = word.cartan
-    g = tuple(r - f for r, f in zip(c.simple_root(t), c.fundamental_weight(t)))
-    gamma = [g]
-    for i, n in zip(word.letters, exps):
-        g = tuple(a + n * r for a, r in zip(g, c.simple_root(i)))
-        gamma.append(g)
-    return tuple(gamma)
-
-
-def _axiom_error(K, message, **changes):
-    fields = {"word": K.word, "t": K.t, "gamma": K.gamma, "exps": K.exps,
-              "phi": K.phi, **changes}
+def _axiom_error(K, message, exps):
     with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        Trail(**fields)
+        Trail(K.word, K.t, exps)
 
 
 def test_trail_axiom_violations_raise(full_words):
     w = full_words["G2"]
     K = driving_trail(w.cartan, w, 2)           # exps (0, 0, 1, 2, 1, 1)
-    Trail(K.word, K.t, K.gamma, K.exps, K.phi)  # the valid trail passes
-    _axiom_error(K, "trail does not start at -s_t(omega_t)",
-                 gamma=((0, 0),) + K.gamma[1:])
-    _axiom_error(K, "negative exponent at position 4",
-                 exps=(0, 0, 1, -1, 1, 1))
-    _axiom_error(K, "weight step at position 3 is not 2 alpha_1",
-                 exps=(0, 0, 2, 2, 1, 1))
-    # each step checked, but position 3 stays below the driving trail
-    flat = (0, 0, 0, 3, 2, 1)
+    assert Trail(K.word, K.t, K.exps) == K      # the valid trail passes
+    # the exponents are the whole record; gamma and phi are derived
+    assert [f.name for f in dataclasses.fields(Trail)] == ["word", "t", "exps"]
+    _axiom_error(K, "negative exponent at position 4", (0, 0, 1, -1, 1, 1))
+    # position 3 stays below the driving trail
     _axiom_error(K, "weight at position 3 drops below the driving trail",
-                 gamma=_weights_for(w, 2, flat), exps=flat)
-    _axiom_error(K, "declared trivialization step is wrong", phi=K.phi + 1)
+                 (0, 0, 0, 3, 2, 1))
+    _axiom_error(K, "trail does not end at -w_m(omega_t)", (0, 0, 1, 2, 1, 2))
 
 
 def test_make_trail_rejects_a_drop_below_the_driving_trail(modules,
@@ -401,6 +387,32 @@ def test_make_trail_rejects_a_drop_below_the_driving_trail(modules,
     w = full_words["G2"]
     assert make_trail(modules["G2", 2], w, 2, (0, 0, 0, 3, 2, 1)) is None
     assert make_trail(modules["G2", 2], w, 2, (0, 0, 1, 2, 1, 1)) is not None
+
+
+def test_exponents_rebuild_every_trail_and_face_moves_stay_inside():
+    # every trail of every w0 word of A3, B3 and C3: make_trail rebuilds it
+    # from its exponents alone, and every closed-face move either fails or
+    # lands on an enumerated trail
+    moves = landed = 0
+    for name in ("A3", "B3", "C3"):
+        cartan = validate_gcm(GCM[name])
+        for t in cartan.labels:
+            M = build_fundamental(cartan, t)
+            for letters in _reduced_words_of_w0(cartan):
+                w = WordJ(cartan, letters)
+                found = enumerate_trails(M, w, t)
+                faces = [(s, k) for s in cartan.labels
+                         for k in range(2, w.count(s) + 1)]
+                for K in found:
+                    assert make_trail(M, w, t, K.exps) == K
+                    for s, k in faces:
+                        for move in (try_adjoin_face, try_remove_face):
+                            L = move(K, s, k, M)
+                            moves += 1
+                            if L is not None:
+                                assert L in found, (name, letters, t, K.exps)
+                                landed += 1
+    assert (moves, landed) == (16332, 2840)
 
 
 def test_enumeration_computes_root_coordinates_once_per_position(
