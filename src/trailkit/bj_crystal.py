@@ -17,6 +17,7 @@ is "dual" so that crystal data and trail data live on the same surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .cartan_core import CartanData, WordJ
 from .errors import ConfigError, ConsistencyError, NotApplicable
@@ -126,25 +127,67 @@ def crystal_e(cartan: CartanData, word, i: int, b: BJElement,
     return b.bump(u, -1)
 
 
+def _kashiwara_columns(word: WordJ, convention: str):
+    """Per position q, the change of every Kashiwara value when m_q grows by
+    1: entry p (0-based) of column q is the coefficient of m_q in r_i^k, for
+    (i, k) the occurrence at position p.  Built once per word and
+    convention."""
+
+    def build():
+        letters, pairing = word.letters, word.cartan.pairing
+        dual = convention == "dual"
+        cols = []
+        for q, b in enumerate(letters):
+            col = [0] * word.m
+            for p, a in enumerate(letters[:q]):
+                col[p] = pairing(b, a) if dual else pairing(a, b)
+            col[q] = 1
+            cols.append(tuple(col))
+        return tuple(cols)
+
+    return word.memoized(("kashiwara_columns", convention), build)
+
+
 def generate_binf(cartan: CartanData, word, depth: int,
                   convention: str = "dual") -> frozenset[BJElement]:
     """All elements reachable from the empty element by at most ``depth``
-    lowering steps."""
+    lowering steps.
+
+    A breadth-first search on exponent tuples.  Each tuple carries its
+    Kashiwara values, one per position, and a lowering step at position q
+    adds the integer column of q to them (:func:`_kashiwara_columns`), so
+    the step is the one :func:`crystal_f` takes.
+    """
     word = _as_word(cartan, word)
     if depth < 0:
         raise ConfigError("depth must be non-negative")
-    seen = {b_infinity()}
-    frontier = [b_infinity()]
-    for _ in range(depth):
-        nxt = []
-        for b in frontier:
-            for i in cartan.labels:
-                fb = crystal_f(cartan, word, i, b, convention)
-                if fb not in seen:
-                    seen.add(fb)
-                    nxt.append(fb)
-        frontier = nxt
-    return frozenset(seen)
+    start = (0,) * word.m
+    seen = {start}
+    if depth:
+        if convention not in CONVENTIONS:
+            raise ConfigError(f"unknown convention {convention!r}")
+        for i in cartan.labels:
+            if word.count(i) == 0:
+                raise NotApplicable(f"letter {i} does not occur in the word")
+        cols = _kashiwara_columns(word, convention)
+        occurrences = [[word.position(i, k) - 1
+                        for k in range(1, word.count(i) + 1)]
+                       for i in cartan.labels]
+        frontier = [(start, start)]
+        for _ in range(depth):
+            nxt = []
+            for x, r in frontier:
+                for ps in occurrences:
+                    # the least occurrence among those maximizing r_i^k
+                    q = max(ps, key=r.__getitem__)
+                    y = x[:q] + (x[q] + 1,) + x[q + 1:]
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append((y, tuple(map(add, r, cols[q]))))
+            frontier = nxt
+    return frozenset(
+        BJElement(tuple((j, v) for j, v in enumerate(x, start=1) if v))
+        for x in seen)
 
 
 def dump_elements(elems) -> list[dict]:

@@ -34,7 +34,7 @@ from .cartan_core import CartanData, WordJ, require_finite, validate_gcm
 from .errors import (ConfigError, FalseTrailDetected, NotFiniteTypeError,
                      TrailkitError)
 from .giant import (check_constructibility, construct_envelope,
-                    epsilon_star_values, extremality_report)
+                    epsilon_star_batch, extremality_report)
 from .rep_builder import build_fundamental
 from .sgraph import (CoeffVector, binary_fusion, display_tuple,
                      integer_points, is_connected, line_count,
@@ -187,6 +187,27 @@ def load_config(path: str, args) -> JobConfig:
 _WRITE_CHUNK = 256
 
 
+def _shared_listings(obj) -> set[int]:
+    """ids of the listings (non-empty lists or tuples whose first item is a
+    dict) that ``obj`` holds at more than one place.  The search runs
+    through dicts and listings only."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [[obj]]
+    while stack:
+        o = stack.pop()
+        for v in (o.values() if type(o) is dict else o):
+            if type(v) is dict:
+                stack.append(v)
+            elif type(v) in (list, tuple) and v and type(v[0]) is dict:
+                if id(v) in seen:
+                    shared.add(id(v))
+                else:
+                    seen.add(id(v))
+                    stack.append(v)
+    return shared
+
+
 def _write_json(path: str, obj) -> None:
     """Write ``obj`` exactly as ``json.dump(obj, fh, sort_keys=True,
     indent=1)`` followed by a newline would, in one pass and in bounded
@@ -195,13 +216,20 @@ def _write_json(path: str, obj) -> None:
     Reports hold dicts (str or int keys), lists, tuples, ints, bools, strs
     and None; anything else, a float or a ``Fraction`` included, raises
     TypeError.  Dict items are sorted by their original keys, so keys of
-    mixed types raise TypeError as they do in the stdlib encoder.
+    mixed types raise TypeError as they do in the stdlib encoder.  A listing
+    (a list whose first item is a dict) that ``obj`` holds at several places
+    is encoded once per indentation: its first encoding is kept whole, and
+    later ones reuse its text.
     """
+    shared = _shared_listings(obj)
+    texts: dict[tuple[int, str], str] = {}  # (id, nl) -> encoded text
     with open(path, "w", encoding="utf-8") as fh:
         out: list[str] = []
+        keeping = 0     # shared listings being encoded; out is not written
 
         def emit(o, nl: str) -> None:
             # nl is a newline plus the indentation of the enclosing level.
+            nonlocal keeping
             if isinstance(o, str):
                 out.append(encode_basestring_ascii(o))
             elif o is None:
@@ -221,12 +249,23 @@ def _write_json(path: str, obj) -> None:
                     items = ("," + inner).join(map(int.__repr__, o))
                     out.append("[" + inner + items + nl + "]")
                     return
+                known = (id(o), nl) if id(o) in shared else None
+                if known in texts:
+                    out.append(texts[known])
+                    return
+                if known:
+                    start = len(out)
+                    keeping += 1
                 sep = "[" + inner
                 for x in o:
                     out.append(sep)
                     emit(x, inner)
                     sep = "," + inner
                 out.append(nl + "]")
+                if known:
+                    keeping -= 1
+                    texts[known] = "".join(out[start:])
+                    out[start:] = [texts[known]]
             elif isinstance(o, dict):
                 if not o:
                     out.append("{}")
@@ -248,7 +287,7 @@ def _write_json(path: str, obj) -> None:
             else:
                 raise TypeError(f"Object of type {type(o).__name__} is not "
                                 f"JSON serializable")
-            if len(out) >= _WRITE_CHUNK:
+            if len(out) >= _WRITE_CHUNK and not keeping:
                 fh.write("".join(out))
                 out.clear()
 
@@ -435,7 +474,7 @@ def _suite_trails(cfg: JobConfig) -> dict:
 
 def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
     out: dict = {"modules": [], "ok": True}
-    crystal = None  # (sorted elements, their listing): the same for every t
+    crystal = None  # (element coordinates, listing): the same for every t
     for t in cfg.labels:
         M = build_fundamental(cfg.cartan, t)
         spurious = None
@@ -458,26 +497,23 @@ def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
         if crystal is None:
             elems = generate_binf(cfg.cartan, cfg.word, cfg.depth,
                                   cfg.convention)
-            crystal = (sorted(elems, key=lambda b: (b.total, b.coords)),
-                       dump_elements(elems))
-        sweep_ok = True
-        for b in crystal[0]:
-            vals = epsilon_star_values(env, cfg.cartan.labels, b.as_dict())
-            if len(set(vals.values())) != 1:
-                sweep_ok = False
+            order = sorted(elems, key=lambda b: (b.total, b.coords))
+            crystal = ([b.coords for b in order], dump_elements(order))
+        # every label's maximum equals the overall one, or this raises
+        epsilon_star_batch(env, cfg.cartan.labels, crystal[0])
         entry = {
             "t": t,
             "functions": len(env.functions),
             "constructible": rep["pass"],
             "constructible_strong": rep["pass_strong"],
             "steps": rep["steps"],
-            "epsilon_star_s_independent": sweep_ok,
+            "epsilon_star_s_independent": True,
             "epsilon_star_elements": crystal[1],
             "extremality": extremality_report(env),
             "layers": env.to_json_dict()["layers"],
         }
         out["modules"].append(entry)
-        if not (rep["pass"] and rep["pass_strong"] and sweep_ok):
+        if not (rep["pass"] and rep["pass_strong"]):
             out["ok"] = False
     return out
 

@@ -32,8 +32,10 @@ in a written report.  The forward checks are report data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from heapq import heappop, heappush
+from operator import add, le, mul, sub
 
 from .cartan_core import CartanData, WordJ
 from . import linalg
@@ -41,37 +43,133 @@ from .errors import ConsistencyError, FalseTrailDetected, UnknownLetterError
 from .rep_builder import LowestWeightModule
 from .sgraph import CoeffVector, binary_fusion, integer_points
 from .trails import (LinearFunctionBJ, _as_word, _face_basis, driving_trail,
-                     enumerate_trails, face_cone_coordinates, group_ts_classes,
-                     trail_function, xt_leq)
+                     enumerate_trails, group_ts_classes, trail_function)
 
 
 def _fn_key(f: LinearFunctionBJ):
     return f.terms
 
 
-def _extremal_subset(funcs, known: frozenset = frozenset(),
-                     within: frozenset = frozenset()
-                     ) -> frozenset[LinearFunctionBJ]:
-    """Extremal elements of a finite set of linear functions.
+class _IntegerForm:
+    """The settled functions of one envelope as integer rows.
 
-    Coefficients at positions outside every support are zero throughout, so
-    the union of supports serves as the coordinate axes.  ``known`` holds
-    extremal elements of the set ``within``.  A point extremal in a set is
-    extremal in every subset that contains it, so when ``funcs`` lies
-    inside ``within`` an element of ``known`` is taken as extremal without
-    an LP; otherwise every element is tested.
+    ``funcs`` holds the functions in function order, ``index`` inverts it,
+    and ``rows[i]`` holds the coefficients of ``funcs[i]`` at positions
+    1..m.  The extremality test, the face-cone order and epsilon* read
+    their integers from here.
     """
-    fs = sorted(funcs, key=_fn_key)
+
+    def __init__(self, word: WordJ, funcs):
+        self.word = word
+        self.funcs = tuple(sorted(funcs, key=_fn_key))
+        self.index = {f: i for i, f in enumerate(self.funcs)}
+        rows = []
+        for f in self.funcs:
+            row = [0] * word.m
+            for j, c in f.terms:
+                row[j - 1] = c
+            rows.append(tuple(row))
+        self.rows = tuple(rows)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per position j (index j-1), the coefficients of every function."""
+        return tuple(zip(*self.rows))
+
+    @cached_property
+    def cone(self) -> tuple[tuple, ...]:
+        """Per function, (residue, face coordinates, their sum).
+
+        Back-substitution from the highest position down subtracts c copies
+        of the closed face whose top position u carries the coefficient c,
+        and leaves the coefficients at the other positions as the residue.
+        The map is linear, so w - z lies in the integer span of the faces iff
+        z and w share a residue, and then its face coordinates are the
+        difference of theirs.
+        """
+        basis = _face_basis(self.word)
+        tops = sorted(basis, reverse=True)
+        out = []
+        for row in self.rows:
+            r = list(row)
+            coords = []
+            for u in tops:
+                c = r[u - 1]
+                coords.append(c)
+                if c:
+                    for j, v in basis[u].terms:
+                        r[j - 1] -= c * v
+            out.append((tuple(r), tuple(coords), sum(coords)))
+        return tuple(out)
+
+
+def _extremal_indices(pts, todo) -> list[int]:
+    """The indices in ``todo`` of extremal points among distinct integer
+    points ``pts``.
+
+    A point p is extremal if some w has w.p > w.q for every other point q;
+    the witnesses tried are w = p and w = n p - (the sum of all n points),
+    both read off p's row of dot products.  A point without a witness is
+    not extremal if it is the midpoint of two others.  Each point left goes
+    to the certified hull LP against the points not yet found inside the
+    hull, which is exact because conv(S) = conv(ext S).
+    """
+    n = len(pts)
+    total = [sum(col) for col in zip(*pts)]
+    tdot = [sum(map(mul, total, q)) for q in pts]
+    pending = []
+    for i in todo:
+        p = pts[i]
+        gram = [sum(map(mul, p, q)) for q in pts]
+        pp = gram[i]
+        gram[i] = pp - 1        # so that the maxima run over the other points
+        if max(gram) < pp:
+            continue
+        wq = [n * g - d for g, d in zip(gram, tdot)]
+        wp = n * pp - tdot[i]
+        wq[i] = wp - 1
+        if max(wq) < wp:
+            continue
+        pending.append(i)
+    inside = set()
+    every = set(pts)
+    for i in pending:
+        twice = [2 * x for x in pts[i]]
+        if any(tuple(map(sub, twice, q)) in every
+               for k, q in enumerate(pts) if k != i):
+            inside.add(i)
+            continue
+        gens = [q for k, q in enumerate(pts) if k != i and k not in inside]
+        if linalg.in_convex_hull(pts[i], gens):
+            inside.add(i)
+    return [i for i in todo if i not in inside]
+
+
+def _extremal_subset(form: _IntegerForm, funcs,
+                     known: frozenset = frozenset(), among=None
+                     ) -> frozenset[LinearFunctionBJ]:
+    """Extremal elements of ``funcs``, a subset of the functions of
+    ``form``, that lie in ``among`` (all of ``funcs`` by default).
+
+    ``known`` holds extremal elements of the whole set.  A point extremal
+    in a set is extremal in every subset that contains it, so only the
+    points of ``among`` outside ``known`` are tested; the others still
+    span the hull.  Positions where every function of ``funcs`` vanishes
+    are dropped from the points.
+    """
+    idx = sorted(map(form.index.__getitem__, funcs))
+    fs = [form.funcs[i] for i in idx]
+    if among is None:
+        among = funcs
     if len(fs) <= 2:
-        return frozenset(fs)
-    if not within.issuperset(fs):
-        known = frozenset()
-    axes = sorted({q for f in fs for q, _ in f.terms})
-    coords = [tuple(f.coeff(q) for q in axes) for f in fs]
-    return frozenset(
-        f for i, f in enumerate(fs)
-        if f in known
-        or not linalg.in_convex_hull(coords[i], coords[:i] + coords[i + 1:]))
+        return frozenset(f for f in fs if f in among)
+    out = {f for f in fs if f in among and f in known}
+    todo = [k for k, f in enumerate(fs) if f in among and f not in known]
+    if todo:
+        axes = [col for col in zip(*(form.rows[i] for i in idx)) if any(col)]
+        pts = list(zip(*axes))
+        out.update(fs[k] for k in _extremal_indices(pts, todo))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -115,7 +213,8 @@ class EnvelopeLayer:
 class Envelope:
     """The full per-step decomposition plus the whole-word sweep per type.
 
-    ``extremal`` holds the extremal elements of ``functions``.
+    ``extremal`` holds the extremal elements of ``functions``, and ``form``
+    holds ``functions`` as integer rows.
     """
 
     t: int
@@ -125,6 +224,7 @@ class Envelope:
     functions: frozenset[LinearFunctionBJ]
     driving: LinearFunctionBJ
     extremal: frozenset[LinearFunctionBJ]
+    form: _IntegerForm = field(repr=False, compare=False)
 
     @property
     def cartan(self) -> CartanData:
@@ -134,15 +234,10 @@ class Envelope:
         return self.layers[j - 1]
 
     @cached_property
-    def _ordered(self) -> tuple[LinearFunctionBJ, ...]:
-        """The settled functions in a fixed order."""
-        return tuple(sorted(self.functions, key=_fn_key))
-
-    @cached_property
     def _type_vertices(self) -> dict:
         """Per type s, the vertex functions of the whole-word type-s
-        decomposition and their indices in ``_ordered``."""
-        index = {f: i for i, f in enumerate(self._ordered)}
+        decomposition and their indices in ``form``."""
+        index = self.form.index
         per_s: dict[int, set[LinearFunctionBJ]] = {}
         for b in self.global_blocks:
             per_s.setdefault(b.s, set()).update(b.vertices)
@@ -229,59 +324,56 @@ def _exceptional_block(t: int, step: int | None, zt1: LinearFunctionBJ,
                       frozenset({zt1}), lower, exceptional=True)
 
 
-def _linear_extension(word: WordJ, cands):
+def _linear_extension(form: _IntegerForm, cands):
     """Deterministic linear extension of the face-cone order, least first:
     each pick is the first candidate, in function order, that no other
     remaining candidate lies below.
 
-    Face-cone coordinates are linear, so every candidate's coordinates are
-    computed once relative to the first candidate r: z - w lies in the cone
-    iff both z - r and w - r have coordinates and their difference is
-    non-negative.  Exactly one of them without coordinates makes the pair
-    incomparable; when neither has any, ``xt_leq`` decides.
+    ``cands`` pairs each candidate's index in ``form`` with its coefficient
+    tuple.  z lies below w iff they share a residue and the face
+    coordinates of w dominate those of z (``_IntegerForm.cone``); the
+    coordinate sum of w is then the larger, so each candidate is compared
+    only with those of its residue and a larger sum.  Kahn's algorithm with
+    a min-heap of positions in function order makes the picks.
     """
-    ordered = sorted(cands, key=lambda zc: _fn_key(zc[0]))
-    if not ordered:
-        return []
-    r = ordered[0][0]
-    coords = [face_cone_coordinates(word, z - r) for z, _ in ordered]
-
-    def leq(i: int, j: int) -> bool:
-        ci, cj = coords[i], coords[j]
-        if ci is None and cj is None:
-            return xt_leq(word, ordered[i][0], ordered[j][0])
-        if ci is None or cj is None:
-            return False
-        return all(cj.get(u, 0) >= ci.get(u, 0)
-                   for u in ci.keys() | cj.keys())
-
-    n = len(ordered)
-    above = [[j for j in range(n) if j != i and leq(i, j)] for i in range(n)]
-    below = [0] * n     # remaining candidates below each one
-    for js in above:
-        for j in js:
-            below[j] += 1
-    remaining = list(range(n))
+    ordered = sorted(cands)
+    cone = form.cone
+    groups: dict[tuple, list] = {}
+    for k, (i, _) in enumerate(ordered):
+        residue, coords, total = cone[i]
+        groups.setdefault(residue, []).append((total, k, coords))
+    above = [[] for _ in ordered]
+    below = [0] * len(ordered)     # remaining candidates below each one
+    for group in groups.values():
+        group.sort()
+        for a, (total, k, coords) in enumerate(group):
+            for total2, k2, coords2 in group[a + 1:]:
+                if total2 > total and all(map(le, coords, coords2)):
+                    above[k].append(k2)
+                    below[k2] += 1
+    heap = [k for k, n in enumerate(below) if n == 0]
     out = []
-    while remaining:
-        for idx, i in enumerate(remaining):
-            if below[i] == 0:
-                break
-        else:
-            raise ConsistencyError("cycle in the face-cone order")
-        out.append(ordered[remaining.pop(idx)])
-        for j in above[i]:
-            below[j] -= 1
+    while heap:
+        k = heappop(heap)
+        out.append(ordered[k])
+        for k2 in above[k]:
+            below[k2] -= 1
+            if below[k2] == 0:
+                heappush(heap, k2)
     return out
 
 
-def _candidates(word: WordJ, s: int, n: int, pool):
-    positions = [word.position(s, k) for k in range(1, n + 1)]
+def _candidates(form: _IntegerForm, s: int, n: int, pool):
+    """The functions of ``pool`` that are non-positive at the first n
+    occurrences of s, as (index in ``form``, coefficient tuple) pairs."""
+    word = form.word
+    positions = [word.position(s, k) - 1 for k in range(1, n + 1)]
     out = []
-    for z in sorted(pool, key=_fn_key):
-        coeffs = [z.coeff(p) for p in positions]
+    for i in sorted(map(form.index.__getitem__, pool)):
+        row = form.rows[i]
+        coeffs = [row[p] for p in positions]
         if all(x <= 0 for x in coeffs):
-            out.append((z, tuple(-x for x in coeffs[:-1])))
+            out.append((i, tuple(-x for x in coeffs[:-1])))
     return out
 
 
@@ -378,7 +470,7 @@ def _attach_class_data(j, s, trails, fn_of, blocks):
     return out
 
 
-def _decompose(word: WordJ, t: int, s: int, step: int | None, pool,
+def _decompose(form: _IntegerForm, t: int, s: int, step: int | None, pool,
                zt1: LinearFunctionBJ, fusions: dict, built: dict):
     """Disjoint type-s blocks driven by the functions of ``pool``, least
     driver first; a driver already inside a block is discarded.
@@ -389,11 +481,13 @@ def _decompose(word: WordJ, t: int, s: int, step: int | None, pool,
     ``built`` is its memo of blocks by (s, driver, c): a block depends on
     nothing else but its step, so the sweep reuses the per-step blocks.
     """
+    word = form.word
     blocks, discarded = [], []
     if s == t:
         blocks.append(_exceptional_block(t, step, zt1, settled=True))
     n = word.count(s, upto=step)
-    for z, c in _linear_extension(word, _candidates(word, s, n, pool)):
+    for i, c in _linear_extension(form, _candidates(form, s, n, pool)):
+        z = form.funcs[i]
         if any(z in b.functions for b in blocks):
             discarded.append(z)
             continue
@@ -406,18 +500,21 @@ def _decompose(word: WordJ, t: int, s: int, step: int | None, pool,
     return tuple(blocks), tuple(discarded)
 
 
-def _forward(blocks, later, functions, extremal) -> tuple[bool, bool]:
+def _forward(form: _IntegerForm, blocks, later,
+             extremal) -> tuple[bool, bool]:
     """Forward checks of one layer against the next (``None`` after the
     last step): its vertex functions lie in the next lower blocks, and
     their extremal elements among the next lower vertex sets.
-    ``extremal`` holds the extremal elements of the envelope's
-    ``functions``; those among the vertex functions need no LP."""
+
+    Only vertex functions outside those vertex sets need a decision, and
+    ``extremal``, the extremal elements of the functions of ``form``,
+    decides those it holds."""
     if later is None:
         return True, True
     lhs = _union(b.vertices for b in blocks)
+    outside = lhs - _union(b.lower_vertices for b in later)
     return (lhs <= _union(b.lower for b in later),
-            _extremal_subset(lhs, extremal, functions)
-            <= _union(b.lower_vertices for b in later))
+            not (outside and _extremal_subset(form, lhs, extremal, outside)))
 
 
 def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
@@ -439,6 +536,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
     if len(funcs) != len(trails):
         raise ConsistencyError("two trails define one function")
     all_funcs = funcs if spurious is None else funcs | {spurious}
+    form = _IntegerForm(w, all_funcs)
     t1 = w.position(t, 1)
     zt1 = trail_function(driving_trail(cartan, w, t))
     fusions: dict = {}  # c -> (S-graph, sorted lattice points)
@@ -463,21 +561,21 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                     j, (), f, nearest=zt1,
                     detail="driving layer is not the single driving function")
         else:
-            blocks, discarded = _decompose(w, t, s, j, prev, zt1, fusions,
-                                           built)
+            blocks, discarded = _decompose(form, t, s, j, prev, zt1,
+                                           fusions, built)
             _check_layer(j, prev, truth, blocks)
             blocks = tuple(_attach_class_data(j, s, trails, fn_of, blocks))
         steps.append((j, s, blocks, discarded, truth))
         prev = truth
-    extremal = _extremal_subset(all_funcs)
+    extremal = _extremal_subset(form, all_funcs)
     later = [step[2] for step in steps[1:]] + [None]
     layers = tuple(
-        EnvelopeLayer(*step, *_forward(step[2], nxt, all_funcs, extremal))
+        EnvelopeLayer(*step, *_forward(form, step[2], nxt, extremal))
         for step, nxt in zip(steps, later))
 
     global_blocks = []
     for s in cartan.labels:
-        blocks, _ = _decompose(w, t, s, None, all_funcs, zt1, fusions,
+        blocks, _ = _decompose(form, t, s, None, all_funcs, zt1, fusions,
                                built)
         constructed = _union(b.functions for b in blocks)
         if constructed != all_funcs:
@@ -487,7 +585,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                            class_key=("sweep", s))
         global_blocks.extend(blocks)
     return Envelope(t, w, layers, tuple(global_blocks), all_funcs, zt1,
-                    extremal)
+                    extremal, form)
 
 
 def check_constructibility(env: Envelope, j1: int) -> dict:
@@ -506,21 +604,47 @@ def check_constructibility(env: Envelope, j1: int) -> dict:
     }
 
 
-def epsilon_star_values(env: Envelope, labels, b) -> dict[int, int]:
-    """For each type s in ``labels``, the largest value at b among the
-    type-s vertex functions, checked to agree with the maximum over every
-    settled function.  Each function is evaluated once, whatever the number
-    of labels; the first label whose maximum misses raises."""
-    values = [z.evaluate(b) for z in env._ordered]
-    full = max(values)
-    out = {}
-    for s in labels:
-        val = max(values[i] for i in env._vertices(s)[1])
-        if val != full:
-            raise ConsistencyError(
-                f"type-{s} maximum {val} misses the overall maximum {full}")
-        out[s] = val
+def epsilon_star_batch(env: Envelope, labels,
+                       elements) -> list[dict[int, int]]:
+    """For each element, given as (position, exponent) pairs, and each type
+    s in ``labels``: the largest value at the element among the type-s
+    vertex functions, checked to agree with the maximum over every settled
+    function.
+
+    All settled functions are evaluated at once, as a sum of the integer
+    columns of ``env.form`` at the element's positions.  The first element,
+    and in it the first label, whose maximum misses raises.
+    """
+    columns = env.form.columns
+    vertex = [(s, env._vertices(s)[1]) for s in labels]
+    zero = [0] * len(env.form.funcs)
+    out = []
+    for b in elements:
+        values = zero
+        for j, m in b:
+            col = columns[j - 1]
+            values = list(map(add, values, col if m == 1 else
+                              [m * c for c in col]))
+        full = max(values)
+        vals = {}
+        for s, idx in vertex:
+            val = max(map(values.__getitem__, idx))
+            if val != full:
+                raise ConsistencyError(f"type-{s} maximum {val} misses the "
+                                       f"overall maximum {full}")
+            vals[s] = val
+        out.append(vals)
     return out
+
+
+def epsilon_star_values(env: Envelope, labels, b) -> dict[int, int]:
+    """:func:`epsilon_star_batch` at one element b, given as a mapping or a
+    sequence (index j-1) of exponents; positions off the word are
+    ignored."""
+    items = b.items() if hasattr(b, "get") else enumerate(b, start=1)
+    m = env.word.m
+    return epsilon_star_batch(
+        env, labels, [[(j, x) for j, x in items if 1 <= j <= m and x]])[0]
 
 
 def epsilon_star(env: Envelope, s: int, b) -> int:

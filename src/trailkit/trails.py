@@ -361,8 +361,10 @@ def _chain(M: LowestWeightModule, word: WordJ, t: int,
 
 def make_trail(M: LowestWeightModule, word, t: int, exps) -> Trail | None:
     """The trail with the given exponents, or None if the axioms or
-    realizability fail."""
+    realizability fail.  The module must be built for ``t``."""
     word = _as_word(M.cartan, word)
+    if t != M.t:
+        raise ConsistencyError(f"module is built for t={M.t}, not t={t}")
     exps = tuple(exps)
     if len(exps) != word.m:
         return None

@@ -3,7 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import GCM
+from test_giant import _reduced_words_of_w0
 
+from trailkit import WordJ, validate_gcm
 from trailkit.bj_crystal import (
     BJElement,
     b_infinity,
@@ -146,6 +149,40 @@ def test_letter_absent(cartans):
 def test_negative_depth(cartans):
     with pytest.raises(ConfigError):
         generate_binf(cartans["A2"], (1, 2, 1), -1)
+
+
+def test_generate_binf_checks_only_when_it_lowers(cartans):
+    c = cartans["A3"]
+    assert generate_binf(c, (1, 2, 1), 0, "sideways") == {b_infinity()}
+    with pytest.raises(ConfigError):
+        generate_binf(c, (1, 2, 1, 3, 2, 1), 1, "sideways")
+    with pytest.raises(NotApplicable, match="letter 3 does not occur"):
+        generate_binf(c, (1, 2, 1), 1)
+
+
+def _crystal_f_closure(cartan, word, depth, convention):
+    """Every element within ``depth`` lowering steps of the empty one, each
+    step taken by :func:`crystal_f`."""
+    seen = frontier = {b_infinity()}
+    for _ in range(depth):
+        frontier = {crystal_f(cartan, word, i, b, convention)
+                    for b in frontier for i in cartan.labels} - seen
+        seen = seen | frontier
+    return seen
+
+
+def test_generate_binf_is_the_crystal_f_closure():
+    checked = 0
+    for name in ("A3", "B3", "C3"):
+        cartan = validate_gcm(GCM[name])
+        for letters in _reduced_words_of_w0(cartan):
+            word = WordJ(cartan, letters)
+            for convention in ("dual", "straight"):
+                assert (generate_binf(cartan, word, 4, convention)
+                        == _crystal_f_closure(cartan, word, 4, convention)), (
+                    name, letters, convention)
+                checked += 1
+    assert checked == 200
 
 
 def test_dump_elements_deterministic(cartans):

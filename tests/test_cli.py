@@ -435,6 +435,51 @@ def test_write_json_matches_the_stdlib_encoder(obj):
     assert _written(obj) == want.encode("utf-8")
 
 
+@st.composite
+def _sharing_reports(draw):
+    """A report that holds one list object at several places: twice at one
+    depth, at other depths, and wherever the drawn body puts it."""
+    shared = draw(st.lists(
+        st.dictionaries(st.text(max_size=2), _REPORTS, max_size=3)
+        | st.lists(_REPORTS, max_size=3), min_size=1, max_size=3))
+    body = draw(st.recursive(
+        _LEAVES | st.just(shared),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=2), inner,
+                                         max_size=3)),
+        max_leaves=12))
+    return {"a": shared, "b": [shared, body], "c": {"d": shared,
+                                                    "e": [[shared]]}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sharing_reports())
+def test_write_json_with_shared_lists_matches_the_stdlib_encoder(obj):
+    want = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    assert _written(obj) == want.encode("utf-8")
+
+
+def test_write_json_encodes_a_shared_listing_once(monkeypatch):
+    encoded = []
+    real = cli.encode_basestring_ascii
+
+    def counting(text):
+        encoded.append(text)
+        return real(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", counting)
+    listing = [{"coords": [[j, 1]], "total": 1} for j in range(1, 6)]
+    inner = [{"x": listing}, {"y": 0}]      # a listing inside a listing
+    obj = {"modules": [{"t": t, "elements": listing} for t in (1, 2, 3)],
+           "nested": [{"a": inner}, {"b": [inner]}]}
+    assert _written(obj) == (
+        json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    # the module entries hold the listing at indentation depth 3; inner
+    # sits at depths 3 and 4 and holds it at depths 5 and 6
+    assert encoded.count("coords") == 5 * 3
+    assert encoded.count("x") == 2
+
+
 def test_write_json_fixed_cases():
     for obj in ({}, [], (), "", [[], {}], {"é\x00": "\x1f \U0001f600"},
                 {10: 1, 2: [True, 1, False, 0], -3: None},
@@ -445,6 +490,9 @@ def test_write_json_fixed_cases():
 
 def test_write_json_chunks_a_long_report():
     obj = {"rows": [{"k": [i, -i], "s": str(i)} for i in range(20000)]}
+    assert _written(obj) == (
+        json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    obj["again"] = [obj["rows"], obj["rows"]]
     assert _written(obj) == (
         json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
 

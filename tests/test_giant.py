@@ -20,12 +20,15 @@ from trailkit.errors import (
     UnknownLetterError,
 )
 from trailkit.giant import (check_constructibility, epsilon_star,
-                           epsilon_star_values, extremality_report)
+                           epsilon_star_batch, epsilon_star_values,
+                           extremality_report)
+from trailkit.linalg import in_convex_hull
 from trailkit.sgraph import CoeffVector, binary_fusion
 from trailkit.trails import (
     LinearFunctionBJ,
     driving_trail,
     enumerate_trails,
+    face_cone_coordinates,
     trail_function,
     xt_leq,
 )
@@ -33,6 +36,105 @@ from trailkit.trails import (
 
 def _dicts(funcs):
     return sorted(sorted(f.as_dict().items()) for f in funcs)
+
+
+# --- reference algorithms ---------------------------------------------------
+# The envelope runs integer kernels for extremality and for the face-cone
+# order.  These are the plain algorithms they replaced, kept as oracles.
+
+
+def _lp_extremal(funcs) -> frozenset:
+    """Extremal elements of a set of functions: the certified hull LP on
+    each point against all the others, over the union of supports."""
+    fs = sorted(funcs, key=lambda f: f.terms)
+    if len(fs) <= 2:
+        return frozenset(fs)
+    axes = sorted({q for f in fs for q, _ in f.terms})
+    coords = [tuple(f.coeff(q) for q in axes) for f in fs]
+    return frozenset(
+        f for i, f in enumerate(fs)
+        if not in_convex_hull(coords[i], coords[:i] + coords[i + 1:]))
+
+
+def _quadratic_linear_extension(word, cands):
+    """The face-cone linear extension on (function, c) pairs, comparing
+    every pair of candidates: each pick is the first candidate, in function
+    order, that no other remaining candidate lies below."""
+    ordered = sorted(cands, key=lambda zc: zc[0].terms)
+    if not ordered:
+        return []
+    r = ordered[0][0]
+    coords = [face_cone_coordinates(word, z - r) for z, _ in ordered]
+
+    def leq(i: int, j: int) -> bool:
+        ci, cj = coords[i], coords[j]
+        if ci is None and cj is None:
+            return xt_leq(word, ordered[i][0], ordered[j][0])
+        if ci is None or cj is None:
+            return False
+        return all(cj.get(u, 0) >= ci.get(u, 0)
+                   for u in ci.keys() | cj.keys())
+
+    n = len(ordered)
+    above = [[j for j in range(n) if j != i and leq(i, j)] for i in range(n)]
+    below = [0] * n
+    for js in above:
+        for j in js:
+            below[j] += 1
+    remaining = list(range(n))
+    out = []
+    while remaining:
+        for idx, i in enumerate(remaining):
+            if below[i] == 0:
+                break
+        else:
+            raise ConsistencyError("cycle in the face-cone order")
+        out.append(ordered[remaining.pop(idx)])
+        for j in above[i]:
+            below[j] -= 1
+    return out
+
+
+def _named(form, cands):
+    """Candidates given by index in an integer form, as (function, c)."""
+    return [(form.funcs[i], c) for i, c in cands]
+
+
+def _kernel_checkers(counts: Counter) -> dict:
+    """Stand-ins for ``giant._extremal_subset``, ``giant._forward`` and
+    ``giant._linear_extension`` that check every result against the
+    reference algorithms, counting the checks in ``counts``."""
+    extremal, extend = giant._extremal_subset, giant._linear_extension
+    forward = giant._forward
+
+    def extremal_checked(form, funcs, known=frozenset(), among=None):
+        got = extremal(form, funcs, known, among)
+        want = _lp_extremal(funcs)
+        assert got == (want if among is None else want & among), sorted(
+            f.terms for f in funcs)
+        counts["extremal"] += 1
+        return got
+
+    def forward_checked(form, blocks, later, known):
+        got = forward(form, blocks, later, known)
+        if later is not None:
+            lhs = giant._union(b.vertices for b in blocks)
+            assert got == (lhs <= giant._union(b.lower for b in later),
+                           _lp_extremal(lhs)
+                           <= giant._union(b.lower_vertices for b in later))
+            counts["forward"] += 1
+        return got
+
+    def extend_checked(form, cands):
+        got = extend(form, cands)
+        assert _named(form, got) == _quadratic_linear_extension(
+            form.word, _named(form, cands))
+        counts["extension"] += 1
+        return got
+
+    return {"_extremal_subset": extremal_checked,
+            "_forward": forward_checked,
+            "_linear_extension": extend_checked}
 
 
 # --- every fixture envelope is verified end to end -------------------------
@@ -87,7 +189,7 @@ def _assert_lower_vertices_match_the_lp(env):
     for b in [b for L in env.layers for b in L.blocks] + list(
             env.global_blocks):
         if b.lower not in oracle:
-            oracle[b.lower] = giant._extremal_subset(b.lower)
+            oracle[b.lower] = _lp_extremal(b.lower)
         assert b.lower_vertices == oracle[b.lower], (b.s, b.step, b.c)
         if b.c and b.c[-1] != 0:
             faces = {k: basis[env.word.position(b.s, k)]
@@ -103,7 +205,7 @@ def _assert_lower_vertices_match_the_lp(env):
 
 def test_envelope_extremal_set_is_the_plain_lp_result(envelopes):
     for (key, t), env in envelopes.items():
-        assert env.extremal == giant._extremal_subset(env.functions), (key, t)
+        assert env.extremal == _lp_extremal(env.functions), (key, t)
         rep = extremality_report(env)
         assert rep["extremal"] == len(env.extremal)
 
@@ -113,17 +215,16 @@ _points = st.lists(st.dictionaries(st.integers(1, 4), st.integers(-3, 3),
 
 
 @settings(max_examples=100, deadline=None)
-@given(_points, st.lists(st.booleans(), max_size=10), _points)
-def test_known_extremal_points_match_the_plain_lp(maps, keep, extra):
+@given(_points, st.lists(st.booleans(), max_size=10))
+def test_known_extremal_points_match_the_plain_lp(full_words, maps, keep):
     whole = frozenset(LinearFunctionBJ.from_coeffs(m) for m in maps)
-    known = giant._extremal_subset(whole)
-    part = {f for f, k in zip(sorted(whole, key=giant._fn_key), keep) if k}
-    assert (giant._extremal_subset(part, known, whole)
-            == giant._extremal_subset(part))
-    # points outside the whole set void the shortcut: every point is tested
-    part |= {LinearFunctionBJ.from_coeffs(m) for m in extra}
-    assert (giant._extremal_subset(part, known, whole)
-            == giant._extremal_subset(part))
+    form = giant._IntegerForm(full_words["G2"], whole)
+    known = giant._extremal_subset(form, whole)
+    assert known == _lp_extremal(whole)
+    part = {f for f, k in zip(form.funcs, keep) if k}
+    assert (giant._extremal_subset(form, part, known)
+            == giant._extremal_subset(form, part) == _lp_extremal(part))
+    assert giant._extremal_subset(form, whole, among=part) == known & part
 
 
 def _counting_lp(monkeypatch):
@@ -138,24 +239,32 @@ def _counting_lp(monkeypatch):
     return calls
 
 
-def test_known_extremal_points_skip_their_lp(monkeypatch):
+def test_known_extremal_points_skip_their_lp(monkeypatch, full_words):
     f = LinearFunctionBJ.from_coeffs
-    whole = frozenset({f({1: 1, 2: 1}), f({}), f({2: 3}), f({1: 3})})
-    known = giant._extremal_subset(whole)
-    assert known == whole - {f({1: 1, 2: 1})}
+    word = full_words["G2"]
     calls = _counting_lp(monkeypatch)
-    assert giant._extremal_subset(whole, known, whole) == known
-    assert calls == [3]     # only the one point not known to be extremal
-    # (1,1) is extremal in {(1,1), (0,0), (0,3)} but lies between (0,0) and
-    # (2,2), a point outside the whole set: the shortcut must not apply
-    small = frozenset({f({1: 1, 2: 1}), f({}), f({2: 3})})
-    small_known = giant._extremal_subset(small)
-    assert small_known == small
+    # the corners have witnesses; (1,1) has none (w = p is beaten by (0,3)
+    # and w = 4p - (4,4) vanishes), so it alone is tested by LP
+    whole = frozenset({f({1: 1, 2: 1}), f({}), f({2: 3}), f({1: 3})})
+    form = giant._IntegerForm(word, whole)
+    known = giant._extremal_subset(form, whole)
+    assert known == whole - {f({1: 1, 2: 1})}
+    assert calls == [3]
     calls.clear()
-    grown = small | {f({1: 2, 2: 2})}
-    assert (giant._extremal_subset(grown, small_known, small)
-            == grown - {f({1: 1, 2: 1})})
-    assert len(calls) == 4
+    assert giant._extremal_subset(form, whole, known) == known
+    assert calls == [3]     # only the one point not known to be extremal
+    calls.clear()
+    part = whole - {f({1: 3})}    # (1,1) is extremal here: w = 3p - (1,4)
+    assert giant._extremal_subset(form, part, known) == part
+    assert calls == []
+    # three interior points: (2,2) is the midpoint of two corners and needs
+    # no LP; (2,1) is tested without (1,2), which the first LP found inside
+    square = frozenset(f({1: x, 2: y}) for x, y in (
+        (0, 0), (4, 0), (0, 4), (4, 4), (1, 2), (2, 1), (2, 2)))
+    calls.clear()
+    assert (giant._extremal_subset(giant._IntegerForm(word, square), square)
+            == square - {f({1: 1, 2: 2}), f({1: 2, 2: 1}), f({1: 2, 2: 2})})
+    assert calls == [6, 5]
 
 
 def test_minuscule_forward_checks_and_report_run_no_lp(monkeypatch, cartans):
@@ -163,9 +272,9 @@ def test_minuscule_forward_checks_and_report_run_no_lp(monkeypatch, cartans):
     in_forward = []     # (vertex functions, LPs) per _forward call
     forward = giant._forward
 
-    def marked(blocks, *rest):
+    def marked(form, blocks, *rest):
         before = len(calls)
-        out = forward(blocks, *rest)
+        out = forward(form, blocks, *rest)
         in_forward.append((len(giant._union(b.vertices for b in blocks)),
                            len(calls) - before))
         return out
@@ -174,7 +283,7 @@ def test_minuscule_forward_checks_and_report_run_no_lp(monkeypatch, cartans):
     M = build_fundamental(cartans["C3"], 1)     # minuscule, dimension 6
     env = construct_envelope(M, (3, 2, 3, 1, 2, 3, 1, 2, 1), 1)
     assert env.extremal == env.functions and len(env.functions) == 5
-    assert calls                              # the one global pass
+    assert calls == []      # the global pass finds a witness for all five
     assert len(in_forward) == env.word.m
     assert max(n for n, _ in in_forward) >= 3
     assert sum(lps for _, lps in in_forward) == 0
@@ -199,8 +308,10 @@ def test_blocks_run_no_lp(monkeypatch, cartans):
     for t in cartans["C3"].labels:
         construct_envelope(build_fundamental(cartans["C3"], t),
                            (3, 2, 3, 1, 2, 3, 1, 2, 1), t)
-    assert calls and in_blocks      # the global pass still runs its LPs
-    assert sum(in_blocks) == 0
+    # witnesses certify every extremal function of these envelopes, so no
+    # LP runs at all; the counter itself is checked in
+    # test_known_extremal_points_skip_their_lp
+    assert in_blocks and calls == []
 
 
 def test_sweep_reuses_the_per_step_blocks(monkeypatch):
@@ -314,6 +425,26 @@ def test_epsilon_star_values_match_brute_force(envelopes, cartans,
                 assert epsilon_star(env, s, b.as_dict()) == full
 
 
+def test_epsilon_star_batch_matches_each_element(envelopes, cartans,
+                                                 full_words):
+    for (key, t), env in envelopes.items():
+        labels = env.cartan.labels
+        elems = sorted(generate_binf(cartans[cartan_key(key)],
+                                     full_words[key], 4),
+                       key=lambda b: (b.total, b.coords))
+        batch = epsilon_star_batch(env, labels, [b.coords for b in elems])
+        assert len(batch) == len(elems)
+        for b, vals in zip(elems, batch):
+            assert vals == epsilon_star_values(env, labels, b.as_dict())
+            full = max(z.evaluate(b.as_dict()) for z in env.functions)
+            assert vals == {s: full for s in labels}, (key, t, b)
+    # exponents given as a sequence, or at positions off the word
+    env = envelopes["G2", 2]
+    assert (epsilon_star_values(env, (1, 2), [0, 0, 0, 2, 1, 0])
+            == epsilon_star_values(env, (1, 2), {4: 2, 5: 1, 9: 7, 0: 3})
+            == {1: 4, 2: 4})
+
+
 def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
     env = envelopes["G2", 2]
     top = LinearFunctionBJ.from_coeffs({6: 1})
@@ -411,9 +542,10 @@ def test_linear_extension_matches_pairwise_order(monkeypatch, modules,
     extend = giant._linear_extension
     compared = []
 
-    def checked(word, cands):
-        got = extend(word, cands)
-        assert got == _pairwise_linear_extension(word, cands)
+    def checked(form, cands):
+        got = extend(form, cands)
+        assert _named(form, got) == _pairwise_linear_extension(
+            form.word, _named(form, cands))
         compared.append(len(cands))
         return got
 
@@ -440,10 +572,12 @@ def test_linear_extension_matches_pairwise_order_off_the_face_lattice(
         full_words, coeff_maps):
     # arbitrary functions: many differences have no face-cone coordinates
     word = full_words["G2"]
-    funcs = {LinearFunctionBJ.from_coeffs(m) for m in coeff_maps}
-    cands = [(z, ()) for z in funcs]
-    assert (giant._linear_extension(word, cands)
-            == _pairwise_linear_extension(word, cands))
+    form = giant._IntegerForm(word, {LinearFunctionBJ.from_coeffs(m)
+                                     for m in coeff_maps})
+    cands = [(i, ()) for i in range(len(form.funcs))]
+    got = _named(form, giant._linear_extension(form, cands))
+    assert got == _pairwise_linear_extension(word, _named(form, cands))
+    assert got == _quadratic_linear_extension(word, _named(form, cands))
 
 
 # --- every reduced word of w0 in rank 3 ------------------------------------
@@ -491,11 +625,17 @@ def test_family_sizes():
 
 
 @pytest.mark.parametrize("name,t,word", _family_cases())
-def test_every_w0_word_of_rank_3(cartans, name, t, word):
+def test_every_w0_word_of_rank_3(monkeypatch, cartans, name, t, word):
+    # every extremal set, forward check and linear extension is checked
+    # against its reference algorithm
+    counts = Counter()
+    for attr, checked in _kernel_checkers(counts).items():
+        monkeypatch.setattr(giant, attr, checked)
     env = construct_envelope(build_fundamental(cartans[name], t), word, t)
     assert all((L.forward_ok, L.forward_vertex_ok) == (True, True)
                for L in env.layers)
-    assert env.extremal == giant._extremal_subset(env.functions)
+    assert counts["forward"] == len(env.layers) - 1
+    assert counts["extremal"] >= 1 and counts["extension"] > 0
     _assert_lower_vertices_match_the_lp(env)
 
 

@@ -168,6 +168,16 @@ def test_enumerate_requires_matching_module(modules, full_words):
         enumerate_trails(modules["G2", 1], full_words["G2"], 2)
 
 
+def test_make_trail_requires_matching_module(modules, full_words):
+    # (0, 0, 1, 3, 1, 0) is no trail of G2 omega_2, yet the omega_1 module
+    # realizes its monomials; the module check must come first
+    w = full_words["G2"]
+    assert w.letters == (1, 2, 1, 2, 1, 2)
+    with pytest.raises(ConsistencyError, match="module is built for t=1"):
+        make_trail(modules["G2", 1], w, 2, (0, 0, 1, 3, 1, 0))
+    assert make_trail(modules["G2", 2], w, 2, (0, 0, 1, 3, 1, 0)) is None
+
+
 def test_group_classes_g2_s2(modules, full_words):
     ts = _trails_for(modules, full_words, "G2", 2)
     classes = group_ts_classes([K for K in ts if K.phi <= 6], 2, 6)
