@@ -277,29 +277,61 @@ def weyl_act(cartan: CartanData, word, w: Weight) -> Weight:
     return w
 
 
+def _unit_columns(n: int) -> list[list[int]]:
+    """The root coordinates of w^{-1}(alpha_i) for w = 1, by column."""
+    return [[int(r == k) for r in range(n)] for k in range(n)]
+
+
+def _append_letter(cartan: CartanData, cols, i: int):
+    """The columns of (w s_i)^{-1}(alpha_k) from those of w^{-1}."""
+    ci = i - 1
+    pivot = cols[ci]
+    out = []
+    for k, col in enumerate(cols):
+        f = cartan.gcm[ci][k]
+        if k == ci:
+            out.append([-x for x in pivot])
+        elif f:
+            out.append([x - f * y for x, y in zip(col, pivot)])
+        else:
+            out.append(col)
+    return out
+
+
 def is_reduced(cartan: CartanData, word) -> bool:
     """True iff the word is a reduced expression.
 
     Tracks the columns of w^{-1} on the root lattice: appending letter i is
     length-additive exactly when w^{-1}(alpha_i) is still a positive root.
     """
-    n = cartan.n
     for i in word:
         cartan.check_label(i)
-    # cols[k] = root coordinates of w^{-1}(alpha_{k+1})
-    cols = [[int(r == k) for r in range(n)] for k in range(n)]
+    cols = _unit_columns(cartan.n)
     for i in word:
-        ci = i - 1
-        if any(x < 0 for x in cols[ci]):
+        if any(x < 0 for x in cols[i - 1]):
             return False
-        pivot = cols[ci]
-        for k in range(n):
-            if k != ci:
-                f = cartan.gcm[ci][k]
-                if f:
-                    cols[k] = [x - f * y for x, y in zip(cols[k], pivot)]
-        cols[ci] = [-x for x in pivot]
+        cols = _append_letter(cartan, cols, i)
     return True
+
+
+def reduced_words_of_w0(cartan: CartanData) -> list[tuple[int, ...]]:
+    """Every reduced word of the longest element w0, in lexicographic order.
+
+    A depth-first search extends reduced words letter by letter, carrying
+    the columns of w^{-1} as :func:`is_reduced` does.  A reduced word is a
+    word of w0 exactly when no letter extends it.
+    """
+    require_finite(cartan)
+    out = []
+    stack = [((), _unit_columns(cartan.n))]
+    while stack:
+        word, cols = stack.pop()
+        grown = [i for i in cartan.labels if all(x >= 0 for x in cols[i - 1])]
+        if not grown:
+            out.append(word)
+        for i in reversed(grown):   # the least letter is taken first
+            stack.append((word + (i,), _append_letter(cartan, cols, i)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,15 @@ in a written report.  The forward checks are report data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from operator import add, le, mul, sub
 
 from .cartan_core import CartanData, WordJ
 from . import linalg
-from .errors import ConsistencyError, FalseTrailDetected, UnknownLetterError
+from .errors import (ConsistencyError, FalseTrailDetected, TrailkitError,
+                     UnknownLetterError)
 from .rep_builder import LowestWeightModule
 from .sgraph import CoeffVector, binary_fusion, integer_points
 from .trails import (LinearFunctionBJ, _as_word, _face_basis, driving_trail,
@@ -285,24 +286,35 @@ def _expand(driving: LinearFunctionBJ, faces: dict[int, LinearFunctionBJ],
     return f
 
 
+@lru_cache(maxsize=1024)
+def _shape(c: tuple[int, ...]):
+    """The S-graph of c and the sorted lattice points of K(c).
+
+    Both are immutable and depend on c alone, so a process fuses each
+    shape once, whatever envelope asks for it; the memo is bounded, and
+    nothing needs to clear it.  A miss calls ``binary_fusion`` and
+    ``integer_points`` through this module's globals.
+    """
+    cv = CoeffVector.make(c)
+    return binary_fusion(cv), tuple(sorted(integer_points(cv)))
+
+
 def _make_block(word: WordJ, s: int, step: int | None, z: LinearFunctionBJ,
-                c: tuple[int, ...], fusions: dict) -> ClassBlock:
+                c: tuple[int, ...], a: tuple[int, ...] | None = None
+                ) -> ClassBlock:
     basis = _face_basis(word)  # the closed faces F_s^k, by position (s,k)
     faces = {k: basis[word.position(s, k)] for k in range(2, len(c) + 2)}
-    if c not in fusions:  # blocks of one shape share their S-graph
-        cv = CoeffVector.make(c)
-        fusions[c] = (binary_fusion(cv), tuple(sorted(integer_points(cv))))
-    g, pts = fusions[c]
+    g, pts = _shape(c)
     funcs = tuple(_expand(z, faces, p) for p in pts)
-    if len(set(funcs)) != len(funcs):
+    functions = frozenset(funcs)
+    if len(functions) != len(funcs):
         raise ConsistencyError("distinct lattice points expanded to one "
                                "function")
-    lower, functions = set(), set()
+    lower = set()
     for p, f in zip(pts, funcs):
-        functions.add(f)
         is_lower = not p or p[-1] == 0
         if step is not None:
-            below = not f.support or f.support[-1] <= step - 1
+            below = not f.terms or f.terms[-1][0] < step
             if below != is_lower:
                 raise ConsistencyError("support bound disagrees with the "
                                        "last point coordinate")
@@ -312,8 +324,9 @@ def _make_block(word: WordJ, s: int, step: int | None, z: LinearFunctionBJ,
     # already; the lower ones are the vertices of the face c'_{n-1} = 0
     expanded = dict(zip(pts, funcs))
     vertices = frozenset(expanded[p] for p in g.functions())
-    return ClassBlock(s, step, c, None, z, pts, frozenset(functions),
-                      frozenset(lower), vertices, vertices & lower)
+    lower = frozenset(lower)
+    return ClassBlock(s, step, c, a, z, pts, functions, lower, vertices,
+                      vertices & lower)
 
 
 def _exceptional_block(t: int, step: int | None, zt1: LinearFunctionBJ,
@@ -430,22 +443,37 @@ def _check_layer(j: int, prev, truth, blocks) -> None:
                        "block predicts a function with no trail behind it")
 
 
-def _attach_class_data(j, s, trails, fn_of, blocks):
-    """Cross-check blocks against the module-level classes and keep their a.
+def _module_classes(j: int, s: int, trails, fn_of):
+    """The module-level type-s classes of the trails settled by step j, by
+    the function of their l-minimal member, and the error that grouping
+    them raised, if any.
+
+    Blocks take their a from these classes.  The error is raised by
+    :func:`_check_classes`, after the layer checks, so it never hides
+    theirs.  ``fn_of`` maps each trail's exponents to its function.
+    """
+    try:
+        classes = group_ts_classes([K for K in trails if K.phi <= j], s, j)
+    except TrailkitError as e:
+        return {}, e
+    return {fn_of[cls.l_min.exps]: cls for cls in classes}, None
+
+
+def _check_classes(j, blocks, classes, failure, fn_of) -> None:
+    """Cross-check blocks against the module-level classes.
 
     Each non-exceptional block must correspond to exactly one class whose
     l-minimal function is the block driver, with equal coefficient tuples,
-    member functions and member coordinates.  ``fn_of`` maps each trail's
-    exponents to its function.
+    member functions and member coordinates.  ``classes`` and ``failure``
+    come from :func:`_module_classes`; the matched classes are removed
+    from ``classes``.
     """
-    classes = group_ts_classes([K for K in trails if K.phi <= j], s, j)
-    by_driver = {fn_of[cls.l_min.exps]: cls for cls in classes}
-    out = []
+    if failure is not None:
+        raise failure
     for b in blocks:
         if b.exceptional:
-            out.append(b)
             continue
-        cls = by_driver.pop(b.driving, None)
+        cls = classes.pop(b.driving, None)
         if cls is None:
             raise FalseTrailDetected(
                 j, b.c, b.driving,
@@ -462,24 +490,23 @@ def _attach_class_data(j, s, trails, fn_of, blocks):
         if frozenset(cls.c_primes) != frozenset(p + (0,) for p in b.points):
             raise ConsistencyError("member coordinates disagree with the "
                                    "block lattice points")
-        out.append(replace(b, a=tuple(cls.a)))
-    for cls in by_driver.values():
+    for cls in classes.values():
         raise FalseTrailDetected(
             j, cls.c, fn_of[cls.l_min.exps],
             detail="module class missed by the block construction")
-    return out
 
 
 def _decompose(form: _IntegerForm, t: int, s: int, step: int | None, pool,
-               zt1: LinearFunctionBJ, fusions: dict, built: dict):
+               zt1: LinearFunctionBJ, built: dict, classes=None):
     """Disjoint type-s blocks driven by the functions of ``pool``, least
     driver first; a driver already inside a block is discarded.
 
-    ``step`` is the word step of the per-step pass; ``None`` sweeps the
-    whole word, including classes settling after the last occurrence of s.
-    ``fusions`` is the envelope's memo of S-graphs by coefficient tuple.
-    ``built`` is its memo of blocks by (s, driver, c): a block depends on
-    nothing else but its step, so the sweep reuses the per-step blocks.
+    ``step`` is the word step of the per-step pass, whose blocks take the
+    a of the class in ``classes`` that their driver drives; ``None`` sweeps
+    the whole word, including classes settling after the last occurrence
+    of s.  ``built`` is the envelope's memo of per-step blocks by
+    (s, driver, c): a block's functions depend on nothing else, so the
+    sweep builds its blocks from those.
     """
     word = form.word
     blocks, discarded = [], []
@@ -491,11 +518,17 @@ def _decompose(form: _IntegerForm, t: int, s: int, step: int | None, pool,
         if any(z in b.functions for b in blocks):
             discarded.append(z)
             continue
-        if step is None and (s, z, c) in built:
-            blocks.append(replace(built[s, z, c], step=None))
+        if step is not None:
+            cls = classes.get(z)
+            b = built[s, z, c] = _make_block(
+                word, s, step, z, c, None if cls is None else cls.a)
+        elif (s, z, c) in built:    # the same functions, no step, no a
+            b = built[s, z, c]
+            b = ClassBlock(s, None, c, None, z, b.points, b.functions,
+                           b.lower, b.vertices, b.lower_vertices)
         else:
-            built[s, z, c] = _make_block(word, s, step, z, c, fusions)
-            blocks.append(built[s, z, c])
+            b = _make_block(word, s, None, z, c)
+        blocks.append(b)
     _check_disjoint(word.m if step is None else step, blocks)
     return tuple(blocks), tuple(discarded)
 
@@ -539,14 +572,17 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
     form = _IntegerForm(w, all_funcs)
     t1 = w.position(t, 1)
     zt1 = trail_function(driving_trail(cartan, w, t))
-    fusions: dict = {}  # c -> (S-graph, sorted lattice points)
-    built: dict = {}    # (s, driver, c) -> block
+    built: dict = {}    # (s, driver, c) -> per-step block
+    # a function settles at the last position where it is non-zero
+    settling = [[] for _ in range(w.m + 1)]
+    for f, row in zip(form.funcs, form.rows):
+        settling[max((u for u, x in enumerate(row, 1) if x), default=0)
+                 ].append(f)
 
     steps = []          # (j, s, blocks, discarded, settled functions)
-    prev: frozenset[LinearFunctionBJ] = frozenset()
+    prev: frozenset[LinearFunctionBJ] = frozenset(settling[0])
     for j, s in enumerate(w.letters, start=1):
-        truth = frozenset(z for z in all_funcs
-                          if not z.support or z.support[-1] <= j)
+        truth = prev.union(settling[j])
         blocks, discarded = (), ()
         if j < t1:
             if truth:
@@ -561,10 +597,11 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                     j, (), f, nearest=zt1,
                     detail="driving layer is not the single driving function")
         else:
-            blocks, discarded = _decompose(form, t, s, j, prev, zt1,
-                                           fusions, built)
+            classes, failure = _module_classes(j, s, trails, fn_of)
+            blocks, discarded = _decompose(form, t, s, j, prev, zt1, built,
+                                           classes)
             _check_layer(j, prev, truth, blocks)
-            blocks = tuple(_attach_class_data(j, s, trails, fn_of, blocks))
+            _check_classes(j, blocks, classes, failure, fn_of)
         steps.append((j, s, blocks, discarded, truth))
         prev = truth
     extremal = _extremal_subset(form, all_funcs)
@@ -575,8 +612,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
 
     global_blocks = []
     for s in cartan.labels:
-        blocks, _ = _decompose(form, t, s, None, all_funcs, zt1, fusions,
-                               built)
+        blocks, _ = _decompose(form, t, s, None, all_funcs, zt1, built)
         constructed = _union(b.functions for b in blocks)
         if constructed != all_funcs:
             raise _escaped(w.m, blocks,

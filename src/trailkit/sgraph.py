@@ -162,22 +162,21 @@ def _pointed_chain(coeffs: CoeffVector, vertices, edges) -> tuple[int, ...]:
         adj.setdefault((a, lab), []).append(b)
         adj.setdefault((b, lab), []).append(a)
     zero = (0,) * len(coeffs.c)
+    # depth-first over partial chains, each a tuple of vertex ids
+    stack = [(i,) for i, v in enumerate(vertices)
+             if v.label == n and v.func == zero]
     chains = []
-
-    def walk(chain, f):
+    while stack:
+        chain = stack.pop()
+        f = vertices[chain[-1]].func
         j = vertices[chain[-1]].label - 1
         if j == 0:
-            chains.append(tuple(chain))
-            return
+            chains.append(chain)
+            continue
         want = tuple(x + (coeffs.c[j - 1] if i == j - 1 else 0)
                      for i, x in enumerate(f))
-        for w in adj.get((chain[-1], j), ()):
-            if vertices[w].label == j and vertices[w].func == want:
-                walk(chain + [w], want)
-
-    for i, v in enumerate(vertices):
-        if v.label == n and v.func == zero:
-            walk([i], zero)
+        stack.extend(chain + (w,) for w in adj.get((chain[-1], j), ())
+                     if vertices[w].label == j and vertices[w].func == want)
     if len(chains) != 1:
         raise ConsistencyError(f"expected one pointed chain, found {len(chains)}")
     return chains[0]

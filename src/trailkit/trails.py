@@ -57,7 +57,8 @@ class LinearFunctionBJ:
     """An integer linear function sum_j c_j m_j of exponent coordinates.
 
     ``terms`` is the canonical representation: (position, coefficient)
-    pairs sorted by 1-based position, zero coefficients dropped.
+    pairs sorted by 1-based position, zero coefficients dropped.  The hash
+    is the one the dataclass would compute, taken once at construction.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -65,6 +66,10 @@ class LinearFunctionBJ:
     def __post_init__(self):
         assert all(c != 0 for _, c in self.terms)
         assert list(self.terms) == sorted(self.terms)
+        object.__setattr__(self, "_hash", hash((self.terms,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_coeffs(coeffs) -> "LinearFunctionBJ":
@@ -503,24 +508,28 @@ def group_ts_classes(trails, s: int, j: int) -> list[TsClass]:
     n = word.count(s, upto=j)
     positions = tuple(word.position(s, i) for i in range(1, n + 1))
 
+    # a signature lists the exponents at the same positions for every trail
+    others = [q for q in range(j - 1) if word.letters[q] != s]
+    # the driving trail is never a member of its own type: it alone
+    # trivializes by the first occurrence of t
+    driving_phi = word.position(t, 1) if s == t else 0
     groups: dict[tuple, list[Trail]] = {}
     for K in trails:
         if K.phi > j:
             raise MixedTrivialization(
                 f"trail with phi={K.phi} does not trivialize at step {j}")
-        if s == t and K.phi <= word.position(t, 1):
-            continue  # the driving trail is never a member of its own type
-        sig = tuple((q, K.exps[q - 1]) for q in range(1, j)
-                    if word.letters[q - 1] != s)
+        if K.phi <= driving_phi:
+            continue
+        sig = tuple(map(K.exps.__getitem__, others))
         groups.setdefault(sig, []).append(K)
 
     out = []
     for sig in sorted(groups):
-        members = tuple(sorted(groups[sig], key=Trail.sort_key))
+        members = tuple(groups[sig])    # sorted, as the trails are
         k_tuples = tuple(tuple(K.exps[p - 1] for p in positions)
                          for K in members)
         a = _class_a(word, s, positions, members[0])
-        for K in members:
+        for K in members[1:]:
             if _class_a(word, s, positions, K) != a:
                 raise ConsistencyError("members of one class disagree on a")
         l_idx = min(range(len(members)), key=lambda q: k_tuples[q])

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import GCM
-from test_giant import _reduced_words_of_w0
 
 from trailkit import WordJ, validate_gcm
+from trailkit.cartan_core import reduced_words_of_w0
 from trailkit.bj_crystal import (
     BJElement,
     b_infinity,
@@ -175,7 +175,7 @@ def test_generate_binf_is_the_crystal_f_closure():
     checked = 0
     for name in ("A3", "B3", "C3"):
         cartan = validate_gcm(GCM[name])
-        for letters in _reduced_words_of_w0(cartan):
+        for letters in reduced_words_of_w0(cartan):
             word = WordJ(cartan, letters)
             for convention in ("dual", "straight"):
                 assert (generate_binf(cartan, word, 4, convention)

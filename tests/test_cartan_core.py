@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trailkit import WordJ, is_reduced, validate_gcm, weyl_act
-from trailkit.cartan_core import require_finite
+from trailkit.cartan_core import reduced_words_of_w0, require_finite
 from trailkit.errors import (
     NotFiniteTypeError,
     NotGCMError,
@@ -161,6 +161,24 @@ def test_is_reduced():
     assert not is_reduced(a2, (1, 1))
     assert not is_reduced(a2, (1, 2, 1, 2))
     assert is_reduced(b2, (1, 2, 1, 2))
+
+
+def test_reduced_words_of_w0():
+    counts = {"A3": 16, "B3": 42, "C3": 42, "A4": 768, "D4": 2316}
+    for name, count in counts.items():
+        c = validate_gcm(GCM[name])
+        words = reduced_words_of_w0(c)
+        assert len(words) == count, name
+        assert words == sorted(set(words)), name    # lexicographic, distinct
+        n_pos = len(words[0])
+        assert all(len(w) == n_pos and is_reduced(c, w) for w in words)
+        # no letter extends a word of w0
+        for w in words[:: max(1, count // 40)]:
+            assert not any(is_reduced(c, w + (i,)) for i in c.labels)
+    assert reduced_words_of_w0(validate_gcm(GCM["A2"])) == [(1, 2, 1),
+                                                           (2, 1, 2)]
+    with pytest.raises(NotFiniteTypeError):
+        reduced_words_of_w0(validate_gcm([[2, -2], [-2, 2]]))
 
 
 weights_st = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))

@@ -13,7 +13,7 @@ from conftest import ENVELOPE_FIXTURES, GCM, cartan_key
 from trailkit import (build_fundamental, construct_envelope, giant, linalg,
                       trails, validate_gcm)
 from trailkit.bj_crystal import generate_binf
-from trailkit.cartan_core import is_reduced
+from trailkit.cartan_core import reduced_words_of_w0
 from trailkit.errors import (
     ConsistencyError,
     FalseTrailDetected,
@@ -318,9 +318,9 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
     built = Counter()
     make = giant._make_block
 
-    def counting(word, s, step, z, c, fusions):
+    def counting(word, s, step, z, c, a=None):
         built[s, z, c] += 1
-        return make(word, s, step, z, c, fusions)
+        return make(word, s, step, z, c, a)
 
     monkeypatch.setattr(giant, "_make_block", counting)
     c3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
@@ -333,7 +333,7 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
         shaped = [b for b in env.global_blocks if not b.exceptional]
         for b in shaped:
             assert b.step is None and b.a is None
-            assert b == make(env.word, b.s, None, b.driving, b.c, {})
+            assert b == make(env.word, b.s, None, b.driving, b.c)
         per_step = {(b.s, b.driving, b.c) for L in env.layers
                     for b in L.blocks if not b.exceptional}
         reused += sum((b.s, b.driving, b.c) in per_step for b in shaped)
@@ -464,6 +464,9 @@ def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
 
 
 def test_construct_envelope_fuses_each_shape_once(monkeypatch):
+    # S-graphs are memoized per process by shape, and earlier tests may have
+    # filled the memo: here each shape is fused at most once, and building
+    # the same envelope again fuses nothing.
     fused = Counter()
     fuse = giant.binary_fusion
 
@@ -474,17 +477,25 @@ def test_construct_envelope_fuses_each_shape_once(monkeypatch):
     monkeypatch.setattr(giant, "binary_fusion", counting)
     c3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
     word = (3, 2, 3, 1, 2, 3, 1, 2, 1)
-    blocks = 0
+    shapes, blocks = set(), 0
     for t in c3.labels:
-        fused.clear()
-        env = construct_envelope(build_fundamental(c3, t), word, t)
-        assert max(fused.values()) == 1, t
+        M = build_fundamental(c3, t)
+        env = construct_envelope(M, word, t)
         shaped = [b for L in env.layers for b in L.blocks
                   if not b.exceptional]
         shaped += [b for b in env.global_blocks if not b.exceptional]
-        assert set(fused) == {b.c for b in shaped}
+        shapes |= {b.c for b in shaped}
         blocks += len(shaped)
-    assert blocks > 3 * len(fused)    # shapes do repeat within an envelope
+        before = sum(fused.values())
+        assert construct_envelope(M, word, t) == env
+        assert sum(fused.values()) == before, t
+    assert all(n == 1 for n in fused.values())
+    assert set(fused) <= shapes
+    for c in shapes:    # every shape is held, with its sorted points
+        g, pts = giant._shape(c)
+        assert giant._shape(c)[0] is g and g.coeffs.c == c
+        assert list(pts) == sorted(pts) and g.functions() <= set(pts)
+    assert blocks > 3 * len(shapes)    # shapes do repeat within an envelope
 
 
 def test_blocks_read_faces_from_the_word_memo(monkeypatch):
@@ -522,21 +533,6 @@ def _pairwise_linear_extension(word, cands):
     return out
 
 
-def _reduced_words_of_w0(cartan):
-    out = []
-
-    def extend(word):
-        grown = [word + (i,) for i in cartan.labels
-                 if is_reduced(cartan, word + (i,))]
-        if not grown:
-            out.append(word)
-        for w in grown:
-            extend(w)
-
-    extend(())
-    return out
-
-
 def test_linear_extension_matches_pairwise_order(monkeypatch, modules,
                                                  full_words, cartans):
     extend = giant._linear_extension
@@ -553,7 +549,7 @@ def test_linear_extension_matches_pairwise_order(monkeypatch, modules,
     for key, t in ENVELOPE_FIXTURES:
         construct_envelope(modules[cartan_key(key), t], full_words[key], t)
     b3 = cartans["B3"]
-    words = _reduced_words_of_w0(b3)
+    words = reduced_words_of_w0(b3)
     assert len(words) == 42
     for t in b3.labels:
         M = build_fundamental(b3, t)
@@ -602,7 +598,7 @@ def _family_cases():
     cases = []
     for name in FAMILY:
         cartan = validate_gcm(GCM[name])
-        words = _reduced_words_of_w0(cartan)
+        words = reduced_words_of_w0(cartan)
         for t in cartan.labels:
             for word in words:
                 key = (name, t, "".join(map(str, word)))
@@ -618,7 +614,7 @@ def _family_cases():
 
 
 def test_family_sizes():
-    sizes = {name: len(_reduced_words_of_w0(validate_gcm(GCM[name])))
+    sizes = {name: len(reduced_words_of_w0(validate_gcm(GCM[name])))
              for name in FAMILY}
     assert sizes == {"A3": 16, "B3": 42, "C3": 42}
     assert len(KNOWN_FALSE_TRAILS) == 20

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -269,6 +270,17 @@ def test_to_dot_deterministic():
     assert 'v0 [label="4 | (0, 0, 0)"];' in out
     assert 'v0 -- v1 [label="3"];' in out
     assert out.count("--") == len(g.edges) == 7
+
+
+def test_fusion_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        g = binary_fusion(CoeffVector.make((2, 1, 2)))
+        del g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=120)

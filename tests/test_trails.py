@@ -7,6 +7,8 @@ import re
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trailkit import (
     LinearFunctionBJ,
@@ -33,7 +35,7 @@ from trailkit import (
     xt_leq,
 )
 from trailkit import trails
-from trailkit.cartan_core import root_coordinates
+from trailkit.cartan_core import reduced_words_of_w0, root_coordinates
 from trailkit.errors import (
     ConsistencyError,
     MixedTrivialization,
@@ -43,7 +45,6 @@ from trailkit.errors import (
 from trailkit.trails import face_cone_coordinates
 
 from conftest import FULL_WORDS, GCM, cartan_key
-from test_giant import _reduced_words_of_w0
 
 # every trail of every fixture module, frozen as exponent tuples
 EXPECTED_TRAILS = {
@@ -260,6 +261,16 @@ def test_adjoin_and_remove_faces(modules, full_words):
     assert trail_function(z4) == trail_function(z3) + face
 
 
+@given(st.dictionaries(st.integers(1, 40),
+                       st.integers(-2 ** 70, 2 ** 70), max_size=12))
+def test_function_hash_is_the_dataclass_hash(coeffs):
+    f = LinearFunctionBJ.from_coeffs(coeffs)
+    assert hash(f) == hash((f.terms,))
+    g = LinearFunctionBJ(f.terms)
+    assert g == f and hash(g) == hash(f)
+    assert hash(f + g) == hash(((f + g).terms,))
+
+
 def test_face_function_is_kashiwara_difference(full_words):
     for key, w in full_words.items():
         c = w.cartan
@@ -408,7 +419,7 @@ def test_exponents_rebuild_every_trail_and_face_moves_stay_inside():
         cartan = validate_gcm(GCM[name])
         for t in cartan.labels:
             M = build_fundamental(cartan, t)
-            for letters in _reduced_words_of_w0(cartan):
+            for letters in reduced_words_of_w0(cartan):
                 w = WordJ(cartan, letters)
                 found = enumerate_trails(M, w, t)
                 faces = [(s, k) for s in cartan.labels
