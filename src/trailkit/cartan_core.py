@@ -282,20 +282,14 @@ def _unit_columns(n: int) -> list[list[int]]:
     return [[int(r == k) for r in range(n)] for k in range(n)]
 
 
-def _append_letter(cartan: CartanData, cols, i: int):
-    """The columns of (w s_i)^{-1}(alpha_k) from those of w^{-1}."""
+def _append_letter(cartan: CartanData, cols, i: int) -> None:
+    """Turn the columns of w^{-1} into those of (w s_i)^{-1}, in place."""
     ci = i - 1
     pivot = cols[ci]
-    out = []
-    for k, col in enumerate(cols):
-        f = cartan.gcm[ci][k]
-        if k == ci:
-            out.append([-x for x in pivot])
-        elif f:
-            out.append([x - f * y for x, y in zip(col, pivot)])
-        else:
-            out.append(col)
-    return out
+    for k, f in enumerate(cartan.gcm[ci]):
+        if f and k != ci:
+            cols[k] = [x - f * y for x, y in zip(cols[k], pivot)]
+    cols[ci] = [-x for x in pivot]
 
 
 def is_reduced(cartan: CartanData, word) -> bool:
@@ -310,7 +304,7 @@ def is_reduced(cartan: CartanData, word) -> bool:
     for i in word:
         if any(x < 0 for x in cols[i - 1]):
             return False
-        cols = _append_letter(cartan, cols, i)
+        _append_letter(cartan, cols, i)
     return True
 
 
@@ -330,7 +324,9 @@ def reduced_words_of_w0(cartan: CartanData) -> list[tuple[int, ...]]:
         if not grown:
             out.append(word)
         for i in reversed(grown):   # the least letter is taken first
-            stack.append((word + (i,), _append_letter(cartan, cols, i)))
+            grown_cols = list(cols)
+            _append_letter(cartan, grown_cols, i)
+            stack.append((word + (i,), grown_cols))
     return out
 
 
