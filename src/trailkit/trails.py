@@ -58,17 +58,21 @@ class LinearFunctionBJ:
 
     ``terms`` is the canonical representation: (position, coefficient)
     pairs sorted by 1-based position, zero coefficients dropped.  The hash
-    is the one the dataclass would compute, taken once at construction.
+    is the one the dataclass would compute, kept from its first use: most
+    functions go into sets, but those built only to be written out are
+    never hashed.
     """
 
     terms: tuple[tuple[int, int], ...]
+    _hash = None    # not a field
 
     def __post_init__(self):
         assert all(c != 0 for _, c in self.terms)
         assert list(self.terms) == sorted(self.terms)
-        object.__setattr__(self, "_hash", hash((self.terms,)))
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.terms,)))
         return self._hash
 
     @staticmethod
