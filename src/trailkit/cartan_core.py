@@ -344,7 +344,6 @@ class WordJ:
     cartan: CartanData
     letters: tuple[int, ...]
     _positions: dict = field(default_factory=dict, compare=False, repr=False)
-    _prefix: dict = field(default_factory=dict, compare=False, repr=False)
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -391,14 +390,15 @@ class WordJ:
         """-w_j(omega_t): the extremal weight reached after j letters."""
         if not 0 <= j <= self.m:
             raise PositionMissingError(f"prefix length {j} outside [0,{self.m}]")
-        if t not in self._prefix:
-            w = wneg(self.cartan.fundamental_weight(t))
-            out = [w]
-            for i in self.letters:
-                w = reflect(self.cartan, i, w)
-                out.append(w)
-            self._prefix[t] = tuple(out)
-        return self._prefix[t][j]
+        return self.memoized(("prefix", t), lambda: self._prefix_weights(t))[j]
+
+    def _prefix_weights(self, t: int) -> tuple[Weight, ...]:
+        w = wneg(self.cartan.fundamental_weight(t))
+        out = [w]
+        for i in self.letters:
+            w = reflect(self.cartan, i, w)
+            out.append(w)
+        return tuple(out)
 
     def memoized(self, key, build):
         """``build()``, computed on the first request for ``key`` and kept
@@ -465,7 +465,3 @@ def root_coordinates(cartan: CartanData, w: Weight) -> tuple[int, ...] | None:
             return None
         out.append(q)
     return tuple(out)
-
-
-def longest_word_length(cartan: CartanData) -> int:
-    return len(positive_roots(cartan))

@@ -187,7 +187,6 @@ class ClassBlock:
     """
 
     s: int
-    step: int | None
     c: tuple[int, ...]
     a: tuple[int, ...] | None
     driving: LinearFunctionBJ
@@ -325,15 +324,15 @@ def _make_block(word: WordJ, s: int, step: int | None, z: LinearFunctionBJ,
     expanded = dict(zip(pts, funcs))
     vertices = frozenset(expanded[p] for p in g.functions())
     lower = frozenset(lower)
-    return ClassBlock(s, step, c, a, z, pts, functions, lower, vertices,
+    return ClassBlock(s, c, a, z, pts, functions, lower, vertices,
                       vertices & lower)
 
 
-def _exceptional_block(t: int, step: int | None, zt1: LinearFunctionBJ,
+def _exceptional_block(t: int, zt1: LinearFunctionBJ,
                        settled: bool) -> ClassBlock:
     """The lone driving function, which belongs to no type-t class."""
     lower = frozenset({zt1}) if settled else frozenset()
-    return ClassBlock(t, step, (), None, zt1, ((),), frozenset({zt1}), lower,
+    return ClassBlock(t, (), None, zt1, ((),), frozenset({zt1}), lower,
                       frozenset({zt1}), lower, exceptional=True)
 
 
@@ -505,13 +504,15 @@ def _decompose(form: _IntegerForm, t: int, s: int, step: int | None, pool,
     a of the class in ``classes`` that their driver drives; ``None`` sweeps
     the whole word, including classes settling after the last occurrence
     of s.  ``built`` is the envelope's memo of per-step blocks by
-    (s, driver, c): a block's functions depend on nothing else, so the
-    sweep builds its blocks from those.
+    (s, driver, c).  Since len(c) + 1 is the number of occurrences of s
+    up to the step, the key fixes the step, and so every function of the
+    block: the sweep uses a stored block as it is (nothing reads the a of
+    a sweep block).
     """
     word = form.word
     blocks, discarded = [], []
     if s == t:
-        blocks.append(_exceptional_block(t, step, zt1, settled=True))
+        blocks.append(_exceptional_block(t, zt1, settled=True))
     n = word.count(s, upto=step)
     for i, c in _linear_extension(form, _candidates(form, s, n, pool)):
         z = form.funcs[i]
@@ -522,12 +523,8 @@ def _decompose(form: _IntegerForm, t: int, s: int, step: int | None, pool,
             cls = classes.get(z)
             b = built[s, z, c] = _make_block(
                 word, s, step, z, c, None if cls is None else cls.a)
-        elif (s, z, c) in built:    # the same functions, no step, no a
-            b = built[s, z, c]
-            b = ClassBlock(s, None, c, None, z, b.points, b.functions,
-                           b.lower, b.vertices, b.lower_vertices)
         else:
-            b = _make_block(word, s, None, z, c)
+            b = built.get((s, z, c)) or _make_block(word, s, None, z, c)
         blocks.append(b)
     _check_disjoint(word.m if step is None else step, blocks)
     return tuple(blocks), tuple(discarded)
@@ -590,7 +587,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                     j, None, min(truth, key=_fn_key),
                     detail="function settles before the driving step")
         elif j == t1:
-            blocks = (_exceptional_block(t, j, zt1, settled=False),)
+            blocks = (_exceptional_block(t, zt1, settled=False),)
             if truth != frozenset({zt1}):
                 f = min(truth ^ {zt1}, key=_fn_key)
                 raise FalseTrailDetected(

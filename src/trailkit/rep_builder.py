@@ -15,11 +15,11 @@ Two independent character oracles (Freudenthal recursion and the Weyl
 dimension formula) cross-check every weight multiplicity during the build;
 disagreement raises RadicalRankMismatch.
 
-Each operator also carries an integer form: the lcm D of its column
+Each operator is kept once, as an integer form: the lcm D of its column
 denominators and its columns scaled by D.  Zero tests and the build-time
 commutator check run on these forms with integer vectors that are known
 only up to a positive factor, which never changes whether a vector
-vanishes; the Fraction columns remain the exact matrices.
+vanishes; the exact images of ModuleVector divide by D.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .cartan_core import (
 )
 from .errors import (
     NotExtremalWeightError,
+    NotReducedError,
     RadicalRankMismatch,
     ZeroVectorError,
 )
@@ -218,7 +219,6 @@ class ModuleVector:
 
 
 Column = tuple[tuple[int, Fraction], ...]
-Columns = tuple[Column, ...]
 IntColumns = tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -230,7 +230,7 @@ class IntegerForm(NamedTuple):
     cols: IntColumns
 
 
-def _integer_form(cols: Columns) -> IntegerForm:
+def _integer_form(cols: list[Column]) -> IntegerForm:
     """The IntegerForm of an operator given by its Fraction columns."""
     scale = lcm(1, *(x.denominator for col in cols for _, x in col))
     return IntegerForm(scale, tuple(
@@ -258,22 +258,20 @@ def apply_projective(cols: IntColumns, v: dict[int, int]) -> dict[int, int]:
 class LowestWeightModule:
     """V(-omega_t): lowest-weight fundamental module with exact matrices.
 
-    ``e_cols[i]`` / ``f_cols[i]`` map 1-based simple index i to a tuple of
-    sparse columns (one per basis index); e_i raises the weight by alpha_i.
-    ``e_int[i]`` / ``f_int[i]`` are the same operators as IntegerForms.
+    ``e_int[i]`` / ``f_int[i]`` map 1-based simple index i to the
+    IntegerForm of e_i / f_i, with one sparse column per basis index; e_i
+    raises the weight by alpha_i.
     """
 
     def __init__(self, cartan: CartanData, t: int, weights: tuple[Weight, ...],
-                 lowest_index: int, e_cols: dict[int, Columns],
-                 f_cols: dict[int, Columns]):
+                 lowest_index: int, e_int: dict[int, IntegerForm],
+                 f_int: dict[int, IntegerForm]):
         self.cartan = cartan
         self.t = t
         self.weights = weights
         self.lowest_index = lowest_index
-        self.e_cols = e_cols
-        self.f_cols = f_cols
-        self.e_int = {i: _integer_form(cols) for i, cols in e_cols.items()}
-        self.f_int = {i: _integer_form(cols) for i, cols in f_cols.items()}
+        self.e_int = e_int
+        self.f_int = f_int
         spaces: dict[Weight, list[int]] = {}
         for idx, mu in enumerate(weights):
             spaces.setdefault(mu, []).append(idx)
@@ -296,28 +294,24 @@ class LowestWeightModule:
     def weight_space(self, mu: Weight) -> tuple[int, ...]:
         return self.weight_spaces.get(mu, ())
 
-    def _apply(self, cols: Columns, v: ModuleVector, step: Weight) -> ModuleVector:
-        if v.is_zero():
-            return v
+    def _apply(self, form: IntegerForm, v: ModuleVector, step: Weight) -> ModuleVector:
+        """The exact image of v: the integer columns over the scale."""
         out: dict[int, Fraction] = {}
         for b, c in v.coords.items():
-            for r, m in cols[b]:
-                y = out.get(r, _F0) + c * m
-                if y:
-                    out[r] = y
-                else:
-                    out.pop(r, None)
+            for r, x in form.cols[b]:
+                out[r] = out.get(r, _F0) + c * x
+        out = {r: y / form.scale for r, y in out.items() if y}
         if not out:
             return ModuleVector({}, None)
         return ModuleVector(out, wadd(v.weight, step))
 
     def apply_e(self, i: int, v: ModuleVector) -> ModuleVector:
         self.cartan.check_label(i)
-        return self._apply(self.e_cols[i], v, self.cartan.simple_root(i))
+        return self._apply(self.e_int[i], v, self.cartan.simple_root(i))
 
     def apply_f(self, i: int, v: ModuleVector) -> ModuleVector:
         self.cartan.check_label(i)
-        return self._apply(self.f_cols[i], v, wneg(self.cartan.simple_root(i)))
+        return self._apply(self.f_int[i], v, wneg(self.cartan.simple_root(i)))
 
     def e_string_length(self, i: int, v: ModuleVector) -> int:
         """Largest p with e_i^p v != 0 (v non-zero)."""
@@ -347,7 +341,8 @@ def _e_images(e_cols, f_cols, weights, j: int, b: int) -> dict[int, dict[int, Fr
 
 
 def _build_matrices(cartan: CartanData, t: int):
-    """Highest-weight build of V(omega_t): returns (weights, e_cols, f_cols).
+    """Highest-weight build of V(omega_t): returns (weights, e_int, f_int),
+    the operators as IntegerForms of the Fraction columns built here.
 
     Basis index 0 is the top vector; each level below it holds the weights
     one simple root lower, weight spaces in sorted order.
@@ -389,8 +384,8 @@ def _build_matrices(cartan: CartanData, t: int):
                 f_cols[j].append(f_level[j, b])
         level = next_level
     return (weights,
-            {i: tuple(cols) for i, cols in e_cols.items()},
-            {i: tuple(cols) for i, cols in f_cols.items()})
+            {i: _integer_form(cols) for i, cols in e_cols.items()},
+            {i: _integer_form(cols) for i, cols in f_cols.items()})
 
 
 def _verify_module(m: LowestWeightModule) -> None:
@@ -406,13 +401,12 @@ def _verify_module(m: LowestWeightModule) -> None:
         raise RadicalRankMismatch("dimension disagrees with the Weyl formula")
     for i in cartan.labels:
         alpha = cartan.simple_root(i)
-        for name, cols, step in (("e", m.e_cols[i], alpha),
-                                 ("f", m.f_cols[i], wneg(alpha))):
+        e, f = m.e_int[i], m.f_int[i]
+        for name, cols, step in (("e", e.cols, alpha), ("f", f.cols, wneg(alpha))):
             if len(cols) != m.dim or any(
                     not 0 <= r < m.dim or m.weights[r] != wadd(m.weights[b], step)
                     for b, col in enumerate(cols) for r, _ in col):
                 raise RadicalRankMismatch(f"{name}_{i} does not move weights by its root")
-        e, f = m.e_int[i], m.f_int[i]
         if apply_projective(f.cols, {m.lowest_index: 1}):
             raise RadicalRankMismatch(f"f_{i} does not kill the lowest vector")
         scale = e.scale * f.scale
@@ -430,8 +424,8 @@ def _verify_module(m: LowestWeightModule) -> None:
 
 
 # Version of the TRAILKIT_CACHE_DIR payload; a file of any other version
-# (or none) holds matrices in another basis and is rebuilt.
-CACHE_FORMAT = 2
+# (or none) holds matrices in another basis or encoding and is rebuilt.
+CACHE_FORMAT = 3
 
 
 def _cache_key(cartan: CartanData, t: int) -> str:
@@ -441,16 +435,12 @@ def _cache_key(cartan: CartanData, t: int) -> str:
 
 
 def _cache_save(path: str, m: LowestWeightModule) -> None:
-    def enc(cols_by_i):
-        return {str(i): [[[r, x.numerator, x.denominator] for r, x in col]
-                         for col in cols] for i, cols in cols_by_i.items()}
-
     data = {
         "format": CACHE_FORMAT,
         "t": m.t,
-        "weights": [list(w) for w in m.weights],
-        "E": enc(m.e_cols),
-        "F": enc(m.f_cols),
+        "weights": m.weights,
+        "E": {str(i): form._asdict() for i, form in m.e_int.items()},
+        "F": {str(i): form._asdict() for i, form in m.f_int.items()},
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -458,26 +448,34 @@ def _cache_save(path: str, m: LowestWeightModule) -> None:
     os.replace(tmp, path)
 
 
+def _int(x, least: int | None = None) -> int:
+    """x itself if it is an int (not a bool or a float) of at least ``least``."""
+    if type(x) is not int or (least is not None and x < least):
+        raise ValueError(f"cached number {x!r} is not an int in range")
+    return x
+
+
 def _cache_load(path: str, cartan: CartanData, t: int) -> LowestWeightModule | None:
     """The cached module, or None for a miss: no readable file, a payload
-    of another format version or for another t, or a module that fails
-    the build-time checks."""
+    of another format version or for another t, a number that is not an
+    int, a scale below 1, or a module that fails the build-time checks."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         if data.get("format") != CACHE_FORMAT or data["t"] != t:
             return None
 
-        def dec(cols_by_i):
-            return {i: tuple(tuple((r, Fraction(num, den)) for r, num, den in col)
-                             for col in cols_by_i[str(i)]) for i in cartan.labels}
+        def dec(form):
+            return IntegerForm(_int(form["scale"], least=1), tuple(
+                tuple((_int(r), _int(x)) for r, x in col) for col in form["cols"]))
 
         module = LowestWeightModule(
-            cartan, t, tuple(tuple(w) for w in data["weights"]), 0,
-            dec(data["E"]), dec(data["F"]))
+            cartan, t, tuple(tuple(map(_int, w)) for w in data["weights"]), 0,
+            {i: dec(data["E"][str(i)]) for i in cartan.labels},
+            {i: dec(data["F"][str(i)]) for i in cartan.labels})
         _verify_module(module)
     except (OSError, AttributeError, IndexError, KeyError, TypeError,
-            ValueError, ZeroDivisionError, RadicalRankMismatch):
+            ValueError, RadicalRankMismatch):
         return None
     return module
 
@@ -500,14 +498,14 @@ def build_fundamental(cartan: CartanData, t: int) -> LowestWeightModule:
         cached = _cache_load(cache_path, cartan, t)
         if cached is not None:
             return cached
-    weights, e_cols, f_cols = _build_matrices(cartan, t)
+    weights, e_int, f_int = _build_matrices(cartan, t)
     # Chevalley flip: negate weights, swap the operator families.
     module = LowestWeightModule(
         cartan, t,
         weights=tuple(wneg(mu) for mu in weights),
         lowest_index=0,
-        e_cols=f_cols,
-        f_cols=e_cols,
+        e_int=f_int,
+        f_int=e_int,
     )
     _verify_module(module)
     if cache_path:
@@ -540,7 +538,8 @@ def extremal_vector(m: LowestWeightModule, word) -> ModuleVector:
     for i in word:
         m.cartan.check_label(i)
         p = -gamma[i - 1]
-        assert p >= 0, "word is not a reduced prefix"
+        if p < 0:
+            raise NotReducedError(f"word {tuple(word)} is not a reduced prefix")
         for _ in range(p):
             v = m.apply_e(i, v)
         gamma = wadd(gamma, wscale(p, m.cartan.simple_root(i)))

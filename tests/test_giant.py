@@ -166,7 +166,6 @@ def test_block_invariants(envelopes):
         for L in env.layers:
             for b in L.blocks:
                 assert b.s == L.s
-                assert b.step == L.j
                 assert b.driving in b.functions
                 assert len(b.points) == len(b.functions)
                 assert all(len(p) == len(b.c) for p in b.points)
@@ -175,7 +174,6 @@ def test_block_invariants(envelopes):
                 assert b.lower <= b.functions
                 assert b.lower_vertices <= b.lower
         for b in env.global_blocks:
-            assert b.step is None
             assert b.vertices <= b.functions <= env.functions
         _assert_lower_vertices_match_the_lp(env)
 
@@ -190,14 +188,14 @@ def _assert_lower_vertices_match_the_lp(env):
             env.global_blocks):
         if b.lower not in oracle:
             oracle[b.lower] = _lp_extremal(b.lower)
-        assert b.lower_vertices == oracle[b.lower], (b.s, b.step, b.c)
+        assert b.lower_vertices == oracle[b.lower], (b.s, b.c)
         if b.c and b.c[-1] != 0:
             faces = {k: basis[env.word.position(b.s, k)]
                      for k in range(2, len(b.c) + 2)}
             g = binary_fusion(CoeffVector.make(b.c))
             assert b.lower_vertices == frozenset(
                 giant._expand(b.driving, faces, p)
-                for p in g.lower_functions()), (b.s, b.step, b.c)
+                for p in g.lower_functions()), (b.s, b.c)
 
 
 # --- extremality once per envelope ------------------------------------------
@@ -332,11 +330,13 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
         assert max(built.values()) == 1, t
         shaped = [b for b in env.global_blocks if not b.exceptional]
         for b in shaped:
-            assert b.step is None and b.a is None
-            assert b == make(env.word, b.s, None, b.driving, b.c)
-        per_step = {(b.s, b.driving, b.c) for L in env.layers
+            assert b == make(env.word, b.s, None, b.driving, b.c, b.a)
+        per_step = {(b.s, b.driving, b.c): b for L in env.layers
                     for b in L.blocks if not b.exceptional}
-        reused += sum((b.s, b.driving, b.c) in per_step for b in shaped)
+        shared = [b for b in shaped if (b.s, b.driving, b.c) in per_step]
+        # the sweep takes a stored block as it is, not a copy
+        assert all(b is per_step[b.s, b.driving, b.c] for b in shared), t
+        reused += len(shared)
     assert reused > 0
 
 

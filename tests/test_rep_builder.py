@@ -6,8 +6,10 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,9 @@ from trailkit import (
 from trailkit import rep_builder
 from trailkit.cartan_core import (_standard_gcm, positive_roots, root_coordinates,
                                   wadd, wsub)
-from trailkit.errors import (NotFiniteTypeError, RadicalRankMismatch,
-                             UnknownLetterError, ZeroVectorError)
+from trailkit.errors import (NotFiniteTypeError, NotReducedError,
+                             RadicalRankMismatch, UnknownLetterError,
+                             ZeroVectorError)
 
 from conftest import FULL_WORDS, GCM, cartan_key
 
@@ -153,6 +156,11 @@ def test_extremal_vector_tracks_prefix_weights(modules, full_words):
                 assert len(v.coords) == 1
 
 
+def test_extremal_vector_rejects_a_word_that_is_not_reduced(modules):
+    with pytest.raises(NotReducedError, match=r"word \(1, 1\) is not a reduced"):
+        extremal_vector(modules["A2", 1], (1, 1))
+
+
 def test_apply_raising_monomial(modules):
     m = modules["A3", 2]
     v = m.lowest_vector()
@@ -184,25 +192,68 @@ def test_module_cache_roundtrip(tmp_path, monkeypatch, cartans):
     build = build_fundamental.__wrapped__      # skip the in-memory memo
     c = cartans["B2"]
     first = build(c, 2)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    assert data["format"] == rep_builder.CACHE_FORMAT == 3
+    assert data["E"]["1"]["scale"] == first.e_int[1].scale
+    monkeypatch.setattr(rep_builder, "_build_matrices", None)   # load only
     second = build(c, 2)
     assert second.weights == first.weights
-    assert second.e_cols == first.e_cols
-    assert second.f_cols == first.f_cols
+    assert second.e_int == first.e_int
+    assert second.f_int == first.f_int
+
+
+def _entry(data, value=None):
+    """The first [r, x] entry of E_1 in a cached payload, or the first
+    whose x equals ``value``."""
+    return next(e for col in data["E"]["1"]["cols"] for e in col
+                if value is None or e[1] == value)
 
 
 def _tamper_version(data):
     del data["format"]
 
 
+def _tamper_format_2(data):
+    """The same module in format 2, as [r, numerator, denominator] triples."""
+    data["format"] = 2
+    for forms in (data["E"], data["F"]):
+        for i, form in forms.items():
+            forms[i] = [[[r, *Fraction(x, form["scale"]).as_integer_ratio()]
+                         for r, x in col] for col in form["cols"]]
+
+
 def _tamper_coefficient(data):
-    col = next(col for col in data["E"]["1"] if col)
-    col[0][1] *= 3
+    _entry(data)[1] *= 3
 
 
-@pytest.mark.parametrize("tamper", [_tamper_version, _tamper_coefficient],
-                         ids=["versionless", "coefficient"])
+def _tamper_float(data):
+    entry = _entry(data)
+    entry[1] = float(entry[1])
+
+
+def _tamper_bool(data):
+    _entry(data, 1)[1] = True
+
+
+def _tamper_scale_zero(data):
+    data["E"]["1"]["scale"] = 0
+
+
+def _tamper_scale_negative(data):
+    data["E"]["1"]["scale"] *= -1
+
+
+def _tamper_float_weight(data):
+    data["weights"][0][0] = float(data["weights"][0][0])
+
+
+@pytest.mark.parametrize("tamper", [
+    _tamper_version, _tamper_format_2, _tamper_coefficient, _tamper_float,
+    _tamper_bool, _tamper_scale_zero, _tamper_scale_negative,
+    _tamper_float_weight,
+], ids=["versionless", "format-2", "coefficient", "float", "bool",
+        "scale-zero", "scale-negative", "float-weight"])
 def test_module_cache_rebuilds_bad_file(tmp_path, monkeypatch, cartans, tamper):
     monkeypatch.setenv("TRAILKIT_CACHE_DIR", str(tmp_path))
     build = build_fundamental.__wrapped__      # skip the in-memory memo
@@ -219,8 +270,8 @@ def test_module_cache_rebuilds_bad_file(tmp_path, monkeypatch, cartans, tamper):
                         lambda *a: builds.append(a) or real(*a))
     again = build(c, 1)
     assert builds == [(c, 1)]                  # a miss: rebuilt, not loaded
-    assert (again.weights, again.e_cols, again.f_cols) == (
-        fresh.weights, fresh.e_cols, fresh.f_cols)
+    assert (again.weights, again.e_int, again.f_int) == (
+        fresh.weights, fresh.e_int, fresh.f_int)
     assert path.read_bytes() == good           # and the file overwritten
 
 
@@ -368,20 +419,53 @@ def _module(tag: str, t: int):
     return build_fundamental(validate_gcm(_standard_gcm(tag[0], int(tag[1:]))), t)
 
 
+@lru_cache(maxsize=None)
+def _fraction_columns(tag: str, t: int):
+    """The Fraction columns that ``_build_matrices`` turns into integer
+    forms, flipped as ``build_fundamental`` flips them: (e, f) by i."""
+    seen = {}
+    real = rep_builder._integer_form
+
+    def record(cols):
+        form = real(cols)
+        seen[form] = tuple(cols)
+        return form
+
+    with mock.patch.object(rep_builder, "_integer_form", record):
+        _, e_int, f_int = rep_builder._build_matrices(_module(tag, t).cartan, t)
+    return ({i: seen[form] for i, form in f_int.items()},
+            {i: seen[form] for i, form in e_int.items()})
+
+
+def _apply_columns(cols, u: dict) -> dict:
+    out = {}
+    for b, c in u.items():
+        for r, x in cols[b]:
+            out[r] = out.get(r, 0) + c * x
+    return {r: y for r, y in out.items() if y}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(RANK_4_FUNDAMENTALS), st.floats(0, 1, exclude_max=True),
        st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=12))
 def test_integer_forms_agree_with_fraction_operators(instance, start, walk):
+    """apply_e / apply_f give exactly the images under the Fraction columns
+    of the build, and the integer vectors a positive multiple of them."""
     m = _module(*instance)
+    e_cols, f_cols = _fraction_columns(*instance)
     idx = int(start * m.dim)
     v = m.basis_vector(idx)
+    u = {idx: Fraction(1)}
     w = {idx: 1}
     for raising, k in walk:
         i = k % m.cartan.n + 1
         if raising:
             v, w = m.apply_e(i, v), rep_builder.apply_projective(m.e_int[i].cols, w)
+            u = _apply_columns(e_cols[i], u)
         else:
             v, w = m.apply_f(i, v), rep_builder.apply_projective(m.f_int[i].cols, w)
+            u = _apply_columns(f_cols[i], u)
+        assert v.coords == u
         assert v.is_zero() == (not w)
         if not w:
             break
@@ -391,31 +475,20 @@ def test_integer_forms_agree_with_fraction_operators(instance, start, walk):
         assert len(ratios) == 1 and min(ratios) > 0
 
 
-def test_integer_forms_scale_the_fraction_columns(modules):
-    for m in modules.values():
-        for fracs, ints in ((m.e_cols, m.e_int), (m.f_cols, m.f_int)):
-            for i, cols in fracs.items():
-                scale, icols = ints[i]
-                assert scale >= 1 and all(
-                    (x * scale).denominator == 1 for col in cols for _, x in col)
-                assert icols == tuple(tuple((r, int(x * scale)) for r, x in col)
-                                      for col in cols)
-
-
 def test_verify_module_catches_a_changed_non_integer_entry(cartans):
     m = build_fundamental(cartans["C3"], 2)
     rep_builder._verify_module(m)
+    forms = {"e": dict(m.e_int), "f": dict(m.f_int)}
     name, i, b, k = next(
-        (name, i, b, k) for name, cols_by_i in (("e", m.e_cols), ("f", m.f_cols))
-        for i, cols in cols_by_i.items() for b, col in enumerate(cols)
-        for k, (_, x) in enumerate(col) if x == Fraction(1, 2))
-    cols_by_i = {"e": dict(m.e_cols), "f": dict(m.f_cols)}
-    col = list(cols_by_i[name][i][b])
-    col[k] = (col[k][0], Fraction(1, 3))
-    cols = list(cols_by_i[name][i])
-    cols[b] = tuple(col)
-    cols_by_i[name][i] = tuple(cols)
+        (name, i, b, k) for name, by_i in forms.items()
+        for i, (scale, cols) in by_i.items() for b, col in enumerate(cols)
+        for k, (_, x) in enumerate(col) if Fraction(x, scale) == Fraction(1, 2))
+    scale, cols = forms[name][i]
+    fracs = [[(r, Fraction(x, scale)) for r, x in col] for col in cols]
+    fracs[b][k] = (fracs[b][k][0], Fraction(1, 3))
+    forms[name][i] = rep_builder._integer_form(fracs)
+    assert forms[name][i].scale != scale
     tampered = rep_builder.LowestWeightModule(
-        m.cartan, m.t, m.weights, m.lowest_index, cols_by_i["e"], cols_by_i["f"])
+        m.cartan, m.t, m.weights, m.lowest_index, forms["e"], forms["f"])
     with pytest.raises(RadicalRankMismatch, match=r"\[e_\d, f_\d\] is not"):
         rep_builder._verify_module(tampered)

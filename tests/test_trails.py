@@ -41,6 +41,7 @@ from trailkit.errors import (
     MixedTrivialization,
     OpenFaceRequest,
     PositionMissingError,
+    TNotInWord,
 )
 from trailkit.trails import face_cone_coordinates
 
@@ -162,6 +163,14 @@ def test_enumerate_matches_brute_force(modules, full_words):
                 assert K.exps == exps
                 got.add(K)
         assert got == _trails_for(modules, full_words, key, t)
+
+
+def test_t_outside_the_word_has_no_driving_trail(modules, cartans):
+    w = WordJ(cartans["A3"], (1, 2))
+    with pytest.raises(TNotInWord, match=r"letter 3 does not occur in \(1, 2\)"):
+        driving_trail(cartans["A3"], w, 3)
+    with pytest.raises(TNotInWord, match=r"letter 3 does not occur in \(1, 2\)"):
+        enumerate_trails(modules["A3", 3], w, 3)
 
 
 def test_enumerate_requires_matching_module(modules, full_words):
