@@ -7,7 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -421,6 +421,10 @@ def _module(tag: str, t: int):
 
 @lru_cache(maxsize=None)
 def _fraction_columns(tag: str, t: int):
+    return _recorded_columns(_module(tag, t).cartan, t)
+
+
+def _recorded_columns(cartan, t: int):
     """The Fraction columns that ``_build_matrices`` turns into integer
     forms, flipped as ``build_fundamental`` flips them: (e, f) by i."""
     seen = {}
@@ -432,7 +436,7 @@ def _fraction_columns(tag: str, t: int):
         return form
 
     with mock.patch.object(rep_builder, "_integer_form", record):
-        _, e_int, f_int = rep_builder._build_matrices(_module(tag, t).cartan, t)
+        _, e_int, f_int = rep_builder._build_matrices(cartan, t)
     return ({i: seen[form] for i, form in f_int.items()},
             {i: seen[form] for i, form in e_int.items()})
 
@@ -473,6 +477,21 @@ def test_integer_forms_agree_with_fraction_operators(instance, start, walk):
         assert w.keys() == v.coords.keys()
         ratios = {Fraction(x) / v.coords[b] for b, x in w.items()}
         assert len(ratios) == 1 and min(ratios) > 0
+
+
+def test_integer_forms_scale_the_fraction_columns(modules):
+    """Each stored operator is the build's Fraction columns, flipped, times
+    the lcm of their denominators."""
+    for m in modules.values():
+        e_cols, f_cols = _recorded_columns(m.cartan, m.t)
+        for fracs, ints in ((e_cols, m.e_int), (f_cols, m.f_int)):
+            assert fracs.keys() == ints.keys()
+            for i, cols in fracs.items():
+                scale, icols = ints[i]
+                assert scale == lcm(1, *(x.denominator for col in cols
+                                         for _, x in col))
+                assert icols == tuple(tuple((r, int(x * scale)) for r, x in col)
+                                      for col in cols)
 
 
 def test_verify_module_catches_a_changed_non_integer_entry(cartans):
