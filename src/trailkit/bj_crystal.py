@@ -192,6 +192,6 @@ def generate_binf(cartan: CartanData, word, depth: int,
 
 def dump_elements(elems) -> list[dict]:
     """Deterministic JSON-ready listing, shallowest first."""
-    order = sorted(elems, key=lambda b: (b.total, b.coords))
-    return [{"coords": [[j, m] for j, m in b.coords], "total": b.total}
-            for b in order]
+    order = sorted((b.total, b.coords) for b in elems)
+    return [{"coords": [[j, m] for j, m in coords], "total": total}
+            for total, coords in order]

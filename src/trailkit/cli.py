@@ -100,6 +100,14 @@ def _check_box(where: str, c: tuple[int, ...]) -> None:
                 f"points (the product of c_i + 1)")
 
 
+@functools.lru_cache(maxsize=64)
+def _gcm_of(matrix: tuple[tuple[int, ...], ...]) -> CartanData:
+    """The validated matrix of exact ints.  ``CartanData`` is immutable and
+    depends on the entries alone, so a process validates each matrix once;
+    the memo is bounded, and nothing needs to clear it."""
+    return validate_gcm(matrix)
+
+
 def load_config(path: str, args) -> JobConfig:
     """Read, validate, and merge the job file with flag overrides.
 
@@ -124,8 +132,14 @@ def load_config(path: str, args) -> JobConfig:
     if not (isinstance(matrix, list)
             and all(isinstance(row, list) for row in matrix)):
         raise ConfigError(f"{path}: cartan must be a list of integer rows")
+    key = tuple(map(tuple, matrix))
     try:
-        cartan = validate_gcm(matrix)
+        # a float or a bool equals an int as a key, so only exact ints
+        # reach the memo; any other entry fails validation
+        if all(type(x) is int for row in key for x in row):
+            cartan = _gcm_of(key)
+        else:
+            cartan = validate_gcm(matrix)
     except NotFiniteTypeError:
         raise
     except TrailkitError as e:
@@ -186,6 +200,8 @@ def load_config(path: str, args) -> JobConfig:
 # tracemalloc), 75 KiB with `json.dump` and 659 KiB with 4096 pieces.
 _WRITE_CHUNK = 256
 
+_LEAF_TEXT = {True: "true", False: "false", None: "null"}
+
 
 def _shared_listings(obj) -> set[int]:
     """ids of the listings (non-empty lists or tuples whose first item is a
@@ -223,52 +239,21 @@ def _write_json(path: str, obj) -> None:
     """
     shared = _shared_listings(obj)
     texts: dict[tuple[int, str], str] = {}  # (id, nl) -> encoded text
+    enc = encode_basestring_ascii
+    # the text of a leaf, by its exact type; a subclass goes the long way
+    leaf = {str: enc, int: int.__repr__, bool: _LEAF_TEXT.__getitem__,
+            type(None): _LEAF_TEXT.__getitem__}
     with open(path, "w", encoding="utf-8") as fh:
         out: list[str] = []
+        append = out.append
         keeping = 0     # shared listings being encoded; out is not written
 
         def emit(o, nl: str) -> None:
             # nl is a newline plus the indentation of the enclosing level.
             nonlocal keeping
-            if isinstance(o, str):
-                out.append(encode_basestring_ascii(o))
-            elif o is None:
-                out.append("null")
-            elif o is True:
-                out.append("true")
-            elif o is False:
-                out.append("false")
-            elif isinstance(o, int):
-                out.append(int.__repr__(o))
-            elif isinstance(o, (list, tuple)):
+            if isinstance(o, dict):
                 if not o:
-                    out.append("[]")
-                    return
-                inner = nl + " "
-                if all(type(x) is int for x in o):  # the common leaf
-                    items = ("," + inner).join(map(int.__repr__, o))
-                    out.append("[" + inner + items + nl + "]")
-                    return
-                known = (id(o), nl) if id(o) in shared else None
-                if known in texts:
-                    out.append(texts[known])
-                    return
-                if known:
-                    start = len(out)
-                    keeping += 1
-                sep = "[" + inner
-                for x in o:
-                    out.append(sep)
-                    emit(x, inner)
-                    sep = "," + inner
-                out.append(nl + "]")
-                if known:
-                    keeping -= 1
-                    texts[known] = "".join(out[start:])
-                    out[start:] = [texts[known]]
-            elif isinstance(o, dict):
-                if not o:
-                    out.append("{}")
+                    append("{}")
                     return
                 inner = nl + " "
                 sep = "{" + inner
@@ -280,10 +265,61 @@ def _write_json(path: str, obj) -> None:
                     else:
                         raise TypeError(f"keys must be str or int, not "
                                         f"{type(k).__name__}")
-                    out.append(sep + encode_basestring_ascii(key) + ": ")
-                    emit(v, inner)
+                    text = leaf.get(type(v))
+                    if text is not None:
+                        append(sep + enc(key) + ": " + text(v))
+                    else:
+                        append(sep + enc(key) + ": ")
+                        emit(v, inner)
                     sep = "," + inner
-                out.append(nl + "}")
+                append(nl + "}")
+            elif isinstance(o, (list, tuple)):
+                if not o:
+                    append("[]")
+                    return
+                inner = nl + " "
+                types = set(map(type, o))
+                if types == {int}:  # the common leaf
+                    items = ("," + inner).join(map(int.__repr__, o))
+                    append("[" + inner + items + nl + "]")
+                    return
+                if types == {list} and set(
+                        map(type, itertools.chain.from_iterable(o))) <= {int}:
+                    # a list of int lists: weights, coordinates, terms
+                    deeper = inner + " "
+                    sep = "," + deeper
+                    append("[" + inner + ("," + inner).join([
+                        "[" + deeper + sep.join(map(int.__repr__, x))
+                        + inner + "]" if x else "[]" for x in o])
+                        + nl + "]")
+                    return
+                known = (id(o), nl) if id(o) in shared else None
+                if known in texts:
+                    append(texts[known])
+                    return
+                if known:
+                    start = len(out)
+                    keeping += 1
+                sep = "[" + inner
+                for x in o:
+                    text = leaf.get(type(x))
+                    if text is not None:
+                        append(sep + text(x))
+                    else:
+                        append(sep)
+                        emit(x, inner)
+                    sep = "," + inner
+                append(nl + "]")
+                if known:
+                    keeping -= 1
+                    texts[known] = "".join(out[start:])
+                    out[start:] = [texts[known]]
+            elif isinstance(o, str):
+                append(enc(o))
+            elif o is None or o is True or o is False:
+                append(_LEAF_TEXT[o])
+            elif isinstance(o, int):
+                append(int.__repr__(o))
             else:
                 raise TypeError(f"Object of type {type(o).__name__} is not "
                                 f"JSON serializable")
@@ -292,7 +328,7 @@ def _write_json(path: str, obj) -> None:
                 out.clear()
 
         emit(obj, "\n")
-        out.append("\n")
+        append("\n")
         fh.write("".join(out))
 
 
@@ -495,12 +531,15 @@ def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
             raise
         rep = check_constructibility(env, cfg.word.m)
         if crystal is None:
-            elems = generate_binf(cfg.cartan, cfg.word, cfg.depth,
-                                  cfg.convention)
-            order = sorted(elems, key=lambda b: (b.total, b.coords))
-            crystal = ([b.coords for b in order], dump_elements(order))
-        # every label's maximum equals the overall one, or this raises
-        epsilon_star_batch(env, cfg.cartan.labels, crystal[0])
+            listing = dump_elements(generate_binf(
+                cfg.cartan, cfg.word, cfg.depth, cfg.convention))
+            crystal = ([b["coords"] for b in listing], listing)
+        # every label's maximum equals the overall one, or this raises; a
+        # label whose vertex functions are all the settled functions takes
+        # the overall maximum by definition, so only the others are checked
+        partial = env.partial_labels(cfg.cartan.labels)
+        if partial:
+            epsilon_star_batch(env, partial, crystal[0])
         entry = {
             "t": t,
             "functions": len(env.functions),

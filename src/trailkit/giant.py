@@ -73,6 +73,11 @@ class _IntegerForm:
         self.rows = tuple(rows)
 
     @cached_property
+    def by_row(self) -> dict[tuple[int, ...], LinearFunctionBJ]:
+        """The function of each row."""
+        return dict(zip(self.rows, self.funcs))
+
+    @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Per position j (index j-1), the coefficients of every function."""
         return tuple(zip(*self.rows))
@@ -250,6 +255,14 @@ class Envelope:
             raise UnknownLetterError(f"no type-{s} decomposition recorded")
         return found
 
+    def partial_labels(self, labels) -> list[int]:
+        """The labels s of ``labels`` whose type-s vertex functions miss a
+        settled function.  At any other label epsilon* is the maximum over
+        every settled function, so :func:`epsilon_star_batch` has nothing
+        to check there."""
+        n = len(self.form.funcs)
+        return [s for s in labels if len(self._vertices(s)[1]) < n]
+
     def z_t(self, s: int) -> frozenset[LinearFunctionBJ]:
         """Vertex functions of the whole-word type-s decomposition."""
         return self._vertices(s)[0]
@@ -276,15 +289,6 @@ class Envelope:
         return {"t": self.t, "layers": layers}
 
 
-def _expand(driving: LinearFunctionBJ, faces: dict[int, LinearFunctionBJ],
-            point) -> LinearFunctionBJ:
-    f = driving
-    for u, cp in enumerate(point, start=1):
-        if cp:
-            f = f + faces[u + 1].scale(cp)
-    return f
-
-
 @lru_cache(maxsize=1024)
 def _shape(c: tuple[int, ...]):
     """The S-graph of c and the sorted lattice points of K(c).
@@ -298,13 +302,44 @@ def _shape(c: tuple[int, ...]):
     return binary_fusion(cv), tuple(sorted(integer_points(cv)))
 
 
-def _make_block(word: WordJ, s: int, step: int | None, z: LinearFunctionBJ,
-                c: tuple[int, ...], a: tuple[int, ...] | None = None
-                ) -> ClassBlock:
-    basis = _face_basis(word)  # the closed faces F_s^k, by position (s,k)
-    faces = {k: basis[word.position(s, k)] for k in range(2, len(c) + 2)}
+def _face_terms(word: WordJ, s: int):
+    """Per closed face F_s^k, k = 2, 3, ..., its (index j-1, coefficient)
+    pairs; computed once per word and s."""
+    def build():
+        basis = _face_basis(word)
+        return tuple(
+            tuple((j - 1, v) for j, v in basis[word.position(s, k)].terms)
+            for k in range(2, word.count(s) + 1))
+
+    return word.memoized(("face_terms", s), build)
+
+
+def _make_block(form: _IntegerForm, s: int, step: int | None,
+                z: LinearFunctionBJ, c: tuple[int, ...],
+                a: tuple[int, ...] | None = None) -> ClassBlock:
+    """The block driven by z with coefficients c: the point c' of K(c) is
+    the function z + sum_u c'_u F_s^{u+1}.  Each point is expanded on an
+    integer row, and a row of ``form`` gives back its own function."""
+    word = form.word
+    faces = _face_terms(word, s)
     g, pts = _shape(c)
-    funcs = tuple(_expand(z, faces, p) for p in pts)
+    known = form.by_row
+    base = [0] * word.m
+    for j, x in z.terms:
+        base[j - 1] = x
+    funcs = []
+    for p in pts:
+        row = base[:]
+        for face, cp in zip(faces, p):
+            if cp:
+                for j, v in face:
+                    row[j] += cp * v
+        row = tuple(row)
+        f = known.get(row)
+        if f is None:
+            f = LinearFunctionBJ(tuple((j, x) for j, x in
+                                       enumerate(row, start=1) if x))
+        funcs.append(f)
     functions = frozenset(funcs)
     if len(functions) != len(funcs):
         raise ConsistencyError("distinct lattice points expanded to one "
@@ -522,9 +557,9 @@ def _decompose(form: _IntegerForm, t: int, s: int, step: int | None, pool,
         if step is not None:
             cls = classes.get(z)
             b = built[s, z, c] = _make_block(
-                word, s, step, z, c, None if cls is None else cls.a)
+                form, s, step, z, c, None if cls is None else cls.a)
         else:
-            b = built.get((s, z, c)) or _make_block(word, s, None, z, c)
+            b = built.get((s, z, c)) or _make_block(form, s, None, z, c)
         blocks.append(b)
     _check_disjoint(word.m if step is None else step, blocks)
     return tuple(blocks), tuple(discarded)

@@ -29,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -280,6 +280,13 @@ class LowestWeightModule:
     @property
     def dim(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def start_vector(self) -> dict[int, int]:
+        """v_{-s_t omega_t}, where every trail starts, as an integer vector
+        known up to a positive factor; computed once per module and never
+        changed."""
+        return projective_vector(extremal_vector(self, (self.t,)))
 
     def zero(self) -> ModuleVector:
         return ModuleVector({}, None)

@@ -44,12 +44,7 @@ from .errors import (
     PositionMissingError,
     TNotInWord,
 )
-from .rep_builder import (
-    LowestWeightModule,
-    apply_projective,
-    extremal_vector,
-    projective_vector,
-)
+from .rep_builder import LowestWeightModule, apply_projective
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,12 @@ class LinearFunctionBJ:
     _hash = None    # not a field
 
     def __post_init__(self):
-        assert all(c != 0 for _, c in self.terms)
-        assert list(self.terms) == sorted(self.terms)
+        terms = self.terms
+        if not all(c for _, c in terms):
+            raise ConsistencyError(f"zero coefficient in the terms {terms}")
+        if any(a[0] >= b[0] for a, b in zip(terms, terms[1:])):
+            raise ConsistencyError(
+                f"terms {terms} are not sorted by distinct positions")
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -151,6 +150,14 @@ def _build_driving_data(word: WordJ, t: int):
     return tuple(gamma), low
 
 
+def _trivialization_step(word: WordJ, t: int, gamma) -> int:
+    """phi: the least step with gamma_{j+1} = -w_j(omega_t) for j >= phi."""
+    phi = word.m
+    while phi > 1 and gamma[phi - 1] == word.prefix_weight(t, phi - 1):
+        phi -= 1
+    return phi
+
+
 @dataclass(frozen=True)
 class Trail:
     """A trail, stored by its exponents n_1..n_m.
@@ -160,6 +167,9 @@ class Trail:
     and keeps the weights ``gamma`` and the trivialization step ``phi`` as
     derived attributes.  Realizability needs a module, so the constructors
     that hold one (:func:`enumerate_trails`, :func:`make_trail`) check it.
+    The search of :func:`enumerate_trails` checks the same axioms node by
+    node and carries the weights, so it builds its trails without a second
+    walk (:meth:`_walked`).
     """
 
     word: WordJ
@@ -168,7 +178,9 @@ class Trail:
 
     def __post_init__(self):
         word = self.word
-        assert len(self.exps) == word.m
+        if len(self.exps) != word.m:
+            raise ConsistencyError(f"{len(self.exps)} exponents for a word "
+                                   f"of length {word.m}")
         drive, low = _driving_data(word, self.t)
         # equal weights of the trails of one (word, t) share one tuple
         shared = word.memoized(("weights", self.t), dict)
@@ -189,15 +201,22 @@ class Trail:
                 g = wadd(g, wscale(n, alpha))
                 g = shared.setdefault(g, g)
             gamma.append(g)
-        m, t = word.m, self.t
-        if g != word.prefix_weight(t, m):
+        if g != word.prefix_weight(self.t, word.m):
             raise ConsistencyError("trail does not end at -w_m(omega_t)")
-        # phi: the least step with gamma_{j+1} = -w_j(omega_t) for j >= phi
-        phi = m
-        while phi > 1 and gamma[phi - 1] == word.prefix_weight(t, phi - 1):
-            phi -= 1
         object.__setattr__(self, "gamma", tuple(gamma))
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi",
+                           _trivialization_step(word, self.t, gamma))
+
+    @classmethod
+    def _walked(cls, word: WordJ, t: int, exps: tuple[int, ...],
+                gamma: tuple[Weight, ...]) -> "Trail":
+        """The trail with exponents ``exps`` whose axioms a caller has
+        already checked along the way, with the weights ``gamma`` that the
+        walk would derive; nothing is walked again."""
+        K = cls.__new__(cls)
+        K.__dict__.update(word=word, t=t, exps=exps, gamma=gamma,
+                          phi=_trivialization_step(word, t, gamma))
+        return K
 
     @property
     def m(self) -> int:
@@ -211,7 +230,8 @@ class Trail:
         """alpha_{i_j}^vee of the midpoint (gamma_j + gamma_{j+1})/2."""
         i = self.word.letters[j - 1]
         tot = self.gamma[j - 1][i - 1] + self.gamma[j][i - 1]
-        assert tot % 2 == 0
+        if tot % 2:
+            raise ConsistencyError(f"odd midpoint pairing at position {j}")
         return tot // 2
 
     def sort_key(self):
@@ -230,13 +250,20 @@ def driving_trail(cartan: CartanData, word, t: int) -> Trail:
     """The driving trail of type t: constant at -s_t(omega_t) through the
     first occurrence of t, then the extremal weights -w_j(omega_t)."""
     word = _as_word(cartan, word)
+    exps, gamma = word.memoized(("driving_trail", t),
+                                lambda: _build_driving_trail(word, t))
+    return Trail._walked(word, t, exps, gamma)
+
+
+def _build_driving_trail(word: WordJ, t: int):
+    """(exps, gamma) of the driving trail, checked by one walk."""
     drive = _driving_data(word, t)[0]
     # alpha_i has 2 at coordinate i, so a step n alpha_i raises it by 2n
     K = Trail(word, t, tuple((b[i - 1] - a[i - 1]) // 2 for i, a, b
                              in zip(word.letters, drive, drive[1:])))
     if K.gamma != drive:
         raise ConsistencyError("the driving weights do not form a trail")
-    return K
+    return K.exps, K.gamma
 
 
 def trail_function(K: Trail) -> LinearFunctionBJ:
@@ -347,16 +374,11 @@ def in_xt_cone(word: WordJ, t: int, f: LinearFunctionBJ) -> bool:
     return xt_leq(word, driving_function(word.cartan, word, t), f)
 
 
-def _start_vector(M: LowestWeightModule, t: int) -> dict[int, int]:
-    """v_{-s_t omega_t} as an integer vector, known up to a positive factor."""
-    return projective_vector(extremal_vector(M, (t,)))
-
-
-def _chain(M: LowestWeightModule, word: WordJ, t: int,
+def _chain(M: LowestWeightModule, word: WordJ,
            exps) -> list[dict[int, int]] | None:
     """Vectors v_1..v_{m+1} along the word, each a positive multiple of the
     exact one in integers, or None if any vanishes."""
-    v = _start_vector(M, t)
+    v = M.start_vector
     out = [v]
     for i, n in zip(word.letters, exps):
         cols = M.e_int[i].cols
@@ -381,7 +403,7 @@ def make_trail(M: LowestWeightModule, word, t: int, exps) -> Trail | None:
         K = Trail(word, t, exps)
     except ConsistencyError:
         return None
-    if _chain(M, word, t, exps) is None:
+    if _chain(M, word, exps) is None:
         return None
     return K
 
@@ -393,14 +415,17 @@ def enumerate_trails(M: LowestWeightModule, word, t: int) -> frozenset[Trail]:
     weight drops below the driving trail, or when the deficit to the final
     extremal weight -w_m(omega_t) can no longer be filled by the remaining
     letters.  The partial monomial vectors are integer vectors over the
-    integer forms of the e_i, exact up to a positive factor.
+    integer forms of the e_i, exact up to a positive factor.  Each node
+    carries its weights, and each leaf becomes a trail with them.
     Finite-dimensionality bounds every branch.
     """
     word = _as_word(M.cartan, word)
     if t != M.t:
         raise ConsistencyError(f"module is built for t={M.t}, not t={t}")
     m = word.m
-    low = _driving_data(word, t)[1]
+    drive, low = _driving_data(word, t)
+    alphas = _letter_roots(word)
+    shared = word.memoized(("weights", t), dict)
     letters_after = [set(word.letters[j:]) for j in range(m + 1)]
     # Root coordinates relative to gamma_1: a node's are its raising counts,
     # the driving trail's are the lower bounds of (P), and the final weight
@@ -408,6 +433,7 @@ def enumerate_trails(M: LowestWeightModule, word, t: int) -> frozenset[Trail]:
     high = low[m]
     found: list[Trail] = []
     exps: list[int] = []  # the exponents of the current node
+    gamma = [drive[0]]    # and its weights gamma_1..gamma_j
 
     def admissible(x: list[int], j: int) -> bool:
         if any(a < b for a, b in zip(x, low[j])):
@@ -417,16 +443,25 @@ def enumerate_trails(M: LowestWeightModule, word, t: int) -> frozenset[Trail]:
 
     def search(j: int, x: list[int], v: dict[int, int]):
         if j > m:
-            found.append(Trail(word, t, tuple(exps)))
+            # the checks above are the walk's: (P) at every node, and the
+            # end weight at the last, where no letter is left to raise by
+            found.append(Trail._walked(word, t, tuple(exps), tuple(gamma)))
             return
         i = word.letters[j - 1]
+        alpha = alphas[j - 1]
         cols = M.e_int[i].cols
         n = 0
         x = list(x)
         while True:
             if admissible(x, j):
+                g = gamma[-1]
+                if n:
+                    g = wadd(g, wscale(n, alpha))
+                    g = shared.setdefault(g, g)
                 exps.append(n)
+                gamma.append(g)
                 search(j + 1, x, v)
+                gamma.pop()
                 exps.pop()
             n += 1
             v = apply_projective(cols, v)
@@ -434,7 +469,7 @@ def enumerate_trails(M: LowestWeightModule, word, t: int) -> frozenset[Trail]:
                 return
             x[i - 1] += 1
 
-    search(1, [0] * M.cartan.n, _start_vector(M, t))
+    search(1, [0] * M.cartan.n, M.start_vector)
 
     trails = frozenset(found)
     first = word.position(t, 1)
@@ -617,14 +652,14 @@ def _shift_face(K: Trail, s: int, k: int, M: LowestWeightModule,
 
 def minimal_in_class(M: LowestWeightModule, cls: TsClass, K: Trail) -> bool:
     """Whether f_s kills the vector entering every position (s,i)."""
-    chain = _chain(M, K.word, K.t, K.exps)
+    chain = _chain(M, K.word, K.exps)
     cols = M.f_int[cls.s].cols
     return not any(apply_projective(cols, chain[p - 1]) for p in cls.positions)
 
 
 def maximal_in_class(M: LowestWeightModule, cls: TsClass, K: Trail) -> bool:
     """Whether e_s kills the vector leaving every position (s,i)."""
-    chain = _chain(M, K.word, K.t, K.exps)
+    chain = _chain(M, K.word, K.exps)
     cols = M.e_int[cls.s].cols
     return not any(apply_projective(cols, chain[p]) for p in cls.positions)
 
@@ -695,7 +730,8 @@ def rigidify(l, a) -> tuple[int, ...]:
     to be non-decreasing over the class range.
     """
     n = len(a)
-    assert len(l) == n
+    if len(l) != n:
+        raise ConsistencyError(f"{len(l)} exponents for {n} drops")
     if n == 1:
         lt = [0]
     else:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trailkit import cli, giant, linalg
+from trailkit import (build_fundamental, cli, construct_envelope, giant,
+                      linalg, validate_gcm)
+from trailkit.bj_crystal import generate_binf
 from trailkit.sgraph import CoeffVector, extremal_functions
 
 
@@ -269,6 +271,68 @@ def test_verify_generates_the_crystal_once_per_config(tmp_path,
     assert calls == []
 
 
+C3_JOB = {"cartan": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+          "word": [1, 2, 1, 3, 2, 1, 3, 2, 3]}
+
+
+def test_verify_checks_epsilon_star_only_where_vertices_miss_a_function(
+        tmp_path, monkeypatch):
+    # a label whose whole-word vertex functions are all the settled ones
+    # takes the overall maximum by definition and is not checked; a config
+    # where every label is such a label makes no call at all
+    calls = []
+    batch = cli.epsilon_star_batch
+
+    def counting(env, labels, elements):
+        calls.append((env.t, tuple(labels)))
+        return batch(env, labels, elements)
+
+    monkeypatch.setattr(cli, "epsilon_star_batch", counting)
+    for job, want in ((G2_JOB, [(2, (2,))]), (C3_JOB, [(3, (1, 2))]),
+                      (A2_JOB, [])):
+        calls.clear()
+        cfg = write_config(tmp_path, job)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
+                         "--suite", "envelope"]) == 0
+        assert calls == want, job
+
+
+def test_verify_exits_4_when_a_vertex_set_misses_the_maximum(
+        tmp_path, monkeypatch, capsys):
+    # drop from the type-3 vertex set of C3 t = 3, which holds every settled
+    # function, the one function largest at a crystal element: the label is
+    # no longer skipped, and its check fails
+    cartan = validate_gcm(C3_JOB["cartan"])
+    word = tuple(C3_JOB["word"])
+    env = construct_envelope(build_fundamental(cartan, 3), word, 3)
+    assert env.partial_labels((3,)) == []
+    for b in sorted(generate_binf(cartan, word, 4),
+                    key=lambda b: (b.total, b.coords)):
+        values = {f: f.evaluate(b.as_dict()) for f in env.functions}
+        top = max(values.values())
+        argmax = [f for f, v in values.items() if v == top]
+        if len(argmax) == 1:
+            break
+    dropped = argmax[0]
+    whole = giant.Envelope._type_vertices.func
+
+    def missing(self):
+        per_s = whole(self)
+        if self.t == 3:
+            zs = per_s[3][0] - {dropped}
+            per_s = dict(per_s)
+            per_s[3] = (zs, tuple(self.form.index[f] for f in zs))
+        return per_s
+
+    monkeypatch.setattr(giant.Envelope, "_type_vertices", property(missing))
+    cfg = write_config(tmp_path, dict(C3_JOB, t=3))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
+                     "--suite", "envelope"]) == 4
+    err = capsys.readouterr().err
+    assert "consistency failure: type-3 maximum" in err
+    assert "misses the overall maximum" in err
+
+
 def test_verify_inject_spurious(tmp_path, capsys):
     cfg = write_config(tmp_path, G2_JOB)
     rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
@@ -371,6 +435,37 @@ def test_verify_envelope_needs_every_label(tmp_path, capsys):
     assert not (tmp_path / "verify.json").exists()
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
                      "--suite", "trails"]) == 0
+
+
+def test_cartan_validation_is_memoized_by_exact_matrix(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = []
+    validate = cli.validate_gcm
+
+    def counting(matrix):
+        calls.append(matrix)
+        return validate(matrix)
+
+    monkeypatch.setattr(cli, "validate_gcm", counting)
+    # A1 x G2, which no other test uses, so the memo cannot hold it yet
+    job = {"cartan": [[2, 0, 0], [0, 2, -1], [0, -3, 2]], "word": [1, 2, 3]}
+    argv = ["verify", "--out", str(tmp_path), "--suite", "trails",
+            "--config"]
+    for name in ("one.json", "two.json"):
+        assert cli.main(argv + [write_config(tmp_path, job, name)]) == 0
+    assert len(calls) == 1
+    # a float or a bool equals an int as a key, but is not validated as one
+    for bad in (-3.0, True):
+        calls.clear()
+        cartan = [[2, 0, 0], [0, 2, -1], [0, bad, 2]]
+        cfg = write_config(tmp_path, dict(job, cartan=cartan))
+        assert cli.main(argv + [cfg]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+        assert len(calls) == 1
+    # a matrix outside finite type is validated, and then rejected each time
+    affine = dict(job, cartan=[[2, -2], [-2, 2]], word=[1, 2])
+    for name in ("three.json", "four.json"):
+        assert cli.main(argv + [write_config(tmp_path, affine, name)]) == 3
 
 
 def test_config_missing_file(tmp_path, capsys):

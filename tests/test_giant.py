@@ -13,7 +13,7 @@ from conftest import ENVELOPE_FIXTURES, GCM, cartan_key
 from trailkit import (build_fundamental, construct_envelope, giant, linalg,
                       trails, validate_gcm)
 from trailkit.bj_crystal import generate_binf
-from trailkit.cartan_core import reduced_words_of_w0
+from trailkit.cartan_core import _standard_gcm, reduced_words_of_w0
 from trailkit.errors import (
     ConsistencyError,
     FalseTrailDetected,
@@ -54,6 +54,28 @@ def _lp_extremal(funcs) -> frozenset:
     return frozenset(
         f for i, f in enumerate(fs)
         if not in_convex_hull(coords[i], coords[:i] + coords[i + 1:]))
+
+
+def _expand(driving, faces, point):
+    """The function of a lattice point by function arithmetic: the driver
+    plus c'_u copies of the face F_s^{u+1}."""
+    f = driving
+    for u, cp in enumerate(point, start=1):
+        if cp:
+            f = f + faces[u + 1].scale(cp)
+    return f
+
+
+def _faces(word, b) -> dict:
+    """The closed faces F_s^k of block b, by k."""
+    basis = trails._face_basis(word)
+    return {k: basis[word.position(b.s, k)] for k in range(2, len(b.c) + 2)}
+
+
+def _expanded(word, b) -> frozenset:
+    """The functions of block b, by :func:`_expand` over its points."""
+    faces = _faces(word, b)
+    return frozenset(_expand(b.driving, faces, p) for p in b.points)
 
 
 def _quadratic_linear_extension(word, cands):
@@ -182,7 +204,6 @@ def _assert_lower_vertices_match_the_lp(env):
     """Every per-step and global block's lower vertex set is the LP's
     extremal subset of its lower set and, when the last entry of c is
     non-zero, the expanded label-n vertex functions of its S-graph."""
-    basis = trails._face_basis(env.word)
     oracle = {}     # global blocks reuse per-step lower sets
     for b in [b for L in env.layers for b in L.blocks] + list(
             env.global_blocks):
@@ -190,12 +211,32 @@ def _assert_lower_vertices_match_the_lp(env):
             oracle[b.lower] = _lp_extremal(b.lower)
         assert b.lower_vertices == oracle[b.lower], (b.s, b.c)
         if b.c and b.c[-1] != 0:
-            faces = {k: basis[env.word.position(b.s, k)]
-                     for k in range(2, len(b.c) + 2)}
+            faces = _faces(env.word, b)
             g = binary_fusion(CoeffVector.make(b.c))
             assert b.lower_vertices == frozenset(
-                giant._expand(b.driving, faces, p)
+                _expand(b.driving, faces, p)
                 for p in g.lower_functions()), (b.s, b.c)
+
+
+def test_blocks_expand_as_function_arithmetic(envelopes, cartans):
+    # _make_block expands points on integer rows; the function arithmetic
+    # of _expand gives the same functions, on every fixture envelope and on
+    # every w0 word of B3 with t = 3
+    envs = list(envelopes.values())
+    M = build_fundamental(cartans["B3"], 3)
+    for word in reduced_words_of_w0(cartans["B3"]):
+        try:
+            envs.append(construct_envelope(M, word, 3))
+        except FalseTrailDetected:
+            pass
+    blocks = 0
+    for env in envs:
+        for b in [b for L in env.layers for b in L.blocks] + list(
+                env.global_blocks):
+            if not b.exceptional:
+                assert b.functions == _expanded(env.word, b), (b.s, b.c)
+                blocks += 1
+    assert len(envs) > 13 and blocks > 100
 
 
 # --- extremality once per envelope ------------------------------------------
@@ -316,9 +357,9 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
     built = Counter()
     make = giant._make_block
 
-    def counting(word, s, step, z, c, a=None):
+    def counting(form, s, step, z, c, a=None):
         built[s, z, c] += 1
-        return make(word, s, step, z, c, a)
+        return make(form, s, step, z, c, a)
 
     monkeypatch.setattr(giant, "_make_block", counting)
     c3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
@@ -330,7 +371,7 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
         assert max(built.values()) == 1, t
         shaped = [b for b in env.global_blocks if not b.exceptional]
         for b in shaped:
-            assert b == make(env.word, b.s, None, b.driving, b.c, b.a)
+            assert b == make(env.form, b.s, None, b.driving, b.c, b.a)
         per_step = {(b.s, b.driving, b.c): b for L in env.layers
                     for b in L.blocks if not b.exceptional}
         shared = [b for b in shaped if (b.s, b.driving, b.c) in per_step]
@@ -461,6 +502,27 @@ def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
     with pytest.raises(ConsistencyError, match=message):
         epsilon_star_values(bad, (1, 2), b)
     assert epsilon_star_values(env, (1, 2), b) == {1: 5, 2: 5}
+
+
+def test_partial_labels_miss_a_settled_function(envelopes):
+    # a label is partial when its vertex functions miss a settled function;
+    # at every other label epsilon* is the overall maximum, which the
+    # labels skipped by `verify` keep getting from epsilon_star_values
+    partial = {}
+    for (key, t), env in envelopes.items():
+        labels = tuple(env.cartan.labels)
+        got = env.partial_labels(labels)
+        assert got == [s for s in labels if env.z_t(s) != env.functions]
+        partial[key, t] = got
+        elems = generate_binf(env.cartan, env.word, 3)
+        for b in elems:
+            full = max(f.evaluate(b.as_dict()) for f in env.functions)
+            assert epsilon_star_values(env, labels, b.as_dict()) == {
+                s: full for s in labels}
+    assert {k: v for k, v in partial.items() if v} == {
+        ("B2r", 1): [2], ("C2", 2): [1], ("G2", 2): [2]}
+    with pytest.raises(UnknownLetterError):
+        envelopes["A2", 1].partial_labels((1, 7))
 
 
 def test_construct_envelope_fuses_each_shape_once(monkeypatch):
@@ -633,6 +695,31 @@ def test_every_w0_word_of_rank_3(monkeypatch, cartans, name, t, word):
     assert counts["forward"] == len(env.layers) - 1
     assert counts["extremal"] >= 1 and counts["extension"] > 0
     _assert_lower_vertices_match_the_lp(env)
+
+
+# F4 words on which two blocks of one step share a function (ROADMAP item
+# 1): the only false trails seen so far that are not "class members differ
+# from the block lattice points".
+F4_OVERLAPS = [(2, "134323212432314321342132", 11),
+               (3, "241323243123142134213243", 12)]
+
+
+@pytest.mark.parametrize("t,letters,step", [
+    pytest.param(t, letters, step, id=f"F4-{t}-{letters}",
+                 marks=pytest.mark.xfail(
+                     strict=True, raises=FalseTrailDetected,
+                     reason="two blocks overlap instead of being disjoint"))
+    for t, letters, step in F4_OVERLAPS])
+def test_f4_words_with_overlapping_blocks(t, letters, step):
+    cartan = validate_gcm(_standard_gcm("F", 4))
+    word = tuple(map(int, letters))
+    try:
+        construct_envelope(build_fundamental(cartan, t), word, t)
+    except FalseTrailDetected as e:
+        # pin the failure, so that another one does not pass as this xfail
+        assert (e.step, e.detail) == (
+            step, "two blocks overlap instead of being disjoint")
+        raise
 
 
 # --- small frozen fixtures --------------------------------------------------

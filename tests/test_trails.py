@@ -3,7 +3,10 @@ from __future__ import annotations
 import dataclasses
 import gc
 import itertools
+import os
 import re
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -34,8 +37,10 @@ from trailkit import (
     validate_gcm,
     xt_leq,
 )
-from trailkit import trails
-from trailkit.cartan_core import reduced_words_of_w0, root_coordinates
+import trailkit
+from trailkit import rep_builder, trails
+from trailkit.cartan_core import (_standard_gcm, is_reduced,
+                                  reduced_words_of_w0, root_coordinates)
 from trailkit.errors import (
     ConsistencyError,
     MixedTrivialization,
@@ -478,3 +483,123 @@ def test_word_is_not_kept_alive_by_a_cache(cartans):
     del word, env
     gc.collect()
     assert ref() is None
+
+
+# --- the search builds each trail with its weights --------------------------
+
+
+def _greedy_w0(cartan) -> tuple[int, ...]:
+    word: tuple[int, ...] = ()
+    while True:
+        nxt = next((i for i in cartan.labels
+                    if is_reduced(cartan, word + (i,))), None)
+        if nxt is None:
+            return word
+        word += (nxt,)
+
+
+def _assert_walk_rebuilds(M, word, t) -> int:
+    """Every trail the search found equals the one the checking walk of
+    ``Trail`` builds from its exponents: fields, weights, phi and hash."""
+    found = enumerate_trails(M, word, t)
+    for K in found:
+        R = Trail(word, t, K.exps)
+        assert R == K and hash(R) == hash(K)
+        assert vars(R) == vars(K), (word.letters, t, K.exps)
+        assert R.gamma == K.gamma and R.phi == K.phi
+    return len(found)
+
+
+def test_search_builds_the_trails_the_walk_builds(cartans):
+    # every w0 word of A3, B3 and C3 for every t
+    total = 0
+    for name in ("A3", "B3", "C3"):
+        cartan = cartans[name]
+        for t in cartan.labels:
+            M = build_fundamental(cartan, t)
+            for letters in reduced_words_of_w0(cartan):
+                total += _assert_walk_rebuilds(M, WordJ(cartan, letters), t)
+    assert total > 1000
+
+
+@pytest.mark.parametrize("tag,t,count", [
+    ("C5", 5, 131), ("C5", 4, 4), ("F4", 1, 1), ("E6", 2, 1), ("E6", 6, 98),
+    ("D6", 6, 131), ("F4", 4, 118)])
+def test_search_builds_the_walked_trails_on_larger_modules(tag, t, count):
+    # the greedy w0 words and modules of the enumerate benchmark
+    cartan = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
+    word = WordJ(cartan, _greedy_w0(cartan))
+    assert _assert_walk_rebuilds(build_fundamental(cartan, t), word,
+                                 t) == count
+
+
+def test_driving_trail_and_start_vector_are_computed_once(cartans,
+                                                          monkeypatch):
+    walks, starts = [], []
+    build = trails._build_driving_trail
+    extremal = rep_builder.extremal_vector
+
+    def walk_counted(word, t):
+        walks.append(t)
+        return build(word, t)
+
+    def start_counted(M, word):
+        starts.append(word)
+        return extremal(M, word)
+
+    monkeypatch.setattr(trails, "_build_driving_trail", walk_counted)
+    monkeypatch.setattr(rep_builder, "extremal_vector", start_counted)
+    c = cartans["C3"]
+    word = WordJ(c, (3, 2, 3, 1, 2, 3, 1, 2, 1))    # its own memo
+    M = build_fundamental(c, 2)
+    found = enumerate_trails(M, word, 2)
+    assert enumerate_trails(M, word, 2) == found
+    assert all(make_trail(M, word, 2, K.exps) == K for K in found)
+    construct_envelope(M, word, 2)
+    K = driving_trail(c, word, 2)
+    assert K in found and vars(K) == vars(Trail(word, 2, K.exps))
+    assert walks == [2]
+    # the module may have made its start vector before this test
+    assert len(starts) <= 1 and M.start_vector is M.start_vector
+
+
+# --- malformed input is a typed error, with or without asserts --------------
+
+
+def test_malformed_trail_and_function_raise_consistency_error(full_words):
+    w = full_words["A2"]
+    with pytest.raises(ConsistencyError,
+                       match="^2 exponents for a word of length 3$"):
+        Trail(w, 1, (0, 1))
+    with pytest.raises(ConsistencyError, match="zero coefficient"):
+        LinearFunctionBJ(((1, 0),))
+    for terms in (((2, 1), (1, 1)), ((1, 1), (1, 2))):
+        with pytest.raises(ConsistencyError, match="not sorted"):
+            LinearFunctionBJ(terms)
+    with pytest.raises(ConsistencyError):
+        rigidify((0, 1), (1, 1, 1))
+
+
+def test_malformed_input_is_rejected_under_python_O():
+    # python -O strips assert statements; these checks must not rest on one
+    code = "\n".join([
+        "from trailkit import LinearFunctionBJ, Trail, WordJ, validate_gcm",
+        "from trailkit.errors import ConsistencyError",
+        "w = WordJ(validate_gcm([[2, -1], [-1, 2]]), (1, 2, 1))",
+        "bad = [lambda: Trail(w, 1, (0, 1)),",
+        "       lambda: LinearFunctionBJ(((1, 0),)),",
+        "       lambda: LinearFunctionBJ(((2, 1), (1, 1)))]",
+        "for make in bad:",
+        "    try:",
+        "        make()",
+        "    except ConsistencyError:",
+        "        continue",
+        "    raise SystemExit('accepted')",
+        "print('rejected', __debug__)",
+    ])
+    src = os.path.dirname(os.path.dirname(trailkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["rejected", "False"]
