@@ -4,22 +4,18 @@ binary fusion, and step-by-step no-false-trail verification."""
 
 from __future__ import annotations
 
-from .cartan_core import CartanData, WordJ, is_reduced, validate_gcm, weyl_act
+from .cartan_core import CartanData, WordJ, is_reduced, validate_gcm
 from .rep_builder import (
     LowestWeightModule,
-    ModuleVector,
-    apply_raising_monomial,
     build_fundamental,
     extremal_vector,
     freudenthal_multiplicities,
-    proportionality,
     weyl_dimension,
 )
 from .sl2_engine import (
     Sl2Config,
     coefficient_A,
     coefficient_A_oracle,
-    quasi_equal_factors,
     vanishing_identity,
 )
 from .sgraph import (
@@ -31,7 +27,6 @@ from .sgraph import (
     extremal_functions,
     integer_points,
     line_count,
-    lower_integer_points,
     neighbor_graph,
     polytope_membership,
     to_dot,
@@ -43,27 +38,22 @@ from .giant import (
     check_constructibility,
     construct_envelope,
     epsilon_star,
-    epsilon_star_values,
     extremality_report,
 )
 from .trails import (
     LinearFunctionBJ,
     Trail,
     TsClass,
-    driving_function,
     driving_trail,
     enumerate_trails,
     face_function,
     group_ts_classes,
-    in_xt_cone,
     kashiwara_function,
     make_trail,
     minimax_decompose,
-    rigidify,
     trail_function,
     try_adjoin_face,
     try_remove_face,
-    xt_leq,
 )
 
 __all__ = [
@@ -71,19 +61,14 @@ __all__ = [
     "WordJ",
     "is_reduced",
     "validate_gcm",
-    "weyl_act",
     "LowestWeightModule",
-    "ModuleVector",
-    "apply_raising_monomial",
     "build_fundamental",
     "extremal_vector",
     "freudenthal_multiplicities",
-    "proportionality",
     "weyl_dimension",
     "Sl2Config",
     "coefficient_A",
     "coefficient_A_oracle",
-    "quasi_equal_factors",
     "vanishing_identity",
     "CoeffVector",
     "SGraph",
@@ -93,7 +78,6 @@ __all__ = [
     "extremal_functions",
     "integer_points",
     "line_count",
-    "lower_integer_points",
     "neighbor_graph",
     "polytope_membership",
     "to_dot",
@@ -103,25 +87,20 @@ __all__ = [
     "check_constructibility",
     "construct_envelope",
     "epsilon_star",
-    "epsilon_star_values",
     "extremality_report",
     "LinearFunctionBJ",
     "Trail",
     "TsClass",
-    "driving_function",
     "driving_trail",
     "enumerate_trails",
     "face_function",
     "group_ts_classes",
-    "in_xt_cone",
     "kashiwara_function",
     "make_trail",
     "minimax_decompose",
-    "rigidify",
     "trail_function",
     "try_adjoin_face",
     "try_remove_face",
-    "xt_leq",
 ]
 
 __version__ = "0.1.0"

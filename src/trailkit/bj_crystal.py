@@ -21,7 +21,7 @@ from operator import add
 
 from .cartan_core import CartanData, WordJ
 from .errors import ConfigError, ConsistencyError, NotApplicable
-from .trails import _as_word, kashiwara_function
+from .trails import _as_word
 
 CONVENTIONS = ("dual", "straight")
 
@@ -58,74 +58,6 @@ class BJElement:
     def total(self) -> int:
         return sum(v for _, v in self.coords)
 
-    def bump(self, j: int, delta: int) -> "BJElement":
-        d = self.as_dict()
-        d[j] = d.get(j, 0) + delta
-        if d[j] < 0:
-            raise ConsistencyError(f"exponent at {j} would become {d[j]}")
-        return BJElement.make(d)
-
-
-def b_infinity() -> BJElement:
-    return BJElement()
-
-
-def _sigmas(cartan: CartanData, word: WordJ, i: int,
-            b: BJElement, convention: str) -> list[int]:
-    """Values r_i^k(b) for k = 1..count(i), in the chosen convention."""
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"unknown convention {convention!r}")
-    cartan.check_label(i)
-    n = word.count(i)
-    if n == 0:
-        raise NotApplicable(f"letter {i} does not occur in the word")
-    values = b.as_dict()
-    if convention == "dual":
-        return [kashiwara_function(cartan, word, i, k).evaluate(values)
-                for k in range(1, n + 1)]
-    out = []
-    for k in range(1, n + 1):
-        u = word.position(i, k)
-        total = values.get(u, 0)
-        for j in range(u + 1, word.m + 1):
-            total += cartan.pairing(i, word.letters[j - 1]) * values.get(j, 0)
-        out.append(total)
-    return out
-
-
-def crystal_epsilon(cartan: CartanData, word, i: int, b: BJElement,
-                    convention: str = "dual") -> int:
-    """Largest Kashiwara-function value; string length left for raising."""
-    word = _as_word(cartan, word)
-    return max(_sigmas(cartan, word, i, b, convention))
-
-
-def crystal_f(cartan: CartanData, word, i: int, b: BJElement,
-              convention: str = "dual") -> BJElement:
-    """Add one to the exponent at the least maximizing i-occurrence."""
-    word = _as_word(cartan, word)
-    sig = _sigmas(cartan, word, i, b, convention)
-    top = max(sig)
-    k = sig.index(top) + 1
-    return b.bump(word.position(i, k), +1)
-
-
-def crystal_e(cartan: CartanData, word, i: int, b: BJElement,
-              convention: str = "dual") -> BJElement | None:
-    """Remove one at the greatest maximizing i-occurrence, or None at the
-    bottom of the i-string (maximum not positive)."""
-    word = _as_word(cartan, word)
-    sig = _sigmas(cartan, word, i, b, convention)
-    top = max(sig)
-    if top <= 0:
-        return None
-    k = len(sig) - sig[::-1].index(top)
-    u = word.position(i, k)
-    if b.m(u) <= 0:
-        raise ConsistencyError(
-            f"raising at position {u} hits an exhausted exponent")
-    return b.bump(u, -1)
-
 
 def _kashiwara_columns(word: WordJ, convention: str):
     """Per position q, the change of every Kashiwara value when m_q grows by
@@ -154,9 +86,9 @@ def generate_binf(cartan: CartanData, word, depth: int,
     lowering steps.
 
     A breadth-first search on exponent tuples.  Each tuple carries its
-    Kashiwara values, one per position, and a lowering step at position q
-    adds the integer column of q to them (:func:`_kashiwara_columns`), so
-    the step is the one :func:`crystal_f` takes.
+    Kashiwara values, one per position, and a lowering step by label i adds
+    1 at the least i-occurrence q maximizing r_i^k, which adds the integer
+    column of q to those values (:func:`_kashiwara_columns`).
     """
     word = _as_word(cartan, word)
     if depth < 0:

@@ -270,13 +270,6 @@ def reflect(cartan: CartanData, i: int, w: Weight) -> Weight:
     return tuple(w[k] - c * cartan.gcm[k][i - 1] for k in range(cartan.n))
 
 
-def weyl_act(cartan: CartanData, word, w: Weight) -> Weight:
-    """Apply s_{i_m} ... s_{i_1} to w, i.e. the first letter acts first."""
-    for i in word:
-        w = reflect(cartan, i, w)
-    return w
-
-
 def _unit_columns(n: int) -> list[list[int]]:
     """The root coordinates of w^{-1}(alpha_i) for w = 1, by column."""
     return [[int(r == k) for r in range(n)] for k in range(n)]

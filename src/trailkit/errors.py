@@ -39,10 +39,6 @@ class NotExtremalWeightError(TrailkitError):
     """Weight expected to be extremal has multiplicity != 1."""
 
 
-class ZeroVectorError(TrailkitError):
-    """Operation undefined on the zero vector."""
-
-
 class ConsistencyError(TrailkitError):
     """Internal cross-check failed: two independent computations disagree."""
 

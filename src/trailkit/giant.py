@@ -235,9 +235,6 @@ class Envelope:
     def cartan(self) -> CartanData:
         return self.word.cartan
 
-    def layer(self, j: int) -> EnvelopeLayer:
-        return self.layers[j - 1]
-
     @cached_property
     def _type_vertices(self) -> dict:
         """Per type s, the vertex functions of the whole-word type-s
@@ -705,21 +702,19 @@ def epsilon_star_batch(env: Envelope, labels,
     return out
 
 
-def epsilon_star_values(env: Envelope, labels, b) -> dict[int, int]:
-    """:func:`epsilon_star_batch` at one element b, given as a mapping or a
-    sequence (index j-1) of exponents; positions off the word are
-    ignored."""
+def epsilon_star(env: Envelope, s: int, b) -> int:
+    """Largest value at b among the type-s vertex functions; checked to
+    agree with the maximum over every settled function.
+
+    b is a mapping or a sequence (index j-1) of exponents; positions off
+    the word are ignored.  The CLI runs :func:`epsilon_star_batch`; this
+    one-element form is kept because ``bench/tracer.py`` wraps it by name.
+    """
+    env.cartan.check_label(s)
     items = b.items() if hasattr(b, "get") else enumerate(b, start=1)
     m = env.word.m
     return epsilon_star_batch(
-        env, labels, [[(j, x) for j, x in items if 1 <= j <= m and x]])[0]
-
-
-def epsilon_star(env: Envelope, s: int, b) -> int:
-    """Largest value at b among the type-s vertex functions; checked to
-    agree with the maximum over every settled function."""
-    env.cartan.check_label(s)
-    return epsilon_star_values(env, (s,), b)[s]
+        env, (s,), [[(j, x) for j, x in items if 1 <= j <= m and x]])[0][s]
 
 
 def extremality_report(env: Envelope) -> dict:

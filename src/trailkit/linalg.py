@@ -49,10 +49,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
 def invert(a: Sequence[Sequence]) -> Matrix:
     n = len(a)
     aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
@@ -167,7 +163,9 @@ def extremal_points(points: Sequence[Sequence]) -> list[int]:
 
     Duplicates are never extremal (a duplicate IS in the hull of the rest).
     Integer coordinates stay ints; an axis holding a non-integer Fraction is
-    scaled to integers first, which changes no hull membership.
+    scaled to integers first, which changes no hull membership.  This is
+    the body of ``sgraph.extremal_functions``, which ``bench/tracer.py``
+    wraps by name; the envelope decides extremality in ``giant``.
     """
     pts = [tuple(p) for p in points]
     axes = [_integer_row(list(col)) for col in zip(*pts)]

@@ -16,10 +16,10 @@ dimension formula) cross-check every weight multiplicity during the build;
 disagreement raises RadicalRankMismatch.
 
 Each operator is kept once, as an integer form: the lcm D of its column
-denominators and its columns scaled by D.  Zero tests and the build-time
-commutator check run on these forms with integer vectors that are known
-only up to a positive factor, which never changes whether a vector
-vanishes; the exact images of ModuleVector divide by D.
+denominators and its columns scaled by D.  Module vectors are integer
+vectors over these forms, known only up to a positive factor, which never
+changes whether a vector vanishes; the trail calculus asks nothing else
+of them.  Rational numbers appear only inside the build.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -44,15 +43,8 @@ from .cartan_core import (
     wscale,
     wsub,
 )
-from .errors import (
-    NotExtremalWeightError,
-    NotReducedError,
-    RadicalRankMismatch,
-    ZeroVectorError,
-)
+from .errors import NotExtremalWeightError, NotReducedError, RadicalRankMismatch
 from .linalg import rref
-
-_F0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,83 +157,37 @@ def weyl_dimension(cartan: CartanData, highest: Weight) -> int:
     """Closed-form dimension of the irreducible module (Weyl formula)."""
     require_finite(cartan)
     n = cartan.n
-    dim = Fraction(1)
+    num = den = 1
     for _, coroot in positive_roots(cartan):
-        num = sum(coroot[j] * (highest[j] + 1) for j in range(n))
-        den = sum(coroot)
-        dim *= Fraction(num, den)
-    assert dim.denominator == 1
-    return int(dim)
+        num *= sum(coroot[j] * (highest[j] + 1) for j in range(n))
+        den *= sum(coroot)
+    dim, rem = divmod(num, den)
+    assert rem == 0
+    return dim
 
 
 # ---------------------------------------------------------------------------
 # the module
 
 
-@dataclass
-class ModuleVector:
-    """Sparse exact-rational vector in a module basis.
-
-    ``coords`` maps basis index -> non-zero Fraction; the zero vector has
-    empty coords and weight None.
-    """
-
-    coords: dict[int, Fraction]
-    weight: Weight | None
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def scale(self, c) -> "ModuleVector":
-        c = Fraction(c)
-        if c == 0 or self.is_zero():
-            return ModuleVector({}, None)
-        return ModuleVector({b: x * c for b, x in self.coords.items()}, self.weight)
-
-    def add(self, other: "ModuleVector") -> "ModuleVector":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        assert self.weight == other.weight
-        out = dict(self.coords)
-        for b, x in other.coords.items():
-            y = out.get(b, _F0) + x
-            if y:
-                out[b] = y
-            else:
-                out.pop(b, None)
-        return ModuleVector(out, self.weight if out else None)
-
-    def key(self):
-        """Hashable canonical form (for proportionality-free comparisons)."""
-        return self.weight, tuple(sorted(self.coords.items()))
-
-
-Column = tuple[tuple[int, Fraction], ...]
 IntColumns = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class IntegerForm(NamedTuple):
     """An operator scaled to integer entries: ``cols`` is ``scale`` times
-    its Fraction columns, ``scale`` the lcm of their denominators."""
+    its rational columns, ``scale`` the lcm of their denominators."""
 
     scale: int
     cols: IntColumns
 
 
-def _integer_form(cols: list[Column]) -> IntegerForm:
+def _integer_form(cols: list[tuple[tuple[int, Fraction], ...]]
+                  ) -> IntegerForm:
     """The IntegerForm of an operator given by its Fraction columns."""
     scale = lcm(1, *(x.denominator for col in cols for _, x in col))
     return IntegerForm(scale, tuple(
         tuple((r, x.numerator * (scale // x.denominator)) for r, x in col)
         for col in cols))
-
-
-def projective_vector(v: ModuleVector) -> dict[int, int]:
-    """A positive integer multiple of v, as basis index -> non-zero int."""
-    scale = lcm(1, *(x.denominator for x in v.coords.values()))
-    return {b: x.numerator * (scale // x.denominator) for b, x in v.coords.items()}
 
 
 def apply_projective(cols: IntColumns, v: dict[int, int]) -> dict[int, int]:
@@ -286,50 +232,10 @@ class LowestWeightModule:
         """v_{-s_t omega_t}, where every trail starts, as an integer vector
         known up to a positive factor; computed once per module and never
         changed."""
-        return projective_vector(extremal_vector(self, (self.t,)))
-
-    def zero(self) -> ModuleVector:
-        return ModuleVector({}, None)
-
-    def lowest_vector(self) -> ModuleVector:
-        return ModuleVector({self.lowest_index: Fraction(1)},
-                            self.weights[self.lowest_index])
-
-    def basis_vector(self, idx: int) -> ModuleVector:
-        return ModuleVector({idx: Fraction(1)}, self.weights[idx])
+        return extremal_vector(self, (self.t,))
 
     def weight_space(self, mu: Weight) -> tuple[int, ...]:
         return self.weight_spaces.get(mu, ())
-
-    def _apply(self, form: IntegerForm, v: ModuleVector, step: Weight) -> ModuleVector:
-        """The exact image of v: the integer columns over the scale."""
-        out: dict[int, Fraction] = {}
-        for b, c in v.coords.items():
-            for r, x in form.cols[b]:
-                out[r] = out.get(r, _F0) + c * x
-        out = {r: y / form.scale for r, y in out.items() if y}
-        if not out:
-            return ModuleVector({}, None)
-        return ModuleVector(out, wadd(v.weight, step))
-
-    def apply_e(self, i: int, v: ModuleVector) -> ModuleVector:
-        self.cartan.check_label(i)
-        return self._apply(self.e_int[i], v, self.cartan.simple_root(i))
-
-    def apply_f(self, i: int, v: ModuleVector) -> ModuleVector:
-        self.cartan.check_label(i)
-        return self._apply(self.f_int[i], v, wneg(self.cartan.simple_root(i)))
-
-    def e_string_length(self, i: int, v: ModuleVector) -> int:
-        """Largest p with e_i^p v != 0 (v non-zero)."""
-        if v.is_zero():
-            raise ZeroVectorError("string length of the zero vector")
-        p = 0
-        while True:
-            v = self.apply_e(i, v)
-            if v.is_zero():
-                return p
-            p += 1
 
 
 def _e_images(e_cols, f_cols, weights, j: int, b: int) -> dict[int, dict[int, Fraction]]:
@@ -340,9 +246,9 @@ def _e_images(e_cols, f_cols, weights, j: int, b: int) -> dict[int, dict[int, Fr
         acc: dict[int, Fraction] = {}
         for r, x in cols[b]:
             for q, y in f_cols[j][r]:
-                acc[q] = acc.get(q, _F0) + x * y
+                acc[q] = acc.get(q, 0) + x * y
         if i == j:
-            acc[b] = acc.get(b, _F0) + weights[b][i - 1]
+            acc[b] = acc.get(b, 0) + weights[b][i - 1]
         out[i] = {q: x for q, x in acc.items() if x}
     return out
 
@@ -357,8 +263,8 @@ def _build_matrices(cartan: CartanData, t: int):
     lam = cartan.fundamental_weight(t)
     fmult = freudenthal_multiplicities(cartan, lam)
     weights: list[Weight] = [lam]
-    e_cols: dict[int, list[Column]] = {i: [()] for i in cartan.labels}
-    f_cols: dict[int, list[Column]] = {i: [] for i in cartan.labels}
+    e_cols: dict[int, list[tuple]] = {i: [()] for i in cartan.labels}
+    f_cols: dict[int, list[tuple]] = {i: [] for i in cartan.labels}
     level = [0]
     while level:
         groups: dict[Weight, list[tuple[int, int]]] = {}
@@ -366,13 +272,13 @@ def _build_matrices(cartan: CartanData, t: int):
             for j in cartan.labels:
                 nu = wsub(weights[b], cartan.simple_root(j))
                 groups.setdefault(nu, []).append((j, b))
-        f_level: dict[tuple[int, int], Column] = {}
+        f_level: dict[tuple[int, int], tuple] = {}
         next_level: list[int] = []
         for nu in sorted(groups):
             cands = groups[nu]
             images = [_e_images(e_cols, f_cols, weights, j, b) for j, b in cands]
             keys = sorted({(i, q) for im in images for i, col in im.items() for q in col})
-            red, pivots = rref([[im[i].get(q, _F0) for im in images] for i, q in keys])
+            red, pivots = rref([[im[i].get(q, 0) for im in images] for i, q in keys])
             if len(pivots) != fmult.get(nu, 0):
                 raise RadicalRankMismatch(
                     f"weight {nu}: rank of the e-images {len(pivots)} != "
@@ -521,51 +427,29 @@ def build_fundamental(cartan: CartanData, t: int) -> LowestWeightModule:
 
 
 # ---------------------------------------------------------------------------
-# operations on module vectors
+# extremal vectors
 
 
-def apply_raising_monomial(m: LowestWeightModule, exps, v: ModuleVector) -> ModuleVector:
-    """Apply e_{i_1}^{p_1}, then e_{i_2}^{p_2}, ... (list order acts first)."""
-    for i, p in exps:
-        for _ in range(p):
-            v = m.apply_e(i, v)
-            if v.is_zero():
-                return v
-    return v
+def extremal_vector(m: LowestWeightModule, word) -> dict[int, int]:
+    """The vector of weight -w_j omega_t along a reduced prefix, as an
+    integer vector known up to a positive factor.
 
-
-def extremal_vector(m: LowestWeightModule, word) -> ModuleVector:
-    """The vector of weight -w_j omega_t along a reduced prefix.
-
-    Computed by successive maximal raisings e_i^{alpha_i^vee(w omega_t)}; each
-    intermediate weight space is checked to be one-dimensional.
+    Computed by successive maximal raisings e_i^{alpha_i^vee(w omega_t)} on
+    the integer forms; each intermediate weight space is checked to be
+    one-dimensional.
     """
-    v = m.lowest_vector()
+    v = {m.lowest_index: 1}
     gamma = m.weights[m.lowest_index]
     for i in word:
         m.cartan.check_label(i)
         p = -gamma[i - 1]
         if p < 0:
             raise NotReducedError(f"word {tuple(word)} is not a reduced prefix")
+        cols = m.e_int[i].cols
         for _ in range(p):
-            v = m.apply_e(i, v)
+            v = apply_projective(cols, v)
         gamma = wadd(gamma, wscale(p, m.cartan.simple_root(i)))
-        if v.is_zero() or len(m.weight_space(gamma)) != 1:
+        if not v or len(m.weight_space(gamma)) != 1:
             raise NotExtremalWeightError(
                 f"weight {gamma} is not a multiplicity-one extremal weight")
     return v
-
-
-def proportionality(u: ModuleVector, v: ModuleVector):
-    """Return the exact scalar c with u = c v, or None if not proportional."""
-    if u.is_zero() or v.is_zero():
-        raise ZeroVectorError("proportionality requires non-zero vectors")
-    if u.weight != v.weight:
-        return None
-    b = next(iter(v.coords))
-    if b not in u.coords:
-        return None
-    c = u.coords[b] / v.coords[b]
-    if u.key() == v.scale(c).key():
-        return c
-    return None

@@ -89,11 +89,6 @@ class SGraph:
     def functions(self) -> frozenset[tuple[int, ...]]:
         return frozenset(v.func for v in self.vertices)
 
-    def lower_functions(self) -> frozenset[tuple[int, ...]]:
-        """Functions of the label-n vertices (the previous-step set)."""
-        return frozenset(self.vertices[i].func
-                         for i in self.with_label(self.coeffs.n))
-
 
 def display_tuple(func: tuple[int, ...]) -> tuple[int, ...]:
     """Descending-index display order (c'_{n-1}, ..., c'_1)."""
@@ -237,17 +232,11 @@ def integer_points(coeffs: CoeffVector) -> frozenset[tuple[int, ...]]:
         if polytope_membership(coeffs, p))
 
 
-def lower_integer_points(coeffs: CoeffVector) -> frozenset[tuple[int, ...]]:
-    """Integer points with vanishing last coordinate."""
-    pts = integer_points(coeffs)
-    if not coeffs.c:
-        return pts
-    return frozenset(p for p in pts if p[-1] == 0)
-
-
 def extremal_functions(coeffs: CoeffVector) -> frozenset[tuple[int, ...]]:
     """Extremal points of the integer-point set, by one exact convex-hull
-    test per point: a test oracle for the S-graph vertex functions."""
+    test per point: a test oracle for the S-graph vertex functions.  No CLI
+    path calls it; it stays in the package because ``bench/tracer.py``
+    wraps it by name."""
     pts = sorted(integer_points(coeffs))
     return frozenset(pts[i] for i in extremal_points(pts))
 

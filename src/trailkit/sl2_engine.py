@@ -7,9 +7,10 @@ position 1 is the innermost factor, with the *nested* labelled vectors
 
 where each e acts diagonally on the partial tensor product and u_i is the
 lowest vector of the i-th string.  ``coefficient_A`` is the closed form for
-the coefficient of v_l in f^b v_k (b = total drop); two independent oracles
-are provided: a first-order recurrence and a direct sparse expansion in the
-plain product basis.
+the coefficient of v_l in f^b v_k (b = total drop), and
+``coefficient_A_oracle`` the first-order recurrence that the ``sl2`` suite
+checks it against.  The tests also check it against a direct expansion in
+the plain product basis (``tests/oracles.py``).
 
 All arithmetic is arbitrary-precision integer; zero tests are exact.
 """
@@ -17,21 +18,20 @@ All arithmetic is arbitrary-precision integer; zero tests are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import comb, factorial
 
-from .errors import DomainError, NotApplicable
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class Sl2Config:
     """Labels (a, k, l) with their prefix-sum calculus.
 
-    ``b_i = k_i - l_i`` are the per-position drops; prefix sums are 1-based:
-    ``a_pref(j) = a_1 + ... + a_j`` for ``0 <= j <= n``, and
-    ``a_pref(0) = 0``.  They are computed once, on first use.
+    ``b_i = k_i - l_i`` are the per-position drops.  The prefix sums
+    a_1 + ... + a_j (and those of k and l) for ``0 <= j <= n`` are computed
+    once, on first use.
     """
 
     a: tuple[int, ...]
@@ -68,22 +68,13 @@ class Sl2Config:
         return tuple(tuple(accumulate(x, initial=0))
                      for x in (self.a, self.k, self.l))
 
-    def a_pref(self, j: int) -> int:
-        return self._prefix[0][j]
-
-    def k_pref(self, j: int) -> int:
-        return self._prefix[1][j]
-
-    def l_pref(self, j: int) -> int:
-        return self._prefix[2][j]
-
 
 def coefficient_A_factors(cfg: Sl2Config):
     """The closed form split into (b_total!, binomials, linear factors).
 
     The linear factors are (a^(j) + 1 - i - k^(j-1) - l^(j)) for j = 1..n and
-    i = 1..b_j; in the rigid regime (see :func:`rigid_regime`) every one of
-    them is positive.
+    i = 1..b_j; in the rigid regime, a^(j) - k^(j) - l^(j-1) >= 0 for all j,
+    every one of them is positive.
     """
     if cfg.has_negative_b:
         return 0, [], []
@@ -105,12 +96,6 @@ def coefficient_A(cfg: Sl2Config) -> int:
     for x in linear:
         out *= x
     return out
-
-
-def rigid_regime(cfg: Sl2Config) -> bool:
-    """a^(j) - k^(j) - l^(j-1) >= 0 for all j: every linear factor positive."""
-    return all(cfg.a_pref(j) - cfg.k_pref(j) - cfg.l_pref(j - 1) >= 0
-               for j in range(1, cfg.n + 1))
 
 
 def coefficient_A_oracle(cfg: Sl2Config,
@@ -149,79 +134,7 @@ def coefficient_A_oracle(cfg: Sl2Config,
 
 
 # ---------------------------------------------------------------------------
-# direct expansion oracle in the plain product basis
-#
-# States are dicts {(m_1..m_n): Fraction} over the basis (x)_i e^{m_i} u_i
-# with m_i <= a_i (out-of-range components vanish).
-
-
-def apply_diagonal_e(a, state):
-    out: dict[tuple, Fraction] = {}
-    for m, c in state.items():
-        for t in range(len(a)):
-            if m[t] + 1 <= a[t]:
-                key = m[:t] + (m[t] + 1,) + m[t + 1:]
-                y = out.get(key, 0) + c
-                if y:
-                    out[key] = y
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def apply_diagonal_f(a, state):
-    # f e^m u = m (a - m + 1) e^{m-1} u on each factor
-    out: dict[tuple, Fraction] = {}
-    for m, c in state.items():
-        for t in range(len(a)):
-            if m[t] > 0:
-                key = m[:t] + (m[t] - 1,) + m[t + 1:]
-                y = out.get(key, 0) + c * m[t] * (a[t] - m[t] + 1)
-                if y:
-                    out[key] = y
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def nested_state(a, k):
-    """The state of v_k = e^{k_n}(u_n (x) e^{k_{n-1}}(... e^{k_1} u_1))."""
-    n = len(a)
-    state: dict[tuple, Fraction] = {(): 1}
-    for t in range(n):
-        # tensor u_{t+1} on the left (new slot at the end of the index tuple
-        # is NOT used; position t+1 is appended at index t)
-        state = {m + (0,): c for m, c in state.items()}
-        for _ in range(k[t]):
-            state = apply_diagonal_e(a[:t + 1], state)
-            if not state:
-                return {}
-    return state
-
-
-def expansion_check(a, k, b_power: int, coeff) -> bool:
-    """Oracle identity: f^{b} v_k == sum_l coeff(l) v_l in the product basis.
-
-    ``coeff`` maps drop-tuples l (componentwise 0 <= l_i <= k_i) to integers.
-    """
-    lhs = nested_state(a, k)
-    for _ in range(b_power):
-        lhs = apply_diagonal_f(a, lhs)
-    rhs: dict[tuple, Fraction] = {}
-    for l, c in coeff.items():
-        if not c:
-            continue
-        for m, x in nested_state(a, l).items():
-            y = rhs.get(m, 0) + c * x
-            if y:
-                rhs[m] = y
-            else:
-                rhs.pop(m, None)
-    return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# the alternating vanishing sum and quasi-equality factors
+# the alternating vanishing sum
 
 
 def _falling(x: int, r: int) -> int:
@@ -251,17 +164,3 @@ def vanishing_identity(q: int, p1: int, p2: int, u: int) -> int:
         total += sign * comb(q, v) * _falling(p2 - v, u) * _falling(p1 + v, q - u - 1)
     return total
 
-
-def quasi_equal_factors(p2: int, p1: int, a: int) -> list[int]:
-    """Relative scalars h_v = (p2-v)! (p1+v)! C(q,v) along the shift line.
-
-    q = p2 + p1 - a is the number of admissible unit shifts; raises
-    NotApplicable when q < 0.
-    """
-    q = p2 + p1 - a
-    if q < 0:
-        raise NotApplicable(f"no shifts: p2 + p1 - a = {q} < 0")
-    if a < p1:
-        raise DomainError(f"need a >= p1, got a={a}, p1={p1}")
-    return [factorial(p2 - v) * factorial(p1 + v) * comb(q, v)
-            for v in range(q + 1)]

@@ -16,10 +16,10 @@ sequence of weights ``gamma_1, ..., gamma_{m+1}`` with
 Each trail K determines a linear function ``z^K = sum_j c_j m_j`` on
 exponent coordinates, with ``c_j`` the coroot pairing of ``alpha_{i_j}``
 against the midpoint of ``gamma_j`` and ``gamma_{j+1}``.  Together with the
-Kashiwara functions ``r_s^k``, their consecutive differences (the closed
-face functions) and the cone X_t they span, these tie the trail calculus to
-the coordinates of the word.  Trails trivializing at a common step are
-grouped into classes carrying the a/k/l/c/c' data used downstream.
+Kashiwara functions ``r_s^k`` and their consecutive differences (the closed
+face functions), these tie the trail calculus to the coordinates of the
+word.  Trails trivializing at a common step are grouped into classes
+carrying the a/k/l/c/c' data used downstream.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ class LinearFunctionBJ:
     """An integer linear function sum_j c_j m_j of exponent coordinates.
 
     ``terms`` is the canonical representation: (position, coefficient)
-    pairs sorted by 1-based position, zero coefficients dropped.  The hash
-    is the one the dataclass would compute, kept from its first use: most
-    functions go into sets, but those built only to be written out are
-    never hashed.
+    pairs sorted by 1-based position, zero coefficients dropped; a position
+    below 1 is rejected.  The hash is the one the dataclass would compute,
+    kept from its first use: most functions go into sets, but those built
+    only to be written out are never hashed.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -68,6 +68,8 @@ class LinearFunctionBJ:
         if any(a[0] >= b[0] for a, b in zip(terms, terms[1:])):
             raise ConsistencyError(
                 f"terms {terms} are not sorted by distinct positions")
+        if terms and terms[0][0] < 1:
+            raise ConsistencyError(f"position below 1 in the terms {terms}")
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -79,16 +81,6 @@ class LinearFunctionBJ:
         """Build from a mapping position -> coefficient."""
         return LinearFunctionBJ(
             tuple(sorted((j, c) for j, c in coeffs.items() if c != 0)))
-
-    @staticmethod
-    def zero() -> "LinearFunctionBJ":
-        return LinearFunctionBJ(())
-
-    def coeff(self, j: int) -> int:
-        for pos, c in self.terms:
-            if pos == j:
-                return c
-        return 0
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -110,12 +102,6 @@ class LinearFunctionBJ:
         if c == 0:
             return LinearFunctionBJ(())
         return LinearFunctionBJ(tuple((j, c * v) for j, v in self.terms))
-
-    def evaluate(self, values) -> int:
-        """Evaluate at exponents given as a sequence (index j-1) or mapping."""
-        if hasattr(values, "get"):
-            return sum(c * values.get(j, 0) for j, c in self.terms)
-        return sum(c * values[j - 1] for j, c in self.terms)
 
 
 def _as_word(cartan: CartanData, word) -> WordJ:
@@ -163,13 +149,14 @@ class Trail:
     """A trail, stored by its exponents n_1..n_m.
 
     By (T) the exponents fix every weight from gamma_1 = -s_t(omega_t), so
-    construction walks them once, checks n_j >= 0, (P) and the end weight,
-    and keeps the weights ``gamma`` and the trivialization step ``phi`` as
-    derived attributes.  Realizability needs a module, so the constructors
-    that hold one (:func:`enumerate_trails`, :func:`make_trail`) check it.
-    The search of :func:`enumerate_trails` checks the same axioms node by
-    node and carries the weights, so it builds its trails without a second
-    walk (:meth:`_walked`).
+    construction checks that each n_j is an int (not a bool, before any
+    weight is stored), walks them once, checks n_j >= 0, (P) and the end
+    weight, and keeps the weights ``gamma`` and the trivialization step
+    ``phi`` as derived attributes.  Realizability needs a module, so the
+    constructors that hold one (:func:`enumerate_trails`,
+    :func:`make_trail`) check it.  The search of :func:`enumerate_trails`
+    checks the same axioms node by node and carries the weights, so it
+    builds its trails without a second walk (:meth:`_walked`).
     """
 
     word: WordJ
@@ -181,6 +168,10 @@ class Trail:
         if len(self.exps) != word.m:
             raise ConsistencyError(f"{len(self.exps)} exponents for a word "
                                    f"of length {word.m}")
+        for j, n in enumerate(self.exps, start=1):
+            if type(n) is not int:
+                raise ConsistencyError(
+                    f"exponent {n!r} at position {j} is not an int")
         drive, low = _driving_data(word, self.t)
         # equal weights of the trails of one (word, t) share one tuple
         shared = word.memoized(("weights", self.t), dict)
@@ -296,14 +287,6 @@ def _build_kashiwara(word: WordJ, s: int, k: int) -> LinearFunctionBJ:
     return LinearFunctionBJ.from_coeffs(coeffs)
 
 
-def driving_function(cartan: CartanData, word, s: int) -> LinearFunctionBJ:
-    """z_s^1 = r_s^0 - r_s^1 = m_s^1 + sum over positions j before (s,1) of
-    alpha_{i_j}^vee(alpha_s) m_j."""
-    word = _as_word(cartan, word)
-    return (kashiwara_function(cartan, word, s, 0)
-            - kashiwara_function(cartan, word, s, 1))
-
-
 def face_function(cartan: CartanData, word, s: int,
                   k: int) -> tuple[tuple[Weight, ...], LinearFunctionBJ]:
     """The closed face of type (s, k > 1): weights equal to alpha_s on the
@@ -338,40 +321,6 @@ def _build_face_basis(word: WordJ) -> dict[int, LinearFunctionBJ]:
             _, f = face_function(word.cartan, word, s, k)
             basis[word.position(s, k)] = f
     return basis
-
-
-def face_cone_coordinates(word: WordJ, f: LinearFunctionBJ):
-    """Coordinates of f over the closed-face functions, or None.
-
-    The face functions have unit leading coefficient at distinct top
-    positions, so back-substitution from the highest position down either
-    expresses f exactly or proves it is outside their integer span.
-    """
-    basis = _face_basis(word)
-    residual = f.as_dict()
-    coords = {}
-    for u in range(word.m, 0, -1):
-        c = residual.get(u, 0)
-        if c == 0:
-            continue
-        if u not in basis:
-            return None
-        coords[u] = c
-        for j, v in basis[u].terms:
-            residual[j] = residual.get(j, 0) - c * v
-    return coords
-
-
-def xt_leq(word: WordJ, f: LinearFunctionBJ, g: LinearFunctionBJ) -> bool:
-    """The cone order: g - f is a non-negative integer combination of the
-    closed-face functions."""
-    coords = face_cone_coordinates(word, g - f)
-    return coords is not None and all(c >= 0 for c in coords.values())
-
-
-def in_xt_cone(word: WordJ, t: int, f: LinearFunctionBJ) -> bool:
-    """Membership in X_t = z_t^1 + (non-negative span of closed faces)."""
-    return xt_leq(word, driving_function(word.cartan, word, t), f)
 
 
 def _chain(M: LowestWeightModule, word: WordJ,
@@ -511,13 +460,6 @@ class TsClass:
     def l(self) -> tuple[int, ...]:
         return self.k_tuples[0]
 
-    def lower_members(self) -> tuple[Trail, ...]:
-        """Members already trivializing at the previous step w_{j-1}."""
-        return tuple(K for K in self.members if K.phi < self.j)
-
-    def member_c_prime(self, K: Trail) -> tuple[int, ...]:
-        return self.c_primes[self.members.index(K)]
-
 
 def _partial_sums(xs) -> list[int]:
     out = [0]
@@ -626,6 +568,11 @@ def _check_class_bounds(s, a, l, c, l_min: Trail, positions) -> None:
                 "c from the exponent sums disagrees with the midpoint pairing")
 
 
+# No CLI path runs the face moves and minimax_decompose below yet; they are
+# kept for the false-trail forensics of ROADMAP item 1, which will report
+# what minimax_decompose says of each failing class.
+
+
 def try_adjoin_face(K: Trail, s: int, k: int, M: LowestWeightModule) -> Trail | None:
     """K + F_s^k (k > 1) if it is again a trail, else None."""
     return _shift_face(K, s, k, M, +1)
@@ -721,27 +668,3 @@ def minimax_decompose(cls: TsClass, M: LowestWeightModule) -> tuple[Trail, tuple
         raise ConsistencyError("face adjunction did not return to the maximal trail")
     return k_min, d
 
-
-def rigidify(l, a) -> tuple[int, ...]:
-    """Deform the exponents l to the least rigid tuple below them:
-    lt_1 = l_1, lt_i = min(l_i, a_i - lt_{i-1}), lt_n = 0.
-
-    The coefficients a^(i) - lt^(i) - lt^(i-1) of the result are verified
-    to be non-decreasing over the class range.
-    """
-    n = len(a)
-    if len(l) != n:
-        raise ConsistencyError(f"{len(l)} exponents for {n} drops")
-    if n == 1:
-        lt = [0]
-    else:
-        lt = [l[0]]
-        for i in range(2, n):
-            lt.append(min(l[i - 1], a[i - 1] - lt[-1]))
-        lt.append(0)
-    a_sum, lt_sum = _partial_sums(a), _partial_sums(lt)
-    ct = [a_sum[i] - lt_sum[i] - lt_sum[i - 1] for i in range(1, n + 1)]
-    for i in range(n - 2):
-        if ct[i] > ct[i + 1]:
-            raise ConsistencyError(f"rigidified coefficients {ct} decrease")
-    return tuple(lt)

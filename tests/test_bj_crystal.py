@@ -7,21 +7,15 @@ from conftest import GCM
 
 from trailkit import WordJ, validate_gcm
 from trailkit.cartan_core import reduced_words_of_w0
-from trailkit.bj_crystal import (
-    BJElement,
-    b_infinity,
-    crystal_e,
-    crystal_epsilon,
-    crystal_f,
-    dump_elements,
-    generate_binf,
-)
+from trailkit.bj_crystal import BJElement, dump_elements, generate_binf
 from trailkit.errors import (
     ConfigError,
     ConsistencyError,
     NotApplicable,
     UnknownLetterError,
 )
+
+from oracles import crystal_e, crystal_epsilon, crystal_f
 
 
 def test_element_make():
@@ -30,19 +24,11 @@ def test_element_make():
     assert b.m(3) == 2 and b.m(2) == 0
     assert b.as_dict() == {1: 1, 3: 2}
     assert b.total == 3
-    assert BJElement.make() == BJElement.make({}) == b_infinity()
+    assert BJElement.make() == BJElement.make({}) == BJElement()
     with pytest.raises(ConsistencyError):
         BJElement.make({0: 1})
     with pytest.raises(ConsistencyError):
         BJElement.make({2: -1})
-
-
-def test_element_bump():
-    b = BJElement.make({2: 1})
-    assert b.bump(2, 1).as_dict() == {2: 2}
-    assert b.bump(2, -1) == b_infinity()
-    with pytest.raises(ConsistencyError):
-        b.bump(2, -2)
 
 
 def test_lowering_starts_at_first_occurrence(cartans, full_words):
@@ -51,19 +37,19 @@ def test_lowering_starts_at_first_occurrence(cartans, full_words):
     for key, w in full_words.items():
         c = w.cartan
         for i in c.labels:
-            fb = crystal_f(c, w, i, b_infinity())
+            fb = crystal_f(c, w, i, BJElement.make())
             assert fb.as_dict() == {w.position(i, 1): 1}, (key, i)
 
 
 def test_raising_at_bottom_is_none(cartans, full_words):
     for key, w in full_words.items():
         for i in w.cartan.labels:
-            assert crystal_e(w.cartan, w, i, b_infinity()) is None, (key, i)
+            assert crystal_e(w.cartan, w, i, BJElement.make()) is None, (key, i)
 
 
 def test_frozen_lowering_chain(cartans):
     c = cartans["A2"]
-    b = b_infinity()
+    b = BJElement.make()
     seen = []
     for i in (1, 2, 2, 1, 1, 2):
         b = crystal_f(c, (1, 2, 1), i, b)
@@ -89,7 +75,7 @@ def test_generate_binf_sizes(cartans):
 def test_generate_binf_nested(cartans):
     c = cartans["B2"]
     prev = generate_binf(c, (1, 2, 1, 2), 0)
-    assert prev == frozenset({b_infinity()})
+    assert prev == frozenset({BJElement.make()})
     for d in range(1, 4):
         cur = generate_binf(c, (1, 2, 1, 2), d)
         assert prev < cur
@@ -101,7 +87,7 @@ def test_generate_binf_nested(cartans):
 def test_raising_inverts_lowering(cartans, moves):
     c = cartans["G2"]
     w = (1, 2, 1, 2, 1, 2)
-    b = b_infinity()
+    b = BJElement.make()
     for i in moves:
         nxt = crystal_f(c, w, i, b)
         assert nxt.total == b.total + 1
@@ -124,7 +110,7 @@ def test_conventions_agree_when_pairing_symmetric(cartans):
 def test_conventions_differ_on_b2(cartans):
     c = cartans["B2"]
     w = (1, 2, 1, 2)
-    dual = straight = b_infinity()
+    dual = straight = BJElement.make()
     for i in (2, 1, 2, 1):
         dual = crystal_f(c, w, i, dual)
         straight = crystal_f(c, w, i, straight, convention="straight")
@@ -134,16 +120,15 @@ def test_conventions_differ_on_b2(cartans):
 
 def test_unknown_convention(cartans):
     with pytest.raises(ConfigError):
-        crystal_f(cartans["A2"], (1, 2, 1), 1, b_infinity(),
-                  convention="sideways")
+        generate_binf(cartans["A2"], (1, 2, 1), 1, convention="sideways")
 
 
 def test_letter_absent(cartans):
     c = cartans["A3"]
     with pytest.raises(NotApplicable):
-        crystal_f(c, (1, 2, 1), 3, b_infinity())
+        generate_binf(c, (1, 2, 1), 1)
     with pytest.raises(UnknownLetterError):
-        crystal_f(c, (1, 2, 1), 9, b_infinity())
+        generate_binf(c, (1, 2, 9), 1)
 
 
 def test_negative_depth(cartans):
@@ -153,7 +138,7 @@ def test_negative_depth(cartans):
 
 def test_generate_binf_checks_only_when_it_lowers(cartans):
     c = cartans["A3"]
-    assert generate_binf(c, (1, 2, 1), 0, "sideways") == {b_infinity()}
+    assert generate_binf(c, (1, 2, 1), 0, "sideways") == {BJElement.make()}
     with pytest.raises(ConfigError):
         generate_binf(c, (1, 2, 1, 3, 2, 1), 1, "sideways")
     with pytest.raises(NotApplicable, match="letter 3 does not occur"):
@@ -163,7 +148,7 @@ def test_generate_binf_checks_only_when_it_lowers(cartans):
 def _crystal_f_closure(cartan, word, depth, convention):
     """Every element within ``depth`` lowering steps of the empty one, each
     step taken by :func:`crystal_f`."""
-    seen = frontier = {b_infinity()}
+    seen = frontier = {BJElement.make()}
     for _ in range(depth):
         frontier = {crystal_f(cartan, word, i, b, convention)
                     for b in frontier for i in cartan.labels} - seen
@@ -183,6 +168,26 @@ def test_generate_binf_is_the_crystal_f_closure():
                     name, letters, convention)
                 checked += 1
     assert checked == 200
+
+
+def test_generate_binf_is_closed_under_raising():
+    # raising an element of total d lands on one of total d - 1, which the
+    # search reached too; the bottom of each i-string is where epsilon_i is 0
+    checked = 0
+    for name in ("A3", "B3", "C3"):
+        cartan = validate_gcm(GCM[name])
+        word = WordJ(cartan, reduced_words_of_w0(cartan)[-1])
+        for convention in ("dual", "straight"):
+            elems = generate_binf(cartan, word, 4, convention)
+            for b in elems:
+                for i in cartan.labels:
+                    up = crystal_e(cartan, word, i, b, convention)
+                    eps = crystal_epsilon(cartan, word, i, b, convention)
+                    assert (up is None) == (eps <= 0), (name, b, i)
+                    if up is not None:
+                        assert up in elems and up.total == b.total - 1
+                        checked += 1
+    assert checked == 534
 
 
 def test_dump_elements_deterministic(cartans):

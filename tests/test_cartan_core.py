@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trailkit import WordJ, is_reduced, validate_gcm, weyl_act
+from trailkit import WordJ, is_reduced, validate_gcm
 from trailkit.cartan_core import reduced_words_of_w0, require_finite
 from trailkit.errors import (
     NotFiniteTypeError,
@@ -14,6 +14,7 @@ from trailkit.errors import (
 )
 
 from conftest import GCM
+from oracles import weyl_act
 
 
 def test_fixture_matrices_are_finite_type():
@@ -150,6 +151,13 @@ def test_weyl_act_longest_element():
         for t in (1, 2):
             fw = c.fundamental_weight(t)
             assert weyl_act(c, word, fw) == tuple(-x for x in fw)
+    # the prefix weights -w_j(omega_t) of a word are these actions
+    for c, word in ((a3, (1, 2, 1, 3, 2, 1)), (g2, (1, 2, 1, 2, 1, 2))):
+        w = WordJ(c, word)
+        for t in c.labels:
+            low = tuple(-x for x in c.fundamental_weight(t))
+            for j in range(len(word) + 1):
+                assert w.prefix_weight(t, j) == weyl_act(c, word[:j], low)
 
 
 def test_is_reduced():

@@ -16,6 +16,8 @@ from trailkit import (build_fundamental, cli, construct_envelope, giant,
 from trailkit.bj_crystal import generate_binf
 from trailkit.sgraph import CoeffVector, extremal_functions
 
+from oracles import evaluate
+
 
 def write_config(tmp_path, obj, name="job.json"):
     path = tmp_path / name
@@ -308,7 +310,7 @@ def test_verify_exits_4_when_a_vertex_set_misses_the_maximum(
     assert env.partial_labels((3,)) == []
     for b in sorted(generate_binf(cartan, word, 4),
                     key=lambda b: (b.total, b.coords)):
-        values = {f: f.evaluate(b.as_dict()) for f in env.functions}
+        values = {f: evaluate(f, b.as_dict()) for f in env.functions}
         top = max(values.values())
         argmax = [f for f, v in values.items() if v == top]
         if len(argmax) == 1:

@@ -20,18 +20,17 @@ from trailkit.errors import (
     UnknownLetterError,
 )
 from trailkit.giant import (check_constructibility, epsilon_star,
-                           epsilon_star_batch, epsilon_star_values,
-                           extremality_report)
+                           epsilon_star_batch, extremality_report)
 from trailkit.linalg import in_convex_hull
 from trailkit.sgraph import CoeffVector, binary_fusion
 from trailkit.trails import (
     LinearFunctionBJ,
     driving_trail,
     enumerate_trails,
-    face_cone_coordinates,
     trail_function,
-    xt_leq,
 )
+
+from oracles import evaluate, face_cone_coordinates, xt_leq
 
 
 def _dicts(funcs):
@@ -50,7 +49,8 @@ def _lp_extremal(funcs) -> frozenset:
     if len(fs) <= 2:
         return frozenset(fs)
     axes = sorted({q for f in fs for q, _ in f.terms})
-    coords = [tuple(f.coeff(q) for q in axes) for f in fs]
+    rows = [f.as_dict() for f in fs]
+    coords = [tuple(d.get(q, 0) for q in axes) for d in rows]
     return frozenset(
         f for i, f in enumerate(fs)
         if not in_convex_hull(coords[i], coords[:i] + coords[i + 1:]))
@@ -213,9 +213,10 @@ def _assert_lower_vertices_match_the_lp(env):
         if b.c and b.c[-1] != 0:
             faces = _faces(env.word, b)
             g = binary_fusion(CoeffVector.make(b.c))
+            label_n = g.with_label(g.coeffs.n)
             assert b.lower_vertices == frozenset(
-                _expand(b.driving, faces, p)
-                for p in g.lower_functions()), (b.s, b.c)
+                _expand(b.driving, faces, g.vertices[i].func)
+                for i in label_n), (b.s, b.c)
 
 
 def test_blocks_expand_as_function_arithmetic(envelopes, cartans):
@@ -382,9 +383,9 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
 
 
 def test_layer_accessor(envelopes):
+    # layer j, 1-based, is the one of word step j
     env = envelopes["G2", 2]
-    for j in range(1, 7):
-        assert env.layer(j).j == j
+    assert [L.j for L in env.layers] == list(range(1, 7))
 
 
 # --- the six-step type-G2 second fundamental, frozen layer by layer --------
@@ -458,10 +459,10 @@ def test_epsilon_star_values_match_brute_force(envelopes, cartans,
             assert env.z_t(s) == vertex_sets[s]
             assert env.z_t(s) is env.z_t(s)
         for b in generate_binf(cartans[cartan_key(key)], full_words[key], 3):
-            vals = epsilon_star_values(env, labels, b.as_dict())
-            full = max(z.evaluate(b.as_dict()) for z in env.functions)
+            (vals,) = epsilon_star_batch(env, labels, [b.coords])
+            full = max(evaluate(z, b.as_dict()) for z in env.functions)
             for s in labels:
-                brute = max(z.evaluate(b.as_dict()) for z in vertex_sets[s])
+                brute = max(evaluate(z, b.as_dict()) for z in vertex_sets[s])
                 assert vals[s] == brute == full, (key, t, s, b)
                 assert epsilon_star(env, s, b.as_dict()) == full
 
@@ -476,14 +477,14 @@ def test_epsilon_star_batch_matches_each_element(envelopes, cartans,
         batch = epsilon_star_batch(env, labels, [b.coords for b in elems])
         assert len(batch) == len(elems)
         for b, vals in zip(elems, batch):
-            assert vals == epsilon_star_values(env, labels, b.as_dict())
-            full = max(z.evaluate(b.as_dict()) for z in env.functions)
+            assert [vals] == epsilon_star_batch(env, labels, [b.coords])
+            full = max(evaluate(z, b.as_dict()) for z in env.functions)
             assert vals == {s: full for s in labels}, (key, t, b)
     # exponents given as a sequence, or at positions off the word
     env = envelopes["G2", 2]
-    assert (epsilon_star_values(env, (1, 2), [0, 0, 0, 2, 1, 0])
-            == epsilon_star_values(env, (1, 2), {4: 2, 5: 1, 9: 7, 0: 3})
-            == {1: 4, 2: 4})
+    for s in (1, 2):
+        assert (epsilon_star(env, s, [0, 0, 0, 2, 1, 0])
+                == epsilon_star(env, s, {4: 2, 5: 1, 9: 7, 0: 3}) == 4)
 
 
 def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
@@ -500,14 +501,14 @@ def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
     with pytest.raises(ConsistencyError, match=message):
         epsilon_star(bad, 1, b)
     with pytest.raises(ConsistencyError, match=message):
-        epsilon_star_values(bad, (1, 2), b)
-    assert epsilon_star_values(env, (1, 2), b) == {1: 5, 2: 5}
+        epsilon_star_batch(bad, (1, 2), [b.items()])
+    assert epsilon_star_batch(env, (1, 2), [b.items()]) == [{1: 5, 2: 5}]
 
 
 def test_partial_labels_miss_a_settled_function(envelopes):
     # a label is partial when its vertex functions miss a settled function;
     # at every other label epsilon* is the overall maximum, which the
-    # labels skipped by `verify` keep getting from epsilon_star_values
+    # labels skipped by `verify` keep getting from epsilon_star_batch
     partial = {}
     for (key, t), env in envelopes.items():
         labels = tuple(env.cartan.labels)
@@ -516,9 +517,9 @@ def test_partial_labels_miss_a_settled_function(envelopes):
         partial[key, t] = got
         elems = generate_binf(env.cartan, env.word, 3)
         for b in elems:
-            full = max(f.evaluate(b.as_dict()) for f in env.functions)
-            assert epsilon_star_values(env, labels, b.as_dict()) == {
-                s: full for s in labels}
+            full = max(evaluate(f, b.as_dict()) for f in env.functions)
+            assert epsilon_star_batch(env, labels, [b.coords]) == [{
+                s: full for s in labels}]
     assert {k: v for k, v in partial.items() if v} == {
         ("B2r", 1): [2], ("C2", 2): [1], ("G2", 2): [2]}
     with pytest.raises(UnknownLetterError):

@@ -18,22 +18,18 @@ from hypothesis import strategies as st
 import trailkit
 
 from trailkit import (
-    WordJ,
-    apply_raising_monomial,
     build_fundamental,
     extremal_vector,
     freudenthal_multiplicities,
-    proportionality,
     validate_gcm,
-    weyl_act,
     weyl_dimension,
 )
 from trailkit import rep_builder
 from trailkit.cartan_core import (_standard_gcm, positive_roots, root_coordinates,
                                   wadd, wsub)
 from trailkit.errors import (NotFiniteTypeError, NotReducedError,
-                             RadicalRankMismatch, UnknownLetterError,
-                             ZeroVectorError)
+                             RadicalRankMismatch, UnknownLetterError)
+from trailkit.rep_builder import apply_projective
 
 from conftest import FULL_WORDS, GCM, cartan_key
 
@@ -102,14 +98,26 @@ def test_build_fundamental_weight_spaces(modules, cartans):
         assert got == mirrored
 
 
+def _string_length(cols, v: dict) -> int:
+    """Largest p with a non-zero image of the non-zero v under p
+    applications of the integer-form columns."""
+    p = 0
+    while True:
+        v = apply_projective(cols, v)
+        if not v:
+            return p
+        p += 1
+
+
 def test_lowest_vector(modules):
     for (name, t), m in modules.items():
-        low = m.lowest_vector()
+        low = {m.lowest_index: 1}
         fw = m.cartan.fundamental_weight(t)
-        assert low.weight == tuple(-x for x in fw)
+        assert m.weights[m.lowest_index] == tuple(-x for x in fw)
         for i in m.cartan.labels:
-            assert m.apply_f(i, low).is_zero()
-            assert m.e_string_length(i, low) == (1 if i == t else 0)
+            assert not apply_projective(m.f_int[i].cols, low)
+            assert _string_length(m.e_int[i].cols, low) == (
+                1 if i == t else 0)
 
 
 def test_build_fundamental_rejects(cartans):
@@ -120,17 +128,29 @@ def test_build_fundamental_rejects(cartans):
         build_fundamental(affine, 1)
 
 
+def _combine(*terms) -> dict:
+    """sum c v over (c, v) pairs of integer vectors, zeros dropped."""
+    out: dict = {}
+    for c, v in terms:
+        for b, x in v.items():
+            out[b] = out.get(b, 0) + c * x
+    return {b: x for b, x in out.items() if x}
+
+
 def test_commutator_is_coroot_action(modules):
-    # (e_i f_i - f_i e_i) v = <alpha_i^vee, mu> v on every basis vector
+    # (e_i f_i - f_i e_i) v = <alpha_i^vee, mu> v on every basis vector; on
+    # the integer forms both products carry the scale D_e D_f
     m = modules["G2", 1]
     for idx in range(m.dim):
-        v = m.basis_vector(idx)
-        mu = v.weight
+        v = {idx: 1}
+        mu = m.weights[idx]
         for i in m.cartan.labels:
-            lhs = m.apply_e(i, m.apply_f(i, v)).add(
-                m.apply_f(i, m.apply_e(i, v)).scale(-1))
-            want = v.scale(mu[i - 1])
-            assert lhs.key() == want.key()
+            e, f = m.e_int[i], m.f_int[i]
+            lhs = _combine((1, apply_projective(e.cols,
+                                                apply_projective(f.cols, v))),
+                           (-1, apply_projective(f.cols,
+                                                 apply_projective(e.cols, v))))
+            assert lhs == _combine((e.scale * f.scale * mu[i - 1], v))
 
 
 def test_serre_like_weight_bookkeeping(modules):
@@ -138,10 +158,9 @@ def test_serre_like_weight_bookkeeping(modules):
     m = modules["B2", 2]
     root = m.cartan.simple_root(1)
     for idx in range(m.dim):
-        v = m.basis_vector(idx)
-        up = m.apply_e(1, v)
-        if not up.is_zero():
-            assert up.weight == tuple(x + r for x, r in zip(v.weight, root))
+        for r in apply_projective(m.e_int[1].cols, {idx: 1}):
+            assert m.weights[r] == tuple(
+                x + y for x, y in zip(m.weights[idx], root))
 
 
 def test_extremal_vector_tracks_prefix_weights(modules, full_words):
@@ -151,35 +170,14 @@ def test_extremal_vector_tracks_prefix_weights(modules, full_words):
         for t in w.cartan.labels:
             m = modules[name, t]
             for j in range(len(letters) + 1):
-                v = extremal_vector(m, letters[:j])
-                assert v.weight == w.prefix_weight(t, j)
-                assert len(v.coords) == 1
+                (idx,) = extremal_vector(m, letters[:j])
+                assert m.weights[idx] == w.prefix_weight(t, j)
+            assert m.start_vector == extremal_vector(m, (t,))
 
 
 def test_extremal_vector_rejects_a_word_that_is_not_reduced(modules):
     with pytest.raises(NotReducedError, match=r"word \(1, 1\) is not a reduced"):
         extremal_vector(modules["A2", 1], (1, 1))
-
-
-def test_apply_raising_monomial(modules):
-    m = modules["A3", 2]
-    v = m.lowest_vector()
-    direct = m.apply_e(2, m.apply_e(2, m.apply_e(1, v)))
-    assert apply_raising_monomial(m, [(1, 1), (2, 2)], v).key() == direct.key()
-    assert apply_raising_monomial(m, [(2, 9)], v).is_zero()
-
-
-def test_proportionality(modules):
-    m = modules["A2", 1]
-    v = m.lowest_vector()
-    assert proportionality(v.scale(7), v) == 7
-    u = m.apply_e(1, v)
-    assert proportionality(u, v) is None       # different weights
-    with pytest.raises(ZeroVectorError):
-        proportionality(m.zero(), v)
-    zero_space = modules["G2", 1].weight_space((0, 0))
-    x, y = (modules["G2", 1].basis_vector(i) for i in zero_space)
-    assert proportionality(x, y) is None       # same weight, independent
 
 
 def test_build_fundamental_is_memoized(cartans):
@@ -278,20 +276,22 @@ def test_module_cache_rebuilds_bad_file(tmp_path, monkeypatch, cartans, tamper):
 # --- relations the build does not check itself --------------------------------
 
 
-def _power(apply, i: int, k: int, v):
+def _power(cols, k: int, v: dict) -> dict:
     for _ in range(k):
-        v = apply(i, v)
+        v = apply_projective(cols, v)
     return v
 
 
-def _serre(m, apply, i: int, j: int, v):
-    """(ad x_i)^{1-a_ij} x_j applied to v, for x = e or x = f."""
+def _serre(m, forms, i: int, j: int, v: dict) -> dict:
+    """(ad x_i)^{1-a_ij} x_j applied to v, for x = e or x = f, on integer
+    forms: every term applies 1-a_ij forms of x_i and one of x_j, so all
+    terms carry one scale and the sum vanishes exactly when the exact one
+    does."""
     k = 1 - m.cartan.pairing(i, j)
-    total = m.zero()
-    for r in range(k + 1):
-        term = _power(apply, i, k - r, apply(j, _power(apply, i, r, v)))
-        total = total.add(term.scale((-1) ** r * comb(k, r)))
-    return total
+    xi, xj = forms[i].cols, forms[j].cols
+    return _combine(*(((-1) ** r * comb(k, r),
+                       _power(xi, k - r, apply_projective(xj, _power(xi, r, v))))
+                      for r in range(k + 1)))
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4"])
@@ -300,16 +300,19 @@ def test_commutation_and_serre_relations(cartans, name):
     for t in c.labels:
         m = build_fundamental(c, t)
         for idx in range(m.dim):
-            v = m.basis_vector(idx)
+            v = {idx: 1}
             for i in c.labels:
                 for j in c.labels:
                     if i == j:
                         continue
-                    comm = m.apply_e(i, m.apply_f(j, v)).add(
-                        m.apply_f(j, m.apply_e(i, v)).scale(-1))
-                    assert comm.is_zero(), (name, t, i, j)
-                    assert _serre(m, m.apply_e, i, j, v).is_zero(), (name, t, i, j)
-                    assert _serre(m, m.apply_f, i, j, v).is_zero(), (name, t, i, j)
+                    # both products carry the scale D_{e_i} D_{f_j}
+                    ei, fj = m.e_int[i].cols, m.f_int[j].cols
+                    comm = _combine(
+                        (1, apply_projective(ei, apply_projective(fj, v))),
+                        (-1, apply_projective(fj, apply_projective(ei, v))))
+                    assert not comm, (name, t, i, j)
+                    assert not _serre(m, m.e_int, i, j, v), (name, t, i, j)
+                    assert not _serre(m, m.f_int, i, j, v), (name, t, i, j)
 
 
 # --- every fundamental module up to rank 6 -------------------------------------
@@ -453,29 +456,28 @@ def _apply_columns(cols, u: dict) -> dict:
 @given(st.sampled_from(RANK_4_FUNDAMENTALS), st.floats(0, 1, exclude_max=True),
        st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=12))
 def test_integer_forms_agree_with_fraction_operators(instance, start, walk):
-    """apply_e / apply_f give exactly the images under the Fraction columns
-    of the build, and the integer vectors a positive multiple of them."""
+    """The integer vectors over the integer forms are a positive multiple
+    of the exact images under the Fraction columns of the build, and
+    vanish exactly when those do."""
     m = _module(*instance)
     e_cols, f_cols = _fraction_columns(*instance)
     idx = int(start * m.dim)
-    v = m.basis_vector(idx)
     u = {idx: Fraction(1)}
     w = {idx: 1}
     for raising, k in walk:
         i = k % m.cartan.n + 1
         if raising:
-            v, w = m.apply_e(i, v), rep_builder.apply_projective(m.e_int[i].cols, w)
+            w = apply_projective(m.e_int[i].cols, w)
             u = _apply_columns(e_cols[i], u)
         else:
-            v, w = m.apply_f(i, v), rep_builder.apply_projective(m.f_int[i].cols, w)
+            w = apply_projective(m.f_int[i].cols, w)
             u = _apply_columns(f_cols[i], u)
-        assert v.coords == u
-        assert v.is_zero() == (not w)
+        assert (not u) == (not w)
         if not w:
             break
-        # w is a positive multiple of the exact vector v
-        assert w.keys() == v.coords.keys()
-        ratios = {Fraction(x) / v.coords[b] for b, x in w.items()}
+        # w is a positive multiple of the exact vector u
+        assert w.keys() == u.keys()
+        ratios = {Fraction(x) / u[b] for b, x in w.items()}
         assert len(ratios) == 1 and min(ratios) > 0
 
 

@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailkit.errors import DomainError, NotApplicable
+from trailkit.errors import DomainError
 from trailkit.sl2_engine import (
     Sl2Config,
     coefficient_A,
     coefficient_A_factors,
     coefficient_A_oracle,
-    expansion_check,
-    nested_state,
-    quasi_equal_factors,
-    rigid_regime,
     vanishing_identity,
 )
+
+from oracles import expansion_check, nested_state, rigid_regime
 
 
 def test_config_validation():
@@ -64,6 +62,15 @@ def test_rigid_regime_factors_positive():
     assert all(x > 0 for x in linear)
     loose = Sl2Config((2, 2), (2, 2), (1, 1))
     assert not rigid_regime(loose)       # a^(2) - k^(2) - l^(1) = -1
+    # in the rigid regime every linear factor is positive, on a grid
+    rigid = 0
+    for n in (1, 2, 3):
+        for combo in itertools.product(range(3), repeat=3 * n):
+            cfg = Sl2Config(combo[:n], combo[n:2 * n], combo[2 * n:])
+            if rigid_regime(cfg):
+                rigid += 1
+                assert all(x > 0 for x in coefficient_A_factors(cfg)[2]), cfg
+    assert rigid > 100
 
 
 def test_oracle_matches_closed_form_exhaustively_n2():
@@ -137,22 +144,3 @@ def test_vanishing_identity_domain_errors():
     with pytest.raises(DomainError):
         vanishing_identity(0, 4, 5, 0)
 
-
-def test_quasi_equal_factors():
-    # one admissible shift, both weights equal: 3! 2! = 2! 3!
-    assert quasi_equal_factors(3, 2, 4) == [12, 12]
-    assert quasi_equal_factors(2, 2, 4) == [4]
-    with pytest.raises(NotApplicable):
-        quasi_equal_factors(1, 1, 3)
-    with pytest.raises(DomainError):
-        quasi_equal_factors(3, 4, 2)
-
-
-@given(p2=st.integers(0, 6), p1=st.integers(0, 6), extra=st.integers(0, 4))
-def test_quasi_equal_factors_length(p2, p1, extra):
-    a = p1 + extra
-    if p2 < extra:
-        with pytest.raises(NotApplicable):
-            quasi_equal_factors(p2, p1, a)
-    else:
-        assert len(quasi_equal_factors(p2, p1, a)) == p2 + p1 - a + 1
