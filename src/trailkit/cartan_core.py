@@ -23,6 +23,7 @@ from itertools import permutations
 from math import gcd
 
 from .errors import (
+    ConsistencyError,
     NotFiniteTypeError,
     NotGCMError,
     NotReducedError,
@@ -424,7 +425,9 @@ def _root_system(cartan: CartanData):
                 seen.add(pair)
                 queue.append(pair)
     positives = sorted(p for p in seen if all(x >= 0 for x in p[0]))
-    assert 2 * len(positives) == len(seen)
+    if 2 * len(positives) != len(seen):
+        raise ConsistencyError(
+            "the roots do not split into positive and negative halves")
     return tuple(positives)
 
 

@@ -13,7 +13,8 @@ the lowest-weight module V(-omega_t).
 
 Two independent character oracles (Freudenthal recursion and the Weyl
 dimension formula) cross-check every weight multiplicity during the build;
-disagreement raises RadicalRankMismatch.
+disagreement raises RadicalRankMismatch.  A module is built, checked and
+memoized once per process; nothing is read from or written to disk.
 
 Each operator is kept once, as an integer form: the lcm D of its column
 denominators and its columns scaled by D.  Module vectors are integer
@@ -24,9 +25,6 @@ of them.  Rational numbers appear only inside the build.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -77,7 +75,8 @@ def saturated_weight_set(cartan: CartanData, highest: Weight) -> set[Weight]:
 
 def _height(cartan: CartanData, w: Weight) -> int:
     coords = root_coordinates(cartan, w)
-    assert coords is not None
+    if coords is None:
+        raise RadicalRankMismatch(f"{w} is not in the root lattice")
     return sum(coords)
 
 
@@ -142,7 +141,8 @@ def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weig
         diff = root_coordinates(cartan, wsub(highest, mu))
         tot = wadd(wadd(highest, mu), wadd(rho, rho))
         denom = sum(diff[j] * d[j] * tot[j] for j in range(n))
-        assert denom != 0
+        if denom == 0:
+            raise RadicalRankMismatch(f"weight {mu}: Freudenthal denominator is 0")
         val, rem = divmod(2 * num, denom)
         if rem or val < 0:
             raise RadicalRankMismatch(
@@ -162,7 +162,8 @@ def weyl_dimension(cartan: CartanData, highest: Weight) -> int:
         num *= sum(coroot[j] * (highest[j] + 1) for j in range(n))
         den *= sum(coroot)
     dim, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise RadicalRankMismatch(f"Weyl dimension {num}/{den} is not an integer")
     return dim
 
 
@@ -209,13 +210,15 @@ class LowestWeightModule:
     raises the weight by alpha_i.
     """
 
+    # The build puts the top vector of V(omega_t) at basis index 0, and the
+    # Chevalley flip makes it the lowest vector of V(-omega_t).
+    lowest_index = 0
+
     def __init__(self, cartan: CartanData, t: int, weights: tuple[Weight, ...],
-                 lowest_index: int, e_int: dict[int, IntegerForm],
-                 f_int: dict[int, IntegerForm]):
+                 e_int: dict[int, IntegerForm], f_int: dict[int, IntegerForm]):
         self.cartan = cartan
         self.t = t
         self.weights = weights
-        self.lowest_index = lowest_index
         self.e_int = e_int
         self.f_int = f_int
         spaces: dict[Weight, list[int]] = {}
@@ -336,93 +339,25 @@ def _verify_module(m: LowestWeightModule) -> None:
                     f"[e_{i}, f_{i}] is not alpha_{i}^vee on weight {mu}")
 
 
-# Version of the TRAILKIT_CACHE_DIR payload; a file of any other version
-# (or none) holds matrices in another basis or encoding and is rebuilt.
-CACHE_FORMAT = 3
-
-
-def _cache_key(cartan: CartanData, t: int) -> str:
-    payload = json.dumps({"gcm": [list(r) for r in cartan.gcm], "t": t},
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-
-def _cache_save(path: str, m: LowestWeightModule) -> None:
-    data = {
-        "format": CACHE_FORMAT,
-        "t": m.t,
-        "weights": m.weights,
-        "E": {str(i): form._asdict() for i, form in m.e_int.items()},
-        "F": {str(i): form._asdict() for i, form in m.f_int.items()},
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-    os.replace(tmp, path)
-
-
-def _int(x, least: int | None = None) -> int:
-    """x itself if it is an int (not a bool or a float) of at least ``least``."""
-    if type(x) is not int or (least is not None and x < least):
-        raise ValueError(f"cached number {x!r} is not an int in range")
-    return x
-
-
-def _cache_load(path: str, cartan: CartanData, t: int) -> LowestWeightModule | None:
-    """The cached module, or None for a miss: no readable file, a payload
-    of another format version or for another t, a number that is not an
-    int, a scale below 1, or a module that fails the build-time checks."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("format") != CACHE_FORMAT or data["t"] != t:
-            return None
-
-        def dec(form):
-            return IntegerForm(_int(form["scale"], least=1), tuple(
-                tuple((_int(r), _int(x)) for r, x in col) for col in form["cols"]))
-
-        module = LowestWeightModule(
-            cartan, t, tuple(tuple(map(_int, w)) for w in data["weights"]), 0,
-            {i: dec(data["E"][str(i)]) for i in cartan.labels},
-            {i: dec(data["F"][str(i)]) for i in cartan.labels})
-        _verify_module(module)
-    except (OSError, AttributeError, IndexError, KeyError, TypeError,
-            ValueError, RadicalRankMismatch):
-        return None
-    return module
-
-
 @lru_cache(maxsize=None)
 def build_fundamental(cartan: CartanData, t: int) -> LowestWeightModule:
     """Build V(-omega_t) with exact raising/lowering matrices.
 
-    Set TRAILKIT_CACHE_DIR to persist built modules as JSON across runs; a
-    cached module passes the same checks as a fresh build before it is
-    used, and a file that fails them is rebuilt and overwritten.
+    Every build passes the Weyl-dimension, weight-grading, lowest-vector
+    and [e_i, f_i] checks of ``_verify_module`` before it is returned, and
+    is memoized for the life of the process.
     """
     require_finite(cartan)
     cartan.check_label(t)
-    cache_dir = os.environ.get("TRAILKIT_CACHE_DIR")
-    cache_path = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, _cache_key(cartan, t) + ".json")
-        cached = _cache_load(cache_path, cartan, t)
-        if cached is not None:
-            return cached
     weights, e_int, f_int = _build_matrices(cartan, t)
     # Chevalley flip: negate weights, swap the operator families.
     module = LowestWeightModule(
         cartan, t,
         weights=tuple(wneg(mu) for mu in weights),
-        lowest_index=0,
         e_int=f_int,
         f_int=e_int,
     )
     _verify_module(module)
-    if cache_path:
-        _cache_save(cache_path, module)
     return module
 
 

@@ -128,3 +128,11 @@ def test_every_exported_name_resolves():
         obj = getattr(trailkit, name)
         module = importlib.import_module(obj.__module__)
         assert getattr(module, name) is obj, name
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips asserts, so a check must raise a typed error instead
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, found

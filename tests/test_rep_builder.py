@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import resource
@@ -27,8 +28,9 @@ from trailkit import (
 from trailkit import rep_builder
 from trailkit.cartan_core import (_standard_gcm, positive_roots, root_coordinates,
                                   wadd, wsub)
-from trailkit.errors import (NotFiniteTypeError, NotReducedError,
-                             RadicalRankMismatch, UnknownLetterError)
+from trailkit.errors import (NotExtremalWeightError, NotFiniteTypeError,
+                             NotReducedError, RadicalRankMismatch,
+                             UnknownLetterError)
 from trailkit.rep_builder import apply_projective
 
 from conftest import FULL_WORDS, GCM, cartan_key
@@ -185,92 +187,40 @@ def test_build_fundamental_is_memoized(cartans):
         validate_gcm(GCM["A2"]), 1)
 
 
-def test_module_cache_roundtrip(tmp_path, monkeypatch, cartans):
-    monkeypatch.setenv("TRAILKIT_CACHE_DIR", str(tmp_path))
-    build = build_fundamental.__wrapped__      # skip the in-memory memo
-    c = cartans["B2"]
-    first = build(c, 2)
-    (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    assert data["format"] == rep_builder.CACHE_FORMAT == 3
-    assert data["E"]["1"]["scale"] == first.e_int[1].scale
-    monkeypatch.setattr(rep_builder, "_build_matrices", None)   # load only
-    second = build(c, 2)
-    assert second.weights == first.weights
-    assert second.e_int == first.e_int
-    assert second.f_int == first.f_int
+def test_extremal_vector_rejects_a_vanished_vector(cartans):
+    m = build_fundamental(cartans["B3"], 2)
+    scale, cols = m.e_int[m.t]
+    e_int = {**m.e_int, m.t: rep_builder.IntegerForm(scale, ((),) * len(cols))}
+    zeroed = rep_builder.LowestWeightModule(m.cartan, m.t, m.weights, e_int,
+                                            m.f_int)
+    with pytest.raises(NotExtremalWeightError, match="not a multiplicity-one"):
+        extremal_vector(zeroed, (m.t,))
 
 
-def _entry(data, value=None):
-    """The first [r, x] entry of E_1 in a cached payload, or the first
-    whose x equals ``value``."""
-    return next(e for col in data["E"]["1"]["cols"] for e in col
-                if value is None or e[1] == value)
-
-
-def _tamper_version(data):
-    del data["format"]
-
-
-def _tamper_format_2(data):
-    """The same module in format 2, as [r, numerator, denominator] triples."""
-    data["format"] = 2
-    for forms in (data["E"], data["F"]):
-        for i, form in forms.items():
-            forms[i] = [[[r, *Fraction(x, form["scale"]).as_integer_ratio()]
-                         for r, x in col] for col in form["cols"]]
-
-
-def _tamper_coefficient(data):
-    _entry(data)[1] *= 3
-
-
-def _tamper_float(data):
-    entry = _entry(data)
-    entry[1] = float(entry[1])
-
-
-def _tamper_bool(data):
-    _entry(data, 1)[1] = True
-
-
-def _tamper_scale_zero(data):
-    data["E"]["1"]["scale"] = 0
-
-
-def _tamper_scale_negative(data):
-    data["E"]["1"]["scale"] *= -1
-
-
-def _tamper_float_weight(data):
-    data["weights"][0][0] = float(data["weights"][0][0])
-
-
-@pytest.mark.parametrize("tamper", [
-    _tamper_version, _tamper_format_2, _tamper_coefficient, _tamper_float,
-    _tamper_bool, _tamper_scale_zero, _tamper_scale_negative,
-    _tamper_float_weight,
-], ids=["versionless", "format-2", "coefficient", "float", "bool",
-        "scale-zero", "scale-negative", "float-weight"])
-def test_module_cache_rebuilds_bad_file(tmp_path, monkeypatch, cartans, tamper):
-    monkeypatch.setenv("TRAILKIT_CACHE_DIR", str(tmp_path))
-    build = build_fundamental.__wrapped__      # skip the in-memory memo
-    c = cartans["B2"]
-    fresh = build(c, 1)
-    (path,) = tmp_path.iterdir()
-    good = path.read_bytes()
-    data = json.loads(good)
-    tamper(data)
-    path.write_text(json.dumps(data))
-    builds = []
-    real = rep_builder._build_matrices
-    monkeypatch.setattr(rep_builder, "_build_matrices",
-                        lambda *a: builds.append(a) or real(*a))
-    again = build(c, 1)
-    assert builds == [(c, 1)]                  # a miss: rebuilt, not loaded
-    assert (again.weights, again.e_int, again.f_int) == (
-        fresh.weights, fresh.e_int, fresh.f_int)
-    assert path.read_bytes() == good           # and the file overwritten
+def test_a_leftover_module_cache_is_neither_read_nor_written(
+        tmp_path, monkeypatch, cartans):
+    """Earlier versions read and rewrote modules under TRAILKIT_CACHE_DIR.
+    A tampered file left there in that layout must not change a build, and
+    the build must leave the directory as it was."""
+    c, t = cartans["B2"], 1
+    fresh = build_fundamental.__wrapped__(c, t)
+    key = json.dumps({"gcm": [list(r) for r in c.gcm], "t": t},
+                     sort_keys=True, separators=(",", ":"))
+    payload = json.loads(json.dumps(
+        {"format": 3, "t": t, "weights": fresh.weights,
+         "E": {str(i): form._asdict() for i, form in fresh.e_int.items()},
+         "F": {str(i): form._asdict() for i, form in fresh.f_int.items()}}))
+    next(e for col in payload["E"]["1"]["cols"] for e in col)[1] *= 3
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / (hashlib.sha256(key.encode()).hexdigest()[:24] + ".json")
+     ).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    monkeypatch.setenv("TRAILKIT_CACHE_DIR", str(cache))
+    m = build_fundamental.__wrapped__(c, t)     # skip the in-memory memo
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+    assert (m.weights, m.e_int, m.f_int) == (fresh.weights, fresh.e_int,
+                                             fresh.f_int)
 
 
 # --- relations the build does not check itself --------------------------------
@@ -344,7 +294,7 @@ def _cap_address_space():
 
 
 def test_every_fundamental_up_to_rank_6_builds_in_2gb():
-    env = {k: v for k, v in os.environ.items() if k != "TRAILKIT_CACHE_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(trailkit.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _BUILD_ALL, json.dumps(RANK_6_TYPES)],
@@ -510,6 +460,6 @@ def test_verify_module_catches_a_changed_non_integer_entry(cartans):
     forms[name][i] = rep_builder._integer_form(fracs)
     assert forms[name][i].scale != scale
     tampered = rep_builder.LowestWeightModule(
-        m.cartan, m.t, m.weights, m.lowest_index, forms["e"], forms["f"])
+        m.cartan, m.t, m.weights, forms["e"], forms["f"])
     with pytest.raises(RadicalRankMismatch, match=r"\[e_\d, f_\d\] is not"):
         rep_builder._verify_module(tampered)
