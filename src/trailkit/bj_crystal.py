@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .cartan_core import CartanData, WordJ
-from .errors import ConfigError, ConsistencyError, NotApplicable
+from .errors import ConfigError, NotApplicable
 from .trails import _as_word
 
 CONVENTIONS = ("dual", "straight")
@@ -32,27 +32,6 @@ class BJElement:
     with every kept m positive."""
 
     coords: tuple[tuple[int, int], ...] = ()
-
-    @staticmethod
-    def make(values=None) -> "BJElement":
-        if not values:
-            return BJElement()
-        items = []
-        for j, m in sorted(dict(values).items()):
-            if j < 1 or m < 0:
-                raise ConsistencyError(f"bad exponent entry ({j}, {m})")
-            if m:
-                items.append((int(j), int(m)))
-        return BJElement(tuple(items))
-
-    def m(self, j: int) -> int:
-        for q, v in self.coords:
-            if q == j:
-                return v
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coords)
 
     @property
     def total(self) -> int:

@@ -10,10 +10,10 @@ Subcommands::
 The config carries the instance: ``{"cartan": [[...]], "word": [...]}``
 plus optional ``"t"`` (default: every label), ``"c"`` or ``"class"`` for
 the sgraph command, ``"depth"``, ``"convention"`` and output overrides.
-Flags win over config keys.  Exit codes: 0 success, 2 malformed config,
-3 valid matrix outside finite type, 4 a checked contract failed,
-5 false-trail detection (the forensic block is written to the report and
-echoed on stderr).
+Flags win over config keys.  Exit codes: 0 success, 2 malformed config or
+an output path that cannot be written, 3 valid matrix outside finite
+type, 4 a checked contract failed, 5 false-trail detection (the forensic
+block is written to the report and echoed on stderr).
 
 All JSON is written with sorted keys and all listings in sorted order, so
 a fixed config produces byte-identical reports; graphs are emitted as DOT.
@@ -629,6 +629,9 @@ def main(argv=None) -> int:
         return cmd_verify(cfg, args.out, args.suite)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"output error: {e}", file=sys.stderr)
         return 2
     except NotFiniteTypeError as e:
         print(f"not finite type: {e}", file=sys.stderr)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
-from operator import add, le, mul, sub
+from operator import add, le
 
 from .cartan_core import CartanData, WordJ
 from . import linalg
@@ -109,48 +109,6 @@ class _IntegerForm:
         return tuple(out)
 
 
-def _extremal_indices(pts, todo) -> list[int]:
-    """The indices in ``todo`` of extremal points among distinct integer
-    points ``pts``.
-
-    A point p is extremal if some w has w.p > w.q for every other point q;
-    the witnesses tried are w = p and w = n p - (the sum of all n points),
-    both read off p's row of dot products.  A point without a witness is
-    not extremal if it is the midpoint of two others.  Each point left goes
-    to the certified hull LP against the points not yet found inside the
-    hull, which is exact because conv(S) = conv(ext S).
-    """
-    n = len(pts)
-    total = [sum(col) for col in zip(*pts)]
-    tdot = [sum(map(mul, total, q)) for q in pts]
-    pending = []
-    for i in todo:
-        p = pts[i]
-        gram = [sum(map(mul, p, q)) for q in pts]
-        pp = gram[i]
-        gram[i] = pp - 1        # so that the maxima run over the other points
-        if max(gram) < pp:
-            continue
-        wq = [n * g - d for g, d in zip(gram, tdot)]
-        wp = n * pp - tdot[i]
-        wq[i] = wp - 1
-        if max(wq) < wp:
-            continue
-        pending.append(i)
-    inside = set()
-    every = set(pts)
-    for i in pending:
-        twice = [2 * x for x in pts[i]]
-        if any(tuple(map(sub, twice, q)) in every
-               for k, q in enumerate(pts) if k != i):
-            inside.add(i)
-            continue
-        gens = [q for k, q in enumerate(pts) if k != i and k not in inside]
-        if linalg.in_convex_hull(pts[i], gens):
-            inside.add(i)
-    return [i for i in todo if i not in inside]
-
-
 def _extremal_subset(form: _IntegerForm, funcs,
                      known: frozenset = frozenset(), among=None
                      ) -> frozenset[LinearFunctionBJ]:
@@ -159,22 +117,19 @@ def _extremal_subset(form: _IntegerForm, funcs,
 
     ``known`` holds extremal elements of the whole set.  A point extremal
     in a set is extremal in every subset that contains it, so only the
-    points of ``among`` outside ``known`` are tested; the others still
-    span the hull.  Positions where every function of ``funcs`` vanishes
-    are dropped from the points.
+    points of ``among`` outside ``known`` are tested, by
+    :func:`linalg.extremal_points` on the rows of ``funcs``; the others
+    still span the hull.
     """
     idx = sorted(map(form.index.__getitem__, funcs))
     fs = [form.funcs[i] for i in idx]
     if among is None:
         among = funcs
-    if len(fs) <= 2:
-        return frozenset(f for f in fs if f in among)
     out = {f for f in fs if f in among and f in known}
     todo = [k for k, f in enumerate(fs) if f in among and f not in known]
     if todo:
-        axes = [col for col in zip(*(form.rows[i] for i in idx)) if any(col)]
-        pts = list(zip(*axes))
-        out.update(fs[k] for k in _extremal_indices(pts, todo))
+        pts = [form.rows[i] for i in idx]
+        out.update(fs[k] for k in linalg.extremal_points(pts, todo))
     return frozenset(out)
 
 

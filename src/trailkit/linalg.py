@@ -1,16 +1,19 @@
 """Exact linear algebra helpers; no floats anywhere.
 
 Matrices are plain lists of lists (rows).  This is deliberately small: row
-reduction and an inverse over `fractions.Fraction`, and an exact convex-hull
-membership test (the extremality oracle) as a phase-one simplex with Bland's
-rule that pivots fraction-free over the integers and certifies each answer.
+reduction and an inverse over `fractions.Fraction`, an exact convex-hull
+membership test as a phase-one simplex with Bland's rule that pivots
+fraction-free over the integers and certifies each answer, and the one
+extremality routine of the package, which tries integer witnesses and
+midpoints before that test.  Both take distinct points with exact `int`
+coordinates only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import ConsistencyError
@@ -59,14 +62,17 @@ def invert(a: Sequence[Sequence]) -> Matrix:
     return [row[n:] for row in red]
 
 
-def _integer_row(row: list) -> list[int]:
-    """`row` as ints.  A row holding a non-integer is scaled by the lcm of its
-    denominators, which leaves the solution set of its equation unchanged."""
-    if all(type(x) is int for x in row):
-        return row
-    fr = [Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in fr))
-    return [x.numerator * (den // x.denominator) for x in fr]
+def _int_points(points: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """``points`` as tuples.  A coordinate that is not an exact ``int`` (a
+    Fraction, a float or a bool) or a repeated point raises ConsistencyError;
+    :func:`extremal_points` would find each copy of a repeated point inside
+    the hull through the other and drop both."""
+    pts = [tuple(p) for p in points]
+    if not set(map(type, chain.from_iterable(pts))) <= {int}:
+        raise ConsistencyError("a point has a coordinate that is not an int")
+    if len(set(pts)) < len(pts):
+        raise ConsistencyError("a point is repeated")
+    return pts
 
 
 def _eliminate(row: list[int], prow: list[int], pv: int, f: int,
@@ -81,7 +87,8 @@ def _eliminate(row: list[int], prow: list[int], pv: int, f: int,
 
 
 def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
-    """Exact test: does `point` lie in conv(generators)?
+    """Exact test: does `point` lie in conv(generators)?  The generators are
+    distinct and every coordinate is an ``int`` (see :func:`_int_points`).
 
     Phase-one simplex with Bland's rule on the feasibility problem
     sum(l_i * g_i) = p, sum(l_i) = 1, l >= 0, pivoted fraction-free over the
@@ -89,21 +96,20 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     entries times one common denominator d > 0, the absolute determinant of
     the current basis; a pivot on (r, e) keeps row r and turns every other row x,
     the cost row included, into (pv * x - x[e] * row_r) // d, after which
-    d = pv.  Rows of the problem that hold a non-integer Fraction are scaled
-    to integers first.
+    d = pv.
 
     Every answer is certified in integers before it is returned: True by
     weights l >= 0 with sum(l_i g_i) = d p and sum(l_i) = d; False by a Farkas
     vector y with y.A_j <= 0 for every generator column A_j and y.b > 0.  A
     failed certificate raises ConsistencyError.
     """
-    gens = list(generators)
+    gens = _int_points(generators)
+    (point,) = _int_points([point])
     if not gens:
         return False
     n = len(gens)
     # Constraint rows [A_r | b_r]: one per coordinate, then sum(l_i) = 1.
-    rows = [_integer_row([g[r] for g in gens] + [x])
-            for r, x in enumerate(point)]
+    rows = [[g[r] for g in gens] + [x] for r, x in enumerate(point)]
     rows.append([1] * (n + 1))
     rows = [[-x for x in row] if row[n] < 0 else row for row in rows]
     nrows = len(rows)
@@ -158,18 +164,50 @@ def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:
     return False
 
 
-def extremal_points(points: Sequence[Sequence]) -> list[int]:
-    """Indices of points not in the convex hull of the others.
+def extremal_points(points: Sequence[Sequence], todo=None) -> list[int]:
+    """The indices in ``todo`` (default: all) of the extremal points among
+    ``points``, distinct points with ``int`` coordinates.
 
-    Duplicates are never extremal (a duplicate IS in the hull of the rest).
-    Integer coordinates stay ints; an axis holding a non-integer Fraction is
-    scaled to integers first, which changes no hull membership.  This is
-    the body of ``sgraph.extremal_functions``, which ``bench/tracer.py``
-    wraps by name; the envelope decides extremality in ``giant``.
+    Axes where every point vanishes are dropped.  A point p is extremal if
+    some w has w.p > w.q for every other point q; the witnesses tried are
+    w = p and w = n p - (the sum of all n points), both read off p's row of
+    dot products.  A point without a witness is not extremal if it is the
+    midpoint of two others.  Each point left goes to the global
+    :func:`in_convex_hull` (so a wrapper set on it sees every LP) against
+    the points not yet found inside the hull, which is exact because
+    conv(S) = conv(ext S).
     """
-    pts = [tuple(p) for p in points]
-    axes = [_integer_row(list(col)) for col in zip(*pts)]
+    pts = _int_points(points)
+    todo = range(len(pts)) if todo is None else list(todo)
+    axes = [col for col in zip(*pts) if any(col)]
     if axes:
         pts = list(zip(*axes))
-    return [i for i, p in enumerate(pts)
-            if not in_convex_hull(p, pts[:i] + pts[i + 1:])]
+    n = len(pts)
+    total = [sum(col) for col in zip(*pts)]
+    tdot = [sum(map(mul, total, q)) for q in pts]
+    pending = []
+    for i in todo:
+        p = pts[i]
+        gram = [sum(map(mul, p, q)) for q in pts]
+        pp = gram[i]
+        gram[i] = pp - 1        # so that the maxima run over the other points
+        if max(gram) < pp:
+            continue
+        wq = [n * g - d for g, d in zip(gram, tdot)]
+        wp = n * pp - tdot[i]
+        wq[i] = wp - 1
+        if max(wq) < wp:
+            continue
+        pending.append(i)
+    inside = set()
+    every = set(pts)
+    for i in pending:
+        twice = [2 * x for x in pts[i]]
+        if any(tuple(map(sub, twice, q)) in every
+               for k, q in enumerate(pts) if k != i):
+            inside.add(i)
+            continue
+        gens = [q for k, q in enumerate(pts) if k != i and k not in inside]
+        if in_convex_hull(pts[i], gens):
+            inside.add(i)
+    return [i for i in todo if i not in inside]

@@ -233,10 +233,10 @@ def integer_points(coeffs: CoeffVector) -> frozenset[tuple[int, ...]]:
 
 
 def extremal_functions(coeffs: CoeffVector) -> frozenset[tuple[int, ...]]:
-    """Extremal points of the integer-point set, by one exact convex-hull
-    test per point: a test oracle for the S-graph vertex functions.  No CLI
-    path calls it; it stays in the package because ``bench/tracer.py``
-    wraps it by name."""
+    """Extremal points of the integer-point set, by
+    :func:`linalg.extremal_points`; they are the S-graph vertex functions.
+    No CLI path calls it; it stays in the package because
+    ``bench/tracer.py`` wraps it by name."""
     pts = sorted(integer_points(coeffs))
     return frozenset(pts[i] for i in extremal_points(pts))
 

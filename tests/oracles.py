@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from trailkit.bj_crystal import BJElement
 from trailkit.cartan_core import reflect
+from trailkit.errors import ConsistencyError
+from trailkit.linalg import in_convex_hull
 from trailkit.trails import (LinearFunctionBJ, _as_word, face_function,
                              kashiwara_function)
 
@@ -24,6 +26,29 @@ def weyl_act(cartan, word, w):
     for i in word:
         w = reflect(cartan, i, w)
     return w
+
+
+# --- extremality ----------------------------------------------------------
+# The reference for linalg.extremal_points, which tries witnesses and
+# midpoints before any LP: one certified hull LP per point against all the
+# others.
+
+
+def lp_extremal_points(points) -> list[int]:
+    """Indices of the points not in the convex hull of the others."""
+    pts = [tuple(p) for p in points]
+    return [i for i, p in enumerate(pts)
+            if not in_convex_hull(p, pts[:i] + pts[i + 1:])]
+
+
+def lp_extremal_functions(funcs) -> frozenset:
+    """Extremal elements of a set of functions, by
+    :func:`lp_extremal_points` over the union of their supports."""
+    fs = sorted(funcs, key=lambda f: f.terms)
+    axes = sorted({q for f in fs for q, _ in f.terms})
+    rows = [f.as_dict() for f in fs]
+    return frozenset(fs[i] for i in lp_extremal_points(
+        [tuple(d.get(q, 0) for q in axes) for d in rows]))
 
 
 # --- the face cone X_t ------------------------------------------------------
@@ -79,9 +104,22 @@ def in_xt_cone(word, t: int, f: LinearFunctionBJ) -> bool:
 # References for bj_crystal.generate_binf, which lowers by integer columns.
 
 
+def make_element(values=None) -> BJElement:
+    """The element with exponents ``values`` ({position: m}); a position
+    below 1 or a negative m raises ConsistencyError, and zeros are
+    dropped."""
+    items = []
+    for j, m in sorted(dict(values or {}).items()):
+        if j < 1 or m < 0:
+            raise ConsistencyError(f"bad exponent entry ({j}, {m})")
+        if m:
+            items.append((int(j), int(m)))
+    return BJElement(tuple(items))
+
+
 def _sigmas(cartan, word, i: int, b: BJElement, convention: str) -> list[int]:
     """Values r_i^k(b) for k = 1..count(i), in the chosen convention."""
-    values = b.as_dict()
+    values = dict(b.coords)
     n = word.count(i)
     if convention == "dual":
         return [evaluate(kashiwara_function(cartan, word, i, k), values)
@@ -97,10 +135,10 @@ def _sigmas(cartan, word, i: int, b: BJElement, convention: str) -> list[int]:
 
 
 def _bump(b: BJElement, j: int, delta: int) -> BJElement:
-    d = b.as_dict()
+    d = dict(b.coords)
     d[j] = d.get(j, 0) + delta
     assert d[j] >= 0, (b, j, delta)
-    return BJElement.make(d)
+    return make_element(d)
 
 
 def crystal_epsilon(cartan, word, i: int, b: BJElement,

@@ -32,7 +32,6 @@ from trailkit.sgraph import (
     CoeffVector,
     binary_fusion,
     display_tuple,
-    extremal_functions,
     integer_points,
     is_connected,
     line_count,
@@ -51,7 +50,8 @@ from trailkit.trails import (
     trail_function,
 )
 
-from oracles import apply_diagonal_e, apply_diagonal_f, evaluate
+from oracles import (apply_diagonal_e, apply_diagonal_f, evaluate,
+                     lp_extremal_points)
 
 RESULTS: dict[int, tuple[str, str, float]] = {}
 
@@ -260,7 +260,8 @@ def test_criterion_5_sgraph_grid():
                 g = binary_fusion(cv)
                 assert len(g.vertices) == 2 ** r, c
                 funcs = {v.func for v in g.vertices}
-                assert funcs == set(extremal_functions(cv)), c
+                pts = sorted(integer_points(cv))
+                assert funcs == {pts[i] for i in lp_extremal_points(pts)}, c
                 for j in range(1, cv.n + 1):
                     nodes, edges = neighbor_graph(g, j)
                     assert is_connected(nodes, edges), (c, j)
@@ -371,12 +372,12 @@ def test_criterion_8_epsilon_star_consistency(envelopes, cartans,
             for s in labels:
                 assert epsilon_star(env, s, {}) == 0, (key, t, s)
             for b in elements[key]:
-                vals = {epsilon_star(env, s, b.as_dict()) for s in labels}
+                vals = {epsilon_star(env, s, dict(b.coords)) for s in labels}
                 assert len(vals) == 1, (key, t, b)
-                full = max(evaluate(z, b.as_dict())
+                full = max(evaluate(z, dict(b.coords))
                            for z in env.functions)
                 for s in labels:
-                    assert max(evaluate(z, b.as_dict())
+                    assert max(evaluate(z, dict(b.coords))
                                for z in env.z_t(s)) == full, (key, t, s, b)
 
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from trailkit import (build_fundamental, cli, construct_envelope, giant,
                       linalg, validate_gcm)
 from trailkit.bj_crystal import generate_binf
-from trailkit.sgraph import CoeffVector, extremal_functions
+from trailkit.sgraph import CoeffVector, integer_points
 
-from oracles import evaluate
+from oracles import evaluate, lp_extremal_points
 
 
 def write_config(tmp_path, obj, name="job.json"):
@@ -63,6 +63,28 @@ def test_enumerate_creates_out_dir(tmp_path):
     out = tmp_path / "deep" / "er"
     assert cli.main(["enumerate", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "trails.json").is_file()
+
+
+_REPORT_OF = {"enumerate": ("trails.json", A2_JOB),
+            "sgraph": ("sgraph.json", dict(A2_JOB, c=[1, 1])),
+            "verify": ("verify.json", A2_JOB)}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_OF))
+@pytest.mark.parametrize("case", ["out is a file", "out is under a file",
+                                  "report is a directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, case):
+    report, job = _REPORT_OF[command]
+    cfg = write_config(tmp_path, job)
+    blocker = tmp_path / "x"
+    blocker.touch()
+    out = {"out is a file": blocker, "out is under a file": blocker / "sub",
+           "report is a directory": tmp_path / "out"}[case]
+    if case == "report is a directory":
+        (out / report).mkdir(parents=True)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1, err
 
 
 # --- sgraph ------------------------------------------------------------------
@@ -127,7 +149,8 @@ def test_sgraph_box_at_the_limit_is_accepted(tmp_path):
 
 def test_sgraph_extremal_points_come_from_the_s_graph(tmp_path,
                                                      monkeypatch):
-    oracle = sorted(extremal_functions(CoeffVector.make((7, 7, 7))))
+    pts = sorted(integer_points(CoeffVector.make((7, 7, 7))))
+    oracle = [pts[i] for i in lp_extremal_points(pts)]
 
     def no_lp(point, gens):
         raise AssertionError("sgraph ran an extremality LP")
@@ -310,7 +333,7 @@ def test_verify_exits_4_when_a_vertex_set_misses_the_maximum(
     assert env.partial_labels((3,)) == []
     for b in sorted(generate_binf(cartan, word, 4),
                     key=lambda b: (b.total, b.coords)):
-        values = {f: evaluate(f, b.as_dict()) for f in env.functions}
+        values = {f: evaluate(f, dict(b.coords)) for f in env.functions}
         top = max(values.values())
         argmax = [f for f, v in values.items() if v == top]
         if len(argmax) == 1:

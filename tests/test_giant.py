@@ -21,7 +21,6 @@ from trailkit.errors import (
 )
 from trailkit.giant import (check_constructibility, epsilon_star,
                            epsilon_star_batch, extremality_report)
-from trailkit.linalg import in_convex_hull
 from trailkit.sgraph import CoeffVector, binary_fusion
 from trailkit.trails import (
     LinearFunctionBJ,
@@ -30,7 +29,8 @@ from trailkit.trails import (
     trail_function,
 )
 
-from oracles import evaluate, face_cone_coordinates, xt_leq
+from oracles import (evaluate, face_cone_coordinates, lp_extremal_functions,
+                     xt_leq)
 
 
 def _dicts(funcs):
@@ -39,21 +39,8 @@ def _dicts(funcs):
 
 # --- reference algorithms ---------------------------------------------------
 # The envelope runs integer kernels for extremality and for the face-cone
-# order.  These are the plain algorithms they replaced, kept as oracles.
-
-
-def _lp_extremal(funcs) -> frozenset:
-    """Extremal elements of a set of functions: the certified hull LP on
-    each point against all the others, over the union of supports."""
-    fs = sorted(funcs, key=lambda f: f.terms)
-    if len(fs) <= 2:
-        return frozenset(fs)
-    axes = sorted({q for f in fs for q, _ in f.terms})
-    rows = [f.as_dict() for f in fs]
-    coords = [tuple(d.get(q, 0) for q in axes) for d in rows]
-    return frozenset(
-        f for i, f in enumerate(fs)
-        if not in_convex_hull(coords[i], coords[:i] + coords[i + 1:]))
+# order.  These are the plain algorithms they replaced, kept as oracles;
+# the extremality LP is ``oracles.lp_extremal_functions``.
 
 
 def _expand(driving, faces, point):
@@ -131,7 +118,7 @@ def _kernel_checkers(counts: Counter) -> dict:
 
     def extremal_checked(form, funcs, known=frozenset(), among=None):
         got = extremal(form, funcs, known, among)
-        want = _lp_extremal(funcs)
+        want = lp_extremal_functions(funcs)
         assert got == (want if among is None else want & among), sorted(
             f.terms for f in funcs)
         counts["extremal"] += 1
@@ -142,7 +129,7 @@ def _kernel_checkers(counts: Counter) -> dict:
         if later is not None:
             lhs = giant._union(b.vertices for b in blocks)
             assert got == (lhs <= giant._union(b.lower for b in later),
-                           _lp_extremal(lhs)
+                           lp_extremal_functions(lhs)
                            <= giant._union(b.lower_vertices for b in later))
             counts["forward"] += 1
         return got
@@ -208,7 +195,7 @@ def _assert_lower_vertices_match_the_lp(env):
     for b in [b for L in env.layers for b in L.blocks] + list(
             env.global_blocks):
         if b.lower not in oracle:
-            oracle[b.lower] = _lp_extremal(b.lower)
+            oracle[b.lower] = lp_extremal_functions(b.lower)
         assert b.lower_vertices == oracle[b.lower], (b.s, b.c)
         if b.c and b.c[-1] != 0:
             faces = _faces(env.word, b)
@@ -245,7 +232,7 @@ def test_blocks_expand_as_function_arithmetic(envelopes, cartans):
 
 def test_envelope_extremal_set_is_the_plain_lp_result(envelopes):
     for (key, t), env in envelopes.items():
-        assert env.extremal == _lp_extremal(env.functions), (key, t)
+        assert env.extremal == lp_extremal_functions(env.functions), (key, t)
         rep = extremality_report(env)
         assert rep["extremal"] == len(env.extremal)
 
@@ -260,10 +247,11 @@ def test_known_extremal_points_match_the_plain_lp(full_words, maps, keep):
     whole = frozenset(LinearFunctionBJ.from_coeffs(m) for m in maps)
     form = giant._IntegerForm(full_words["G2"], whole)
     known = giant._extremal_subset(form, whole)
-    assert known == _lp_extremal(whole)
+    assert known == lp_extremal_functions(whole)
     part = {f for f, k in zip(form.funcs, keep) if k}
     assert (giant._extremal_subset(form, part, known)
-            == giant._extremal_subset(form, part) == _lp_extremal(part))
+            == giant._extremal_subset(form, part)
+            == lp_extremal_functions(part))
     assert giant._extremal_subset(form, whole, among=part) == known & part
 
 
@@ -460,11 +448,11 @@ def test_epsilon_star_values_match_brute_force(envelopes, cartans,
             assert env.z_t(s) is env.z_t(s)
         for b in generate_binf(cartans[cartan_key(key)], full_words[key], 3):
             (vals,) = epsilon_star_batch(env, labels, [b.coords])
-            full = max(evaluate(z, b.as_dict()) for z in env.functions)
+            full = max(evaluate(z, dict(b.coords)) for z in env.functions)
             for s in labels:
-                brute = max(evaluate(z, b.as_dict()) for z in vertex_sets[s])
+                brute = max(evaluate(z, dict(b.coords)) for z in vertex_sets[s])
                 assert vals[s] == brute == full, (key, t, s, b)
-                assert epsilon_star(env, s, b.as_dict()) == full
+                assert epsilon_star(env, s, dict(b.coords)) == full
 
 
 def test_epsilon_star_batch_matches_each_element(envelopes, cartans,
@@ -478,7 +466,7 @@ def test_epsilon_star_batch_matches_each_element(envelopes, cartans,
         assert len(batch) == len(elems)
         for b, vals in zip(elems, batch):
             assert [vals] == epsilon_star_batch(env, labels, [b.coords])
-            full = max(evaluate(z, b.as_dict()) for z in env.functions)
+            full = max(evaluate(z, dict(b.coords)) for z in env.functions)
             assert vals == {s: full for s in labels}, (key, t, b)
     # exponents given as a sequence, or at positions off the word
     env = envelopes["G2", 2]
@@ -517,7 +505,7 @@ def test_partial_labels_miss_a_settled_function(envelopes):
         partial[key, t] = got
         elems = generate_binf(env.cartan, env.word, 3)
         for b in elems:
-            full = max(evaluate(f, b.as_dict()) for f in env.functions)
+            full = max(evaluate(f, dict(b.coords)) for f in env.functions)
             assert epsilon_star_batch(env, labels, [b.coords]) == [{
                 s: full for s in labels}]
     assert {k: v for k, v in partial.items() if v} == {

@@ -1,13 +1,17 @@
-"""The integer convex-hull LP against the Fraction simplex it replaced.
+"""The integer convex-hull LP against the Fraction simplex it replaced, and
+the extremality routine against the plain LP.
 
 ``_reference_in_convex_hull`` is the phase-one simplex with Bland's rule
 over `fractions.Fraction` that `linalg.in_convex_hull` used before it
 pivoted fraction-free over the integers.  It lives here only, as the oracle.
+``oracles.lp_extremal_points`` runs one hull LP per point against all the
+others.  Both routines take distinct integer points only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,8 @@ from hypothesis import strategies as st
 from trailkit import linalg
 from trailkit.errors import ConsistencyError
 from trailkit.linalg import extremal_points, in_convex_hull
+
+from oracles import lp_extremal_points
 
 
 def _reference_in_convex_hull(point, generators) -> bool:
@@ -71,32 +77,42 @@ def _reference_extremal_points(points) -> list[int]:
 
 
 _INT = st.integers(-4, 4)
-_FRAC = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
 
 
 @st.composite
 def point_sets(draw):
-    """0-10 points in dims 1-6 with int or Fraction coordinates, some of
-    them repeated, on one line, or midpoints of two others."""
+    """0-10 distinct integer points in dims 1-6: plain, on one line, on one
+    hyperplane, or with midpoints of two others."""
     dim = draw(st.integers(1, 6))
-    coord = draw(st.sampled_from([_INT, _FRAC, st.one_of(_INT, _FRAC)]))
-    pts = draw(st.lists(st.tuples(*[coord] * dim), max_size=10))
-    shape = draw(st.sampled_from(["plain", "duplicates", "collinear",
+    pts = draw(st.lists(st.tuples(*[_INT] * dim), max_size=10))
+    shape = draw(st.sampled_from(["plain", "collinear", "hyperplane",
                                   "midpoints"]))
-    if pts and shape == "duplicates":
-        pts += draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
-    elif pts and shape == "collinear":
+    if pts and shape == "collinear":
         base, step = pts[0], draw(st.tuples(*[_INT] * dim))
         pts = [tuple(b + k * s for b, s in zip(base, step))
                for k in draw(st.lists(st.integers(-3, 3), min_size=1,
                                       max_size=8))]
+    elif pts and shape == "hyperplane":
+        # the last coordinate is an integer affine function of the others
+        normal, rhs = draw(st.tuples(*[_INT] * dim)), draw(_INT)
+        pts = [p[:-1] + (rhs + sum(map(mul, normal, p[:-1])),) for p in pts]
     elif len(pts) >= 2 and shape == "midpoints":
+        pts = [tuple(2 * x for x in p) for p in pts]
         for _ in range(draw(st.integers(1, 3))):
             i = draw(st.integers(0, len(pts) - 1))
             j = draw(st.integers(0, len(pts) - 1))
-            pts.append(tuple(Fraction(a + b, 2)
-                             for a, b in zip(pts[i], pts[j])))
-    return draw(st.permutations(pts[:10]))
+            pts.append(tuple(map(add, pts[i], pts[j])))
+    return draw(st.permutations(list(dict.fromkeys(pts))[:10]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(), st.data())
+def test_extremal_points_agree_with_the_plain_lp(pts, data):
+    order = data.draw(st.permutations(range(len(pts))))
+    todo = order[:data.draw(st.integers(0, len(pts)))]
+    want = lp_extremal_points(pts)
+    assert extremal_points(pts) == want
+    assert extremal_points(pts, todo) == [i for i in todo if i in want]
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,23 +126,36 @@ def test_extremal_points_agree_with_fraction_simplex(pts):
 def test_in_convex_hull_agrees_with_fraction_simplex(gens, data):
     dim = len(gens[0]) if gens else data.draw(st.integers(1, 6))
     probe = data.draw(st.one_of(
-        st.tuples(*[st.one_of(_INT, _FRAC)] * dim),
+        st.tuples(*[_INT] * dim),
         st.sampled_from(gens) if gens else st.nothing()))
     assert in_convex_hull(probe, gens) == _reference_in_convex_hull(probe,
                                                                     gens)
 
 
-def test_duplicate_as_int_and_fraction_is_not_extremal():
-    pts = [(0, 0), (3, 1), (Fraction(3), Fraction(1)), (0, 4)]
-    assert extremal_points(pts) == [0, 3]
-    assert extremal_points([(Fraction(3, 2), 2), (Fraction(3, 2), 2)]) == []
+@pytest.mark.parametrize("pts", [
+    [(-1,), (2,), (-1,), (0,)],   # both copies of -1 would test "inside"
+    [(0, 0), (3, 1), (Fraction(3), Fraction(1)), (0, 4)],
+    [(0, 0), (Fraction(3, 2), 2)],
+    [(0, 0), (1.0, 2)],
+    [(0, 0), (True, 2)],
+], ids=["repeated", "int-and-fraction-copy", "fraction", "float", "bool"])
+def test_repeated_or_non_int_points_raise(pts):
+    with pytest.raises(ConsistencyError, match="repeated|not an int"):
+        extremal_points(pts)
+    with pytest.raises(ConsistencyError, match="repeated|not an int"):
+        in_convex_hull((0,) * len(pts[0]), pts)
+
+
+def test_a_non_int_probe_raises():
+    with pytest.raises(ConsistencyError, match="not an int"):
+        in_convex_hull((Fraction(1, 2), 0), [(0, 0), (1, 0)])
 
 
 def test_integer_inputs_build_no_fraction(monkeypatch):
     def forbidden(*args):
         raise AssertionError("Fraction built for integer input")
     monkeypatch.setattr(linalg, "Fraction", forbidden)
-    pts = [(0, 0, 1), (4, 0, 1), (0, 4, 1), (4, 4, 1), (2, 2, 1), (2, 2, 1)]
+    pts = [(0, 0, 1), (4, 0, 1), (0, 4, 1), (4, 4, 1), (2, 2, 1), (1, 2, 1)]
     assert extremal_points(pts) == [0, 1, 2, 3]
     assert in_convex_hull((1, 3, 1), pts)
     assert not in_convex_hull((5, 0, 1), pts)

@@ -22,6 +22,14 @@ from trailkit.sgraph import (
     to_dot,
 )
 
+from oracles import lp_extremal_points
+
+
+def _lp_extremal_set(cv) -> set:
+    """The extremal lattice points of K(c) by the plain LP."""
+    pts = sorted(integer_points(cv))
+    return {pts[i] for i in lp_extremal_points(pts)}
+
 
 # --- the exact linear-algebra oracles used everywhere below ---------------
 
@@ -51,9 +59,11 @@ def test_convex_hull_membership():
 def test_extremal_points_hand_cases():
     pts = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
     assert extremal_points(pts) == [0, 1, 2, 3]
-    # duplicated points are never extremal
-    assert extremal_points([(0, 0), (0, 0), (1, 0)]) == [2]
+    assert extremal_points(pts, [4, 2]) == [2]
     assert extremal_points([(5,)]) == [0]
+    # points must be distinct
+    with pytest.raises(ConsistencyError, match="repeated"):
+        extremal_points([(0, 0), (0, 0), (1, 0)])
 
 
 # --- coefficient vectors ---------------------------------------------------
@@ -155,7 +165,7 @@ def test_polytope_32_extremal():
     cv = CoeffVector.make((3, 2))
     assert sorted(extremal_functions(cv)) == [(0, 0), (0, 2), (1, 0), (3, 2)]
     g = binary_fusion(cv)
-    assert {v.func for v in g.vertices} == set(extremal_functions(cv))
+    assert {v.func for v in g.vertices} == _lp_extremal_set(cv)
 
 
 def test_line_tables_32():
@@ -201,7 +211,8 @@ def test_vertices_are_extremal_grid():
     for c in _all_cs(max_len=3, max_entry=2):
         cv = CoeffVector.make(c)
         g = binary_fusion(cv)
-        assert {v.func for v in g.vertices} == set(extremal_functions(cv)), c
+        funcs = {v.func for v in g.vertices}
+        assert funcs == _lp_extremal_set(cv) == extremal_functions(cv), c
 
 
 def test_vertices_inside_polytope_grid():
