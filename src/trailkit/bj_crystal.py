@@ -1,7 +1,8 @@
 """Crystal operations on the exponent lattice of a reduced word.
 
 An element is a finitely supported tuple of exponents m_j >= 0, one per
-word position; the composite crystal is the product of one elementary
+word position, stored as its sorted (position, m_j) pairs with every kept
+m_j positive; the composite crystal is the product of one elementary
 crystal per letter with the j-th letter as the j-th factor from the right.
 On such a product the raising and lowering rules reduce to the Kashiwara
 functions r_i^k: the lowering operator adds 1 at the i-occurrence with the
@@ -16,26 +17,12 @@ is "dual" so that crystal data and trail data live on the same surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
-from .cartan_core import CartanData, WordJ
+from .cartan_core import WordJ
 from .errors import ConfigError, NotApplicable
-from .trails import _as_word
 
 CONVENTIONS = ("dual", "straight")
-
-
-@dataclass(frozen=True)
-class BJElement:
-    """Finitely supported exponents, stored as sorted (position, m) pairs
-    with every kept m positive."""
-
-    coords: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def total(self) -> int:
-        return sum(v for _, v in self.coords)
 
 
 def _kashiwara_columns(word: WordJ, convention: str):
@@ -59,21 +46,25 @@ def _kashiwara_columns(word: WordJ, convention: str):
     return word.memoized(("kashiwara_columns", convention), build)
 
 
-def generate_binf(cartan: CartanData, word, depth: int,
-                  convention: str = "dual") -> frozenset[BJElement]:
+def generate_binf(word: WordJ, depth: int, convention: str = "dual"
+                  ) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All elements reachable from the empty element by at most ``depth``
-    lowering steps.
+    lowering steps, as (position, m) pairs.
 
     A breadth-first search on exponent tuples.  Each tuple carries its
     Kashiwara values, one per position, and a lowering step by label i adds
     1 at the least i-occurrence q maximizing r_i^k, which adds the integer
-    column of q to those values (:func:`_kashiwara_columns`).
+    column of q to those values (:func:`_kashiwara_columns`).  A step adds
+    1 to the total of the exponents, so the search finds each element at
+    the depth equal to its total.  The elements come depth by depth, each
+    depth sorted.
     """
-    word = _as_word(cartan, word)
     if depth < 0:
         raise ConfigError("depth must be non-negative")
+    cartan = word.cartan
     start = (0,) * word.m
     seen = {start}
+    levels = [[(start, start)]]     # (exponents, Kashiwara values) per depth
     if depth:
         if convention not in CONVENTIONS:
             raise ConfigError(f"unknown convention {convention!r}")
@@ -84,10 +75,9 @@ def generate_binf(cartan: CartanData, word, depth: int,
         occurrences = [[word.position(i, k) - 1
                         for k in range(1, word.count(i) + 1)]
                        for i in cartan.labels]
-        frontier = [(start, start)]
         for _ in range(depth):
             nxt = []
-            for x, r in frontier:
+            for x, r in levels[-1]:
                 for ps in occurrences:
                     # the least occurrence among those maximizing r_i^k
                     q = max(ps, key=r.__getitem__)
@@ -95,14 +85,7 @@ def generate_binf(cartan: CartanData, word, depth: int,
                     if y not in seen:
                         seen.add(y)
                         nxt.append((y, tuple(map(add, r, cols[q]))))
-            frontier = nxt
-    return frozenset(
-        BJElement(tuple((j, v) for j, v in enumerate(x, start=1) if v))
-        for x in seen)
-
-
-def dump_elements(elems) -> list[dict]:
-    """Deterministic JSON-ready listing, shallowest first."""
-    order = sorted((b.total, b.coords) for b in elems)
-    return [{"coords": [[j, m] for j, m in coords], "total": total}
-            for total, coords in order]
+            levels.append(nxt)
+    return tuple(b for level in levels for b in sorted(
+        tuple((j, v) for j, v in enumerate(x, start=1) if v)
+        for x, _ in level))

@@ -286,16 +286,16 @@ def _append_letter(cartan: CartanData, cols, i: int) -> None:
     cols[ci] = [-x for x in pivot]
 
 
-def is_reduced(cartan: CartanData, word) -> bool:
-    """True iff the word is a reduced expression.
+def is_reduced(cartan: CartanData, letters) -> bool:
+    """True iff the letters form a reduced expression.
 
     Tracks the columns of w^{-1} on the root lattice: appending letter i is
     length-additive exactly when w^{-1}(alpha_i) is still a positive root.
     """
-    for i in word:
+    for i in letters:
         cartan.check_label(i)
     cols = _unit_columns(cartan.n)
-    for i in word:
+    for i in letters:
         if any(x < 0 for x in cols[i - 1]):
             return False
         _append_letter(cartan, cols, i)

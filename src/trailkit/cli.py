@@ -29,7 +29,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .bj_crystal import CONVENTIONS, dump_elements, generate_binf
+from .bj_crystal import CONVENTIONS, generate_binf
 from .cartan_core import CartanData, WordJ, require_finite, validate_gcm
 from .errors import (ConfigError, FalseTrailDetected, NotFiniteTypeError,
                      TrailkitError)
@@ -351,7 +351,7 @@ def cmd_enumerate(cfg: JobConfig, out: str) -> int:
     modules = []
     for t in cfg.labels:
         M = build_fundamental(cfg.cartan, t)
-        trails = sorted(enumerate_trails(M, cfg.word, t),
+        trails = sorted(enumerate_trails(M, cfg.word),
                         key=lambda K: K.exps)
         by_phi: dict[int, int] = {}
         for K in trails:
@@ -410,7 +410,7 @@ def cmd_sgraph(cfg: JobConfig, out: str) -> int:
                 f"class selector: position {j} carries letter "
                 f"{cfg.word.letters[j - 1]}, not s={s}")
         M = build_fundamental(cfg.cartan, t)
-        trails = enumerate_trails(M, cfg.word, t)
+        trails = enumerate_trails(M, cfg.word)
         classes = group_ts_classes([K for K in trails if K.phi <= j], s, j)
         for idx, cls in enumerate(sorted(classes, key=lambda x: x.c)):
             _check_box(f"class selector t={t} s={s} j={j}, class {idx}",
@@ -495,14 +495,14 @@ def _suite_sgraph() -> dict:
 
 
 def _suite_trails(cfg: JobConfig) -> dict:
-    cartan, word = cfg.cartan, cfg.word
+    word = cfg.word
     checked = failed = 0
-    for s in cartan.labels:
+    for s in cfg.cartan.labels:
         for k in range(2, word.count(s) + 1):
-            want = (kashiwara_function(cartan, word, s, k - 1)
-                    - kashiwara_function(cartan, word, s, k))
+            want = (kashiwara_function(word, s, k - 1)
+                    - kashiwara_function(word, s, k))
             checked += 1
-            if face_function(cartan, word, s, k)[1] != want:
+            if face_function(word, s, k)[1] != want:
                 failed += 1
     return {"face_identity": {"checked": checked, "failed": failed},
             "ok": failed == 0}
@@ -510,15 +510,14 @@ def _suite_trails(cfg: JobConfig) -> dict:
 
 def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
     out: dict = {"modules": [], "ok": True}
-    crystal = None  # (element coordinates, listing): the same for every t
+    crystal = None  # (elements, listing): the same for every t
     for t in cfg.labels:
         M = build_fundamental(cfg.cartan, t)
         spurious = None
         if cfg.inject_spurious:
-            spurious = trail_function(
-                driving_trail(cfg.cartan, cfg.word, t)).scale(2)
+            spurious = trail_function(driving_trail(cfg.word, t)).scale(2)
         try:
-            env = construct_envelope(M, cfg.word, t, spurious=spurious)
+            env = construct_envelope(M, cfg.word, spurious=spurious)
         except FalseTrailDetected as e:
             forensics["false_trail"] = {
                 "t": t,
@@ -529,11 +528,12 @@ def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
                 "detail": e.detail,
             }
             raise
-        rep = check_constructibility(env, cfg.word.m)
+        rep = check_constructibility(env)
         if crystal is None:
-            listing = dump_elements(generate_binf(
-                cfg.cartan, cfg.word, cfg.depth, cfg.convention))
-            crystal = ([b["coords"] for b in listing], listing)
+            elements = generate_binf(cfg.word, cfg.depth, cfg.convention)
+            crystal = (elements, [
+                {"coords": [[j, m] for j, m in b],
+                 "total": sum(m for _, m in b)} for b in elements])
         # every label's maximum equals the overall one, or this raises; a
         # label whose vertex functions are all the settled functions takes
         # the overall maximum by definition, so only the others are checked

@@ -534,20 +534,17 @@ def _forward(form: _IntegerForm, blocks, later,
             not (outside and _extremal_subset(form, lhs, extremal, outside)))
 
 
-def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
+def construct_envelope(M: LowestWeightModule, word, *,
                        spurious: LinearFunctionBJ | None = None) -> Envelope:
-    """Build and verify the step decomposition of all trail functions.
+    """Build and verify the step decomposition of all trail functions of
+    type ``M.t``.
 
     ``spurious`` smuggles one extra function into the settled layers so the
     detection path can be exercised end to end.
     """
-    if t is None:
-        t = M.t
-    if t != M.t:
-        raise ConsistencyError(f"module was built for t={M.t}, not t={t}")
-    cartan = M.cartan
+    t, cartan = M.t, M.cartan
     w = _as_word(cartan, word)
-    trails = enumerate_trails(M, w, t)
+    trails = enumerate_trails(M, w)
     fn_of = {K.exps: trail_function(K) for K in trails}
     funcs = frozenset(fn_of.values())
     if len(funcs) != len(trails):
@@ -555,7 +552,7 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
     all_funcs = funcs if spurious is None else funcs | {spurious}
     form = _IntegerForm(w, all_funcs)
     t1 = w.position(t, 1)
-    zt1 = trail_function(driving_trail(cartan, w, t))
+    zt1 = trail_function(driving_trail(w, t))
     built: dict = {}    # (s, driver, c) -> per-step block
     # a function settles at the last position where it is non-zero
     settling = [[] for _ in range(w.m + 1)]
@@ -608,16 +605,16 @@ def construct_envelope(M: LowestWeightModule, word, t: int | None = None, *,
                     extremal, form)
 
 
-def check_constructibility(env: Envelope, j1: int) -> dict:
-    """Forward-containment report up to step j1; failures are entries."""
+def check_constructibility(env: Envelope) -> dict:
+    """Forward-containment report from the driving step to the end of the
+    word; failures are entries."""
     t1 = env.word.position(env.t, 1)
     steps = [{"j": L.j, "s": L.s, "forward": L.forward_ok,
               "forward_vertex": L.forward_vertex_ok}
-             for L in env.layers if t1 <= L.j <= j1]
+             for L in env.layers if t1 <= L.j]
     return {
         "t": env.t,
         "driving_step": t1,
-        "j1": j1,
         "steps": steps,
         "pass": all(e["forward"] for e in steps),
         "pass_strong": all(e["forward_vertex"] for e in steps),

@@ -105,9 +105,14 @@ class LinearFunctionBJ:
 
 
 def _as_word(cartan: CartanData, word) -> WordJ:
-    if isinstance(word, WordJ):
-        return word
-    return WordJ(cartan, tuple(word))
+    """``word`` as a word over ``cartan``: a letter tuple is wrapped, and a
+    WordJ over another matrix raises ConsistencyError."""
+    if not isinstance(word, WordJ):
+        return WordJ(cartan, tuple(word))
+    if word.cartan != cartan:
+        raise ConsistencyError(f"the word {word.letters} is over another "
+                               "Cartan matrix than the module")
+    return word
 
 
 def _letter_roots(word: WordJ) -> tuple[Weight, ...]:
@@ -237,10 +242,9 @@ class Trail:
         }
 
 
-def driving_trail(cartan: CartanData, word, t: int) -> Trail:
+def driving_trail(word: WordJ, t: int) -> Trail:
     """The driving trail of type t: constant at -s_t(omega_t) through the
     first occurrence of t, then the extremal weights -w_j(omega_t)."""
-    word = _as_word(cartan, word)
     exps, gamma = word.memoized(("driving_trail", t),
                                 lambda: _build_driving_trail(word, t))
     return Trail._walked(word, t, exps, gamma)
@@ -268,12 +272,11 @@ def trail_function(K: Trail) -> LinearFunctionBJ:
     return f
 
 
-def kashiwara_function(cartan: CartanData, word, s: int, k: int) -> LinearFunctionBJ:
+def kashiwara_function(word: WordJ, s: int, k: int) -> LinearFunctionBJ:
     """r_s^k = m_s^k + sum over positions j after (s,k) of
     alpha_{i_j}^vee(alpha_s) m_j; for k = 0 the sum runs over the whole word.
     Built once per word and (s, k)."""
-    word = _as_word(cartan, word)
-    cartan.check_label(s)
+    word.cartan.check_label(s)
     return word.memoized(("kashiwara", s, k),
                          lambda: _build_kashiwara(word, s, k))
 
@@ -287,15 +290,15 @@ def _build_kashiwara(word: WordJ, s: int, k: int) -> LinearFunctionBJ:
     return LinearFunctionBJ.from_coeffs(coeffs)
 
 
-def face_function(cartan: CartanData, word, s: int,
+def face_function(word: WordJ, s: int,
                   k: int) -> tuple[tuple[Weight, ...], LinearFunctionBJ]:
     """The closed face of type (s, k > 1): weights equal to alpha_s on the
     half-open stretch ((s,k-1), (s,k)], zero elsewhere, and its function
     m_u + sum_{v<j<u} alpha_{i_j}^vee(alpha_s) m_j + m_v."""
-    word = _as_word(cartan, word)
     if k == 1:
         raise OpenFaceRequest(
-            "k = 1 is the open face; its trail is driving_trail(cartan, word, s)")
+            "k = 1 is the open face; its trail is driving_trail(word, s)")
+    cartan = word.cartan
     u = word.position(s, k)
     v = word.position(s, k - 1)
     alpha = cartan.simple_root(s)
@@ -318,7 +321,7 @@ def _build_face_basis(word: WordJ) -> dict[int, LinearFunctionBJ]:
     basis = {}
     for s in word.cartan.labels:
         for k in range(2, word.count(s) + 1):
-            _, f = face_function(word.cartan, word, s, k)
+            _, f = face_function(word, s, k)
             basis[word.position(s, k)] = f
     return basis
 
@@ -339,17 +342,15 @@ def _chain(M: LowestWeightModule, word: WordJ,
     return out
 
 
-def make_trail(M: LowestWeightModule, word, t: int, exps) -> Trail | None:
-    """The trail with the given exponents, or None if the axioms or
-    realizability fail.  The module must be built for ``t``."""
+def make_trail(M: LowestWeightModule, word, exps) -> Trail | None:
+    """The trail of type ``M.t`` with the given exponents, or None if the
+    axioms or realizability fail."""
     word = _as_word(M.cartan, word)
-    if t != M.t:
-        raise ConsistencyError(f"module is built for t={M.t}, not t={t}")
     exps = tuple(exps)
     if len(exps) != word.m:
         return None
     try:
-        K = Trail(word, t, exps)
+        K = Trail(word, M.t, exps)
     except ConsistencyError:
         return None
     if _chain(M, word, exps) is None:
@@ -357,8 +358,8 @@ def make_trail(M: LowestWeightModule, word, t: int, exps) -> Trail | None:
     return K
 
 
-def enumerate_trails(M: LowestWeightModule, word, t: int) -> frozenset[Trail]:
-    """All trails for (word, t), by depth-first search on exponents.
+def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
+    """All trails for (word, M.t), by depth-first search on exponents.
 
     Branches are cut when the partial monomial vector vanishes, when a
     weight drops below the driving trail, or when the deficit to the final
@@ -369,8 +370,7 @@ def enumerate_trails(M: LowestWeightModule, word, t: int) -> frozenset[Trail]:
     Finite-dimensionality bounds every branch.
     """
     word = _as_word(M.cartan, word)
-    if t != M.t:
-        raise ConsistencyError(f"module is built for t={M.t}, not t={t}")
+    t = M.t
     m = word.m
     drive, low = _driving_data(word, t)
     alphas = _letter_roots(word)
@@ -422,7 +422,7 @@ def enumerate_trails(M: LowestWeightModule, word, t: int) -> frozenset[Trail]:
 
     trails = frozenset(found)
     first = word.position(t, 1)
-    drv = driving_trail(M.cartan, word, t)
+    drv = driving_trail(word, t)
     earliest = [K for K in trails if K.phi <= first]
     if earliest != [drv]:
         raise ConsistencyError(
@@ -455,10 +455,6 @@ class TsClass:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @property
-    def l(self) -> tuple[int, ...]:
-        return self.k_tuples[0]
 
 
 def _partial_sums(xs) -> list[int]:
@@ -527,8 +523,6 @@ def group_ts_classes(trails, s: int, j: int) -> list[TsClass]:
                 raise ConsistencyError(
                     f"member c'={cp} exceeds the class bound c={c}")
             c_primes.append(cp)
-        if c_primes[l_idx] != (0,) * n:
-            raise ConsistencyError("the lex-least member must have c' = 0")
         out.append(TsClass(s, j, positions, a, members, k_tuples,
                            l_min, c, tuple(c_primes)))
     return out
@@ -587,6 +581,9 @@ def _shift_face(K: Trail, s: int, k: int, M: LowestWeightModule,
                 sign: int) -> Trail | None:
     if k <= 1:
         raise OpenFaceRequest("only closed faces (k > 1) can be adjoined")
+    if K.t != M.t:
+        raise ConsistencyError(
+            f"a trail of type t={K.t} moved in the module of t={M.t}")
     u = K.word.position(s, k)
     v = K.word.position(s, k - 1)
     exps = list(K.exps)
@@ -594,7 +591,7 @@ def _shift_face(K: Trail, s: int, k: int, M: LowestWeightModule,
     exps[u - 1] -= sign
     if exps[v - 1] < 0 or exps[u - 1] < 0:
         return None
-    return make_trail(M, K.word, K.t, exps)
+    return make_trail(M, K.word, exps)
 
 
 def minimal_in_class(M: LowestWeightModule, cls: TsClass, K: Trail) -> bool:

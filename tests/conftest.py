@@ -71,7 +71,7 @@ def envelopes(modules, full_words):
     out = {}
     for key, t in ENVELOPE_FIXTURES:
         out[key, t] = construct_envelope(
-            modules[cartan_key(key), t], full_words[key], t)
+            modules[cartan_key(key), t], full_words[key])
     return out
 
 

@@ -6,7 +6,6 @@ computes another way; none of them runs in the package itself.
 
 from __future__ import annotations
 
-from trailkit.bj_crystal import BJElement
 from trailkit.cartan_core import reflect
 from trailkit.errors import ConsistencyError
 from trailkit.linalg import in_convex_hull
@@ -60,8 +59,8 @@ def driving_function(cartan, word, s: int) -> LinearFunctionBJ:
     """z_s^1 = r_s^0 - r_s^1 = m_s^1 + sum over positions j before (s,1) of
     alpha_{i_j}^vee(alpha_s) m_j."""
     word = _as_word(cartan, word)
-    return (kashiwara_function(cartan, word, s, 0)
-            - kashiwara_function(cartan, word, s, 1))
+    return (kashiwara_function(word, s, 0)
+            - kashiwara_function(word, s, 1))
 
 
 def face_cone_coordinates(word, f: LinearFunctionBJ):
@@ -71,7 +70,7 @@ def face_cone_coordinates(word, f: LinearFunctionBJ):
     positions, so back-substitution from the highest position down either
     expresses f exactly or proves it is outside their integer span.
     """
-    basis = {word.position(s, k): face_function(word.cartan, word, s, k)[1]
+    basis = {word.position(s, k): face_function(word, s, k)[1]
              for s in word.cartan.labels
              for k in range(2, word.count(s) + 1)}
     residual = f.as_dict()
@@ -102,9 +101,12 @@ def in_xt_cone(word, t: int, f: LinearFunctionBJ) -> bool:
 
 # --- the crystal, one operator at a time --------------------------------------
 # References for bj_crystal.generate_binf, which lowers by integer columns.
+# An element is its sorted (position, m) pairs with every kept m positive.
+
+Element = tuple[tuple[int, int], ...]
 
 
-def make_element(values=None) -> BJElement:
+def make_element(values=None) -> Element:
     """The element with exponents ``values`` ({position: m}); a position
     below 1 or a negative m raises ConsistencyError, and zeros are
     dropped."""
@@ -114,15 +116,20 @@ def make_element(values=None) -> BJElement:
             raise ConsistencyError(f"bad exponent entry ({j}, {m})")
         if m:
             items.append((int(j), int(m)))
-    return BJElement(tuple(items))
+    return tuple(items)
 
 
-def _sigmas(cartan, word, i: int, b: BJElement, convention: str) -> list[int]:
+def total(b: Element) -> int:
+    """The sum of the exponents of b: its depth in the crystal."""
+    return sum(m for _, m in b)
+
+
+def _sigmas(cartan, word, i: int, b: Element, convention: str) -> list[int]:
     """Values r_i^k(b) for k = 1..count(i), in the chosen convention."""
-    values = dict(b.coords)
+    values = dict(b)
     n = word.count(i)
     if convention == "dual":
-        return [evaluate(kashiwara_function(cartan, word, i, k), values)
+        return [evaluate(kashiwara_function(word, i, k), values)
                 for k in range(1, n + 1)]
     out = []
     for k in range(1, n + 1):
@@ -134,21 +141,21 @@ def _sigmas(cartan, word, i: int, b: BJElement, convention: str) -> list[int]:
     return out
 
 
-def _bump(b: BJElement, j: int, delta: int) -> BJElement:
-    d = dict(b.coords)
+def _bump(b: Element, j: int, delta: int) -> Element:
+    d = dict(b)
     d[j] = d.get(j, 0) + delta
     assert d[j] >= 0, (b, j, delta)
     return make_element(d)
 
 
-def crystal_epsilon(cartan, word, i: int, b: BJElement,
+def crystal_epsilon(cartan, word, i: int, b: Element,
                     convention: str = "dual") -> int:
     """Largest Kashiwara-function value; string length left for raising."""
     return max(_sigmas(cartan, _as_word(cartan, word), i, b, convention))
 
 
-def crystal_f(cartan, word, i: int, b: BJElement,
-              convention: str = "dual") -> BJElement:
+def crystal_f(cartan, word, i: int, b: Element,
+              convention: str = "dual") -> Element:
     """Add one to the exponent at the least maximizing i-occurrence."""
     word = _as_word(cartan, word)
     sig = _sigmas(cartan, word, i, b, convention)
@@ -156,8 +163,8 @@ def crystal_f(cartan, word, i: int, b: BJElement,
     return _bump(b, word.position(i, k), +1)
 
 
-def crystal_e(cartan, word, i: int, b: BJElement,
-              convention: str = "dual") -> BJElement | None:
+def crystal_e(cartan, word, i: int, b: Element,
+              convention: str = "dual") -> Element | None:
     """Remove one at the greatest maximizing i-occurrence, or None at the
     bottom of the i-string (maximum not positive)."""
     word = _as_word(cartan, word)

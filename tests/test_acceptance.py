@@ -181,9 +181,9 @@ def test_criterion_3_face_identity_random_words():
             assert w.m <= 12 and is_reduced(c, w.letters)
             for s in c.labels:
                 for k in range(2, w.count(s) + 1):
-                    want = (kashiwara_function(c, w, s, k - 1)
-                            - kashiwara_function(c, w, s, k))
-                    assert face_function(c, w, s, k)[1] == want, \
+                    want = (kashiwara_function(w, s, k - 1)
+                            - kashiwara_function(w, s, k))
+                    assert face_function(w, s, k)[1] == want, \
                         (w.letters, s, k)
                     faces += 1
         assert faces > 40  # the sample actually exercises the identity
@@ -325,9 +325,9 @@ def test_criterion_7_no_false_trails_fixtures(modules, full_words):
         for key, t in fixtures:
             M = modules["B2" if key == "B2r" else key, t]
             w = full_words[key]
-            env = construct_envelope(M, w, t)
+            env = construct_envelope(M, w)
             trail_funcs = {trail_function(K)
-                           for K in enumerate_trails(M, w, t)}
+                           for K in enumerate_trails(M, w)}
             assert env.functions == trail_funcs, (key, t)
             # whole-word sweep: for every auxiliary type s the union of
             # class blocks reproduces exactly the trail functions
@@ -353,31 +353,29 @@ def test_criterion_7_no_false_trails_fixtures(modules, full_words):
             if key in ("A2", "A3"):
                 orbit = _weyl_orbit(M.cartan,
                                     M.weights[M.lowest_index])
-                for K in enumerate_trails(M, w, t):
+                for K in enumerate_trails(M, w):
                     assert all(gz in orbit for gz in K.gamma), (key, t)
 
 
 # -- 8 -----------------------------------------------------------------------
 
 
-def test_criterion_8_epsilon_star_consistency(envelopes, cartans,
-                                              full_words):
+def test_criterion_8_epsilon_star_consistency(envelopes, full_words):
     with criterion(8, "dual parameter: s-independent on depth-6 crystal, "
                       "0 at the bottom, type max == full max"):
-        elements = {key: generate_binf(cartans["B2" if key == "B2r"
-                                                else key], w, 6)
+        elements = {key: generate_binf(w, 6)
                     for key, w in full_words.items()}
         for (key, t), env in envelopes.items():
             labels = env.cartan.labels
             for s in labels:
                 assert epsilon_star(env, s, {}) == 0, (key, t, s)
             for b in elements[key]:
-                vals = {epsilon_star(env, s, dict(b.coords)) for s in labels}
+                vals = {epsilon_star(env, s, dict(b)) for s in labels}
                 assert len(vals) == 1, (key, t, b)
-                full = max(evaluate(z, dict(b.coords))
+                full = max(evaluate(z, dict(b))
                            for z in env.functions)
                 for s in labels:
-                    assert max(evaluate(z, dict(b.coords))
+                    assert max(evaluate(z, dict(b))
                                for z in env.z_t(s)) == full, (key, t, s, b)
 
 

@@ -136,3 +136,20 @@ def test_the_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_no_public_function_takes_a_value_and_its_owner():
+    # a WordJ holds its Cartan matrix, and a module its matrix and its t:
+    # a function takes the word or the module, and reads the value there
+    pairs = ({"cartan", "word"}, {"M", "t"})
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                a = node.args
+                params = {p.arg for p in a.posonlyargs + a.args
+                          + a.kwonlyargs}
+                found += [f"{path.name}:{node.name}({', '.join(sorted(p))})"
+                          for p in pairs if p <= params]
+    assert not found, found

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from trailkit import (build_fundamental, cli, construct_envelope, giant,
-                      linalg, validate_gcm)
+from trailkit import (WordJ, build_fundamental, cli, construct_envelope,
+                      giant, linalg, validate_gcm)
 from trailkit.bj_crystal import generate_binf
 from trailkit.sgraph import CoeffVector, integer_points
 
@@ -256,7 +256,7 @@ def test_verify_builds_each_envelope_once(tmp_path, monkeypatch):
     build = cli.construct_envelope
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[0].t)
         return build(*args, **kwargs)
 
     # giant's own name too, so a rebuild inside the library is counted
@@ -274,10 +274,18 @@ def test_verify_generates_the_crystal_once_per_config(tmp_path,
     generate = cli.generate_binf
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return generate(*args, **kwargs)
 
+    written = []
+    write = cli._write_json
+
+    def keeping(path, obj):
+        written.append(obj)
+        return write(path, obj)
+
     monkeypatch.setattr(cli, "generate_binf", counting)
+    monkeypatch.setattr(cli, "_write_json", keeping)
     a3 = {"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
           "word": [1, 2, 1, 3, 2, 1]}
     cfg = write_config(tmp_path, a3)
@@ -288,6 +296,10 @@ def test_verify_generates_the_crystal_once_per_config(tmp_path,
     listings = [m["epsilon_star_elements"]
                 for m in report["envelope"]["modules"]]
     assert len(listings) == 3 and listings[0] == listings[1] == listings[2]
+    # one listing object, so the writer encodes it once
+    (obj,) = written
+    shared = [m["epsilon_star_elements"] for m in obj["envelope"]["modules"]]
+    assert shared[0] is shared[1] is shared[2]
     # a false trail at the first label stops the run before any crystal
     calls.clear()
     cfg = write_config(tmp_path, G2_JOB)
@@ -329,11 +341,10 @@ def test_verify_exits_4_when_a_vertex_set_misses_the_maximum(
     # no longer skipped, and its check fails
     cartan = validate_gcm(C3_JOB["cartan"])
     word = tuple(C3_JOB["word"])
-    env = construct_envelope(build_fundamental(cartan, 3), word, 3)
+    env = construct_envelope(build_fundamental(cartan, 3), word)
     assert env.partial_labels((3,)) == []
-    for b in sorted(generate_binf(cartan, word, 4),
-                    key=lambda b: (b.total, b.coords)):
-        values = {f: evaluate(f, dict(b.coords)) for f in env.functions}
+    for b in generate_binf(WordJ(cartan, word), 4):
+        values = {f: evaluate(f, dict(b)) for f in env.functions}
         top = max(values.values())
         argmax = [f for f, v in values.items() if v == top]
         if len(argmax) == 1:

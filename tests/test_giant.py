@@ -164,9 +164,9 @@ def test_envelope_functions_are_the_trail_functions(envelopes, modules,
     for (key, t), env in envelopes.items():
         M = modules["B2" if key == "B2r" else key, t]
         w = full_words[key]
-        funcs = {trail_function(K) for K in enumerate_trails(M, w, t)}
+        funcs = {trail_function(K) for K in enumerate_trails(M, w)}
         assert env.functions == funcs, (key, t)
-        assert env.driving == trail_function(driving_trail(M.cartan, w, t))
+        assert env.driving == trail_function(driving_trail(w, t))
         assert env.driving in env.functions
 
 
@@ -214,7 +214,7 @@ def test_blocks_expand_as_function_arithmetic(envelopes, cartans):
     M = build_fundamental(cartans["B3"], 3)
     for word in reduced_words_of_w0(cartans["B3"]):
         try:
-            envs.append(construct_envelope(M, word, 3))
+            envs.append(construct_envelope(M, word))
         except FalseTrailDetected:
             pass
     blocks = 0
@@ -309,7 +309,7 @@ def test_minuscule_forward_checks_and_report_run_no_lp(monkeypatch, cartans):
 
     monkeypatch.setattr(giant, "_forward", marked)
     M = build_fundamental(cartans["C3"], 1)     # minuscule, dimension 6
-    env = construct_envelope(M, (3, 2, 3, 1, 2, 3, 1, 2, 1), 1)
+    env = construct_envelope(M, (3, 2, 3, 1, 2, 3, 1, 2, 1))
     assert env.extremal == env.functions and len(env.functions) == 5
     assert calls == []      # the global pass finds a witness for all five
     assert len(in_forward) == env.word.m
@@ -335,7 +335,7 @@ def test_blocks_run_no_lp(monkeypatch, cartans):
     monkeypatch.setattr(giant, "_make_block", marked)
     for t in cartans["C3"].labels:
         construct_envelope(build_fundamental(cartans["C3"], t),
-                           (3, 2, 3, 1, 2, 3, 1, 2, 1), t)
+                           (3, 2, 3, 1, 2, 3, 1, 2, 1))
     # witnesses certify every extremal function of these envelopes, so no
     # LP runs at all; the counter itself is checked in
     # test_known_extremal_points_skip_their_lp
@@ -356,7 +356,7 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
     reused = 0
     for t in c3.labels:
         built.clear()
-        env = construct_envelope(build_fundamental(c3, t), word, t)
+        env = construct_envelope(build_fundamental(c3, t), word)
         assert max(built.values()) == 1, t
         shaped = [b for b in env.global_blocks if not b.exceptional]
         for b in shaped:
@@ -435,8 +435,7 @@ def test_g2_t2_epsilon_star(envelopes):
         assert epsilon_star(env, 2, b) == val
 
 
-def test_epsilon_star_values_match_brute_force(envelopes, cartans,
-                                               full_words):
+def test_epsilon_star_values_match_brute_force(envelopes, full_words):
     for (key, t), env in envelopes.items():
         labels = env.cartan.labels
         vertex_sets = {s: frozenset().union(*(b.vertices
@@ -446,27 +445,24 @@ def test_epsilon_star_values_match_brute_force(envelopes, cartans,
         for s in labels:
             assert env.z_t(s) == vertex_sets[s]
             assert env.z_t(s) is env.z_t(s)
-        for b in generate_binf(cartans[cartan_key(key)], full_words[key], 3):
-            (vals,) = epsilon_star_batch(env, labels, [b.coords])
-            full = max(evaluate(z, dict(b.coords)) for z in env.functions)
+        for b in generate_binf(full_words[key], 3):
+            (vals,) = epsilon_star_batch(env, labels, [b])
+            full = max(evaluate(z, dict(b)) for z in env.functions)
             for s in labels:
-                brute = max(evaluate(z, dict(b.coords)) for z in vertex_sets[s])
+                brute = max(evaluate(z, dict(b)) for z in vertex_sets[s])
                 assert vals[s] == brute == full, (key, t, s, b)
-                assert epsilon_star(env, s, dict(b.coords)) == full
+                assert epsilon_star(env, s, dict(b)) == full
 
 
-def test_epsilon_star_batch_matches_each_element(envelopes, cartans,
-                                                 full_words):
+def test_epsilon_star_batch_matches_each_element(envelopes, full_words):
     for (key, t), env in envelopes.items():
         labels = env.cartan.labels
-        elems = sorted(generate_binf(cartans[cartan_key(key)],
-                                     full_words[key], 4),
-                       key=lambda b: (b.total, b.coords))
-        batch = epsilon_star_batch(env, labels, [b.coords for b in elems])
+        elems = generate_binf(full_words[key], 4)
+        batch = epsilon_star_batch(env, labels, elems)
         assert len(batch) == len(elems)
         for b, vals in zip(elems, batch):
-            assert [vals] == epsilon_star_batch(env, labels, [b.coords])
-            full = max(evaluate(z, dict(b.coords)) for z in env.functions)
+            assert [vals] == epsilon_star_batch(env, labels, [b])
+            full = max(evaluate(z, dict(b)) for z in env.functions)
             assert vals == {s: full for s in labels}, (key, t, b)
     # exponents given as a sequence, or at positions off the word
     env = envelopes["G2", 2]
@@ -503,10 +499,10 @@ def test_partial_labels_miss_a_settled_function(envelopes):
         got = env.partial_labels(labels)
         assert got == [s for s in labels if env.z_t(s) != env.functions]
         partial[key, t] = got
-        elems = generate_binf(env.cartan, env.word, 3)
+        elems = generate_binf(env.word, 3)
         for b in elems:
-            full = max(evaluate(f, dict(b.coords)) for f in env.functions)
-            assert epsilon_star_batch(env, labels, [b.coords]) == [{
+            full = max(evaluate(f, dict(b)) for f in env.functions)
+            assert epsilon_star_batch(env, labels, [b]) == [{
                 s: full for s in labels}]
     assert {k: v for k, v in partial.items() if v} == {
         ("B2r", 1): [2], ("C2", 2): [1], ("G2", 2): [2]}
@@ -531,14 +527,14 @@ def test_construct_envelope_fuses_each_shape_once(monkeypatch):
     shapes, blocks = set(), 0
     for t in c3.labels:
         M = build_fundamental(c3, t)
-        env = construct_envelope(M, word, t)
+        env = construct_envelope(M, word)
         shaped = [b for L in env.layers for b in L.blocks
                   if not b.exceptional]
         shaped += [b for b in env.global_blocks if not b.exceptional]
         shapes |= {b.c for b in shaped}
         blocks += len(shaped)
         before = sum(fused.values())
-        assert construct_envelope(M, word, t) == env
+        assert construct_envelope(M, word) == env
         assert sum(fused.values()) == before, t
     assert all(n == 1 for n in fused.values())
     assert set(fused) <= shapes
@@ -562,7 +558,7 @@ def test_blocks_read_faces_from_the_word_memo(monkeypatch):
     c3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
     word = (3, 2, 3, 1, 2, 3, 1, 2, 1)  # a fresh WordJ: the memo starts empty
     for t in c3.labels:
-        env = construct_envelope(build_fundamental(c3, t), word, t)
+        env = construct_envelope(build_fundamental(c3, t), word)
         assert any(not b.exceptional and b.c for L in env.layers
                    for b in L.blocks)
     assert callers["trailkit.giant"] == 0
@@ -598,7 +594,7 @@ def test_linear_extension_matches_pairwise_order(monkeypatch, modules,
 
     monkeypatch.setattr(giant, "_linear_extension", checked)
     for key, t in ENVELOPE_FIXTURES:
-        construct_envelope(modules[cartan_key(key), t], full_words[key], t)
+        construct_envelope(modules[cartan_key(key), t], full_words[key])
     b3 = cartans["B3"]
     words = reduced_words_of_w0(b3)
     assert len(words) == 42
@@ -606,7 +602,7 @@ def test_linear_extension_matches_pairwise_order(monkeypatch, modules,
         M = build_fundamental(b3, t)
         for word in words:
             try:
-                construct_envelope(M, word, t)
+                construct_envelope(M, word)
             except FalseTrailDetected:
                 pass    # ROADMAP item 1: B3 omega_2 fails on some words
     assert max(compared) >= 5
@@ -678,7 +674,7 @@ def test_every_w0_word_of_rank_3(monkeypatch, cartans, name, t, word):
     counts = Counter()
     for attr, checked in _kernel_checkers(counts).items():
         monkeypatch.setattr(giant, attr, checked)
-    env = construct_envelope(build_fundamental(cartans[name], t), word, t)
+    env = construct_envelope(build_fundamental(cartans[name], t), word)
     assert all((L.forward_ok, L.forward_vertex_ok) == (True, True)
                for L in env.layers)
     assert counts["forward"] == len(env.layers) - 1
@@ -703,7 +699,7 @@ def test_f4_words_with_overlapping_blocks(t, letters, step):
     cartan = validate_gcm(_standard_gcm("F", 4))
     word = tuple(map(int, letters))
     try:
-        construct_envelope(build_fundamental(cartan, t), word, t)
+        construct_envelope(build_fundamental(cartan, t), word)
     except FalseTrailDetected as e:
         # pin the failure, so that another one does not pass as this xfail
         assert (e.step, e.detail) == (
@@ -772,17 +768,20 @@ def test_minuscule_functions_all_extremal(envelopes):
 
 def test_check_constructibility_a2():
     c = validate_gcm([[2, -1], [-1, 2]])
-    env = construct_envelope(build_fundamental(c, 1), (1, 2, 1), 1)
-    rep = check_constructibility(env, 3)
-    assert rep == {
-        "t": 1, "driving_step": 1, "j1": 3,
+    env = construct_envelope(build_fundamental(c, 1), (1, 2, 1))
+    assert check_constructibility(env) == {
+        "t": 1, "driving_step": 1,
         "steps": [{"j": 1, "s": 1, "forward": True, "forward_vertex": True},
                   {"j": 2, "s": 2, "forward": True, "forward_vertex": True},
                   {"j": 3, "s": 1, "forward": True, "forward_vertex": True}],
         "pass": True, "pass_strong": True,
     }
-    assert check_constructibility(env, 0) == {
-        "t": 1, "driving_step": 1, "j1": 0, "steps": [],
+    # the steps run from the driving step, here the first 2, to the end
+    env = construct_envelope(build_fundamental(c, 2), (1, 2, 1))
+    assert check_constructibility(env) == {
+        "t": 2, "driving_step": 2,
+        "steps": [{"j": 2, "s": 2, "forward": True, "forward_vertex": True},
+                  {"j": 3, "s": 1, "forward": True, "forward_vertex": True}],
         "pass": True, "pass_strong": True,
     }
 
@@ -790,7 +789,7 @@ def test_check_constructibility_a2():
 def test_check_constructibility_fixtures(envelopes, full_words):
     for key, t in [("B2", 1), ("C2", 2), ("G2", 1)]:
         w = full_words[key]
-        rep = check_constructibility(envelopes[key, t], w.m)
+        rep = check_constructibility(envelopes[key, t])
         assert rep["pass"] and rep["pass_strong"], (key, t)
         assert rep["driving_step"] == w.position(t, 1)
         assert [e["j"] for e in rep["steps"]] == list(
@@ -861,9 +860,3 @@ def test_epsilon_star_unknown_letter(envelopes):
     with pytest.raises(UnknownLetterError):
         epsilon_star(envelopes["A2", 1], 7, {})
 
-
-def test_construct_envelope_t_mismatch():
-    c = validate_gcm([[2, -1], [-1, 2]])
-    M = build_fundamental(c, 1)
-    with pytest.raises(ConsistencyError):
-        construct_envelope(M, (1, 2, 1), t=2)

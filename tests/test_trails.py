@@ -76,7 +76,7 @@ G2_T2_FUNCTIONS = [
 
 
 def _trails_for(modules, full_words, key, t):
-    return enumerate_trails(modules[cartan_key(key), t], full_words[key], t)
+    return enumerate_trails(modules[cartan_key(key), t], full_words[key])
 
 
 def test_trail_sets(modules, full_words):
@@ -105,7 +105,7 @@ def test_distinct_trails_define_distinct_functions(modules, full_words):
 def test_driving_trail(modules, full_words):
     w = full_words["G2"]
     c = w.cartan
-    K = driving_trail(c, w, 2)
+    K = driving_trail(w, 2)
     assert K.exps == (0, 0, 1, 2, 1, 1)
     assert K.phi == 2 == w.position(2, 1)
     assert trail_function(K) == driving_function(c, w, 2)
@@ -114,7 +114,7 @@ def test_driving_trail(modules, full_words):
     # the driving trail always belongs to the enumeration
     for (key, t) in EXPECTED_TRAILS:
         word = full_words[key]
-        drv = driving_trail(word.cartan, word, t)
+        drv = driving_trail(word, t)
         assert drv.exps in EXPECTED_TRAILS[(key, t)]
         assert drv.phi == word.position(t, 1)
 
@@ -158,7 +158,7 @@ def test_enumerate_matches_brute_force(modules, full_words):
         bound = max(max(e) for e in EXPECTED_TRAILS[(key, t)]) + 1
         got = set()
         for exps in itertools.product(range(bound + 1), repeat=w.m):
-            K = make_trail(M, w, t, exps)
+            K = make_trail(M, w, exps)
             if K is not None:
                 assert K.exps == exps
                 got.add(K)
@@ -168,24 +168,33 @@ def test_enumerate_matches_brute_force(modules, full_words):
 def test_t_outside_the_word_has_no_driving_trail(modules, cartans):
     w = WordJ(cartans["A3"], (1, 2))
     with pytest.raises(TNotInWord, match=r"letter 3 does not occur in \(1, 2\)"):
-        driving_trail(cartans["A3"], w, 3)
+        driving_trail(w, 3)
     with pytest.raises(TNotInWord, match=r"letter 3 does not occur in \(1, 2\)"):
-        enumerate_trails(modules["A3", 3], w, 3)
+        enumerate_trails(modules["A3", 3], w)
 
 
-def test_enumerate_requires_matching_module(modules, full_words):
-    with pytest.raises(ConsistencyError):
-        enumerate_trails(modules["G2", 1], full_words["G2"], 2)
+def test_a_word_over_another_matrix_is_rejected(modules, cartans):
+    # the A2 module with the letters (1, 2, 1) as a G2 word: a letter tuple
+    # gives the A2 trail, and the G2 word raises instead of finding none
+    M = modules["A2", 1]
+    g2_word = WordJ(cartans["G2"], (1, 2, 1))
+    assert make_trail(M, (1, 2, 1), (0, 1, 0)).exps == (0, 1, 0)
+    with pytest.raises(ConsistencyError, match="another Cartan matrix"):
+        make_trail(M, g2_word, (0, 1, 0))
+    with pytest.raises(ConsistencyError, match="another Cartan matrix"):
+        enumerate_trails(M, g2_word)
+    with pytest.raises(ConsistencyError, match="another Cartan matrix"):
+        construct_envelope(M, g2_word)
 
 
-def test_make_trail_requires_matching_module(modules, full_words):
-    # (0, 0, 1, 3, 1, 0) is no trail of G2 omega_2, yet the omega_1 module
-    # realizes its monomials; the module check must come first
-    w = full_words["G2"]
-    assert w.letters == (1, 2, 1, 2, 1, 2)
-    with pytest.raises(ConsistencyError, match="module is built for t=1"):
-        make_trail(modules["G2", 1], w, 2, (0, 0, 1, 3, 1, 0))
-    assert make_trail(modules["G2", 2], w, 2, (0, 0, 1, 3, 1, 0)) is None
+def test_a_face_move_needs_the_module_of_the_trail(modules, full_words):
+    K = driving_trail(full_words["G2"], 2)
+    with pytest.raises(ConsistencyError, match="type t=2 moved in the "
+                                               "module of t=1"):
+        try_adjoin_face(K, 2, 2, modules["G2", 1])
+    with pytest.raises(ConsistencyError, match="type t=2 moved in the "
+                                               "module of t=1"):
+        try_remove_face(K, 2, 2, modules["G2", 1])
 
 
 def test_group_classes_g2_s2(modules, full_words):
@@ -195,7 +204,8 @@ def test_group_classes_g2_s2(modules, full_words):
     first, second = classes
     assert first.c == (2, 0, 0)
     assert first.a == (2, 0, 3)
-    assert first.l == (0, 2, 1)
+    # l: the k-tuple of the lex-least member
+    assert tuple(first.l_min.exps[p - 1] for p in first.positions) == (0, 2, 1)
     assert first.n == 3
     assert first.positions == (2, 4, 6)
     assert set(first.k_tuples) == {(0, 2, 1), (1, 1, 1), (2, 0, 1)}
@@ -203,7 +213,7 @@ def test_group_classes_g2_s2(modules, full_words):
     assert second.c == (0, 1, 0)
     assert set(second.k_tuples) == {(2, 0, 1), (2, 1, 0)}
     # the driving trail never joins a type-t class
-    driving = driving_trail(full_words["G2"].cartan, full_words["G2"], 2)
+    driving = driving_trail(full_words["G2"], 2)
     for cls in classes:
         assert driving not in cls.members
     assert sum(len(cls.members) for cls in classes) == 5
@@ -265,7 +275,7 @@ def test_adjoin_and_remove_faces(modules, full_words):
     with pytest.raises(OpenFaceRequest):
         try_remove_face(z2, 2, 1, M)
     # adjoining a face adds its linear function
-    _, face = face_function(M.cartan, full_words["G2"], 2, 2)
+    _, face = face_function(full_words["G2"], 2, 2)
     assert trail_function(z3) == trail_function(z2) + face
     assert trail_function(z4) == trail_function(z3) + face
 
@@ -285,14 +295,14 @@ def test_face_function_is_kashiwara_difference(full_words):
         c = w.cartan
         for s in c.labels:
             for k in range(2, w.count(s) + 1):
-                _, face = face_function(c, w, s, k)
-                expect = kashiwara_function(c, w, s, k - 1) - kashiwara_function(c, w, s, k)
+                _, face = face_function(w, s, k)
+                expect = kashiwara_function(w, s, k - 1) - kashiwara_function(w, s, k)
                 assert face == expect, (key, s, k)
 
 
 def test_face_gamma_support(full_words):
     w = full_words["G2"]
-    gammas, _ = face_function(w.cartan, w, 2, 2)
+    gammas, _ = face_function(w, 2, 2)
     # the face deviates from zero strictly between the two occurrences
     assert gammas[0] == gammas[1] == (0, 0)
     assert gammas[2] == gammas[3] == (-1, 2)
@@ -301,17 +311,16 @@ def test_face_gamma_support(full_words):
 
 def test_kashiwara_function_values(full_words):
     w = full_words["G2"]
-    c = w.cartan
-    assert kashiwara_function(c, w, 2, 1).as_dict() == {2: 1, 3: -1, 4: 2, 5: -1, 6: 2}
-    assert kashiwara_function(c, w, 2, 0).as_dict() == {1: -1, 2: 2, 3: -1, 4: 2, 5: -1, 6: 2}
-    assert kashiwara_function(c, w, 1, 2).as_dict() == {3: 1, 4: -3, 5: 2, 6: -3}
+    assert kashiwara_function(w, 2, 1).as_dict() == {2: 1, 3: -1, 4: 2, 5: -1, 6: 2}
+    assert kashiwara_function(w, 2, 0).as_dict() == {1: -1, 2: 2, 3: -1, 4: 2, 5: -1, 6: 2}
+    assert kashiwara_function(w, 1, 2).as_dict() == {3: 1, 4: -3, 5: 2, 6: -3}
     # r^0 - r^1 keeps only the twisted first occurrence
-    diff = kashiwara_function(c, w, 2, 0) - kashiwara_function(c, w, 2, 1)
+    diff = kashiwara_function(w, 2, 0) - kashiwara_function(w, 2, 1)
     assert diff.as_dict() == {1: -1, 2: 1}
     # built once per word; an equal word builds an equal function
-    assert kashiwara_function(c, w, 1, 2) is kashiwara_function(c, w, 1, 2)
-    assert (kashiwara_function(c, w.letters, 1, 2)
-            == kashiwara_function(c, w, 1, 2))
+    assert kashiwara_function(w, 1, 2) is kashiwara_function(w, 1, 2)
+    assert (kashiwara_function(WordJ(w.cartan, w.letters), 1, 2)
+            == kashiwara_function(w, 1, 2))
 
 
 def test_xt_cone_membership(modules, full_words):
@@ -376,7 +385,7 @@ def _axiom_error(K, message, exps):
 
 def test_trail_axiom_violations_raise(full_words):
     w = full_words["G2"]
-    K = driving_trail(w.cartan, w, 2)           # exps (0, 0, 1, 2, 1, 1)
+    K = driving_trail(w, 2)                     # exps (0, 0, 1, 2, 1, 1)
     assert Trail(K.word, K.t, K.exps) == K      # the valid trail passes
     # the exponents are the whole record; gamma and phi are derived
     assert [f.name for f in dataclasses.fields(Trail)] == ["word", "t", "exps"]
@@ -390,8 +399,8 @@ def test_trail_axiom_violations_raise(full_words):
 def test_make_trail_rejects_a_drop_below_the_driving_trail(modules,
                                                            full_words):
     w = full_words["G2"]
-    assert make_trail(modules["G2", 2], w, 2, (0, 0, 0, 3, 2, 1)) is None
-    assert make_trail(modules["G2", 2], w, 2, (0, 0, 1, 2, 1, 1)) is not None
+    assert make_trail(modules["G2", 2], w, (0, 0, 0, 3, 2, 1)) is None
+    assert make_trail(modules["G2", 2], w, (0, 0, 1, 2, 1, 1)) is not None
 
 
 def test_exponents_rebuild_every_trail_and_face_moves_stay_inside():
@@ -405,11 +414,11 @@ def test_exponents_rebuild_every_trail_and_face_moves_stay_inside():
             M = build_fundamental(cartan, t)
             for letters in reduced_words_of_w0(cartan):
                 w = WordJ(cartan, letters)
-                found = enumerate_trails(M, w, t)
+                found = enumerate_trails(M, w)
                 faces = [(s, k) for s in cartan.labels
                          for k in range(2, w.count(s) + 1)]
                 for K in found:
-                    assert make_trail(M, w, t, K.exps) == K
+                    assert make_trail(M, w, K.exps) == K
                     for s, k in faces:
                         for move in (try_adjoin_face, try_remove_face):
                             L = move(K, s, k, M)
@@ -433,11 +442,11 @@ def test_enumeration_computes_root_coordinates_once_per_position(
     c = cartans["B3"]
     word = WordJ(c, (1, 2, 1, 3, 2, 1, 3, 2, 3))
     M = build_fundamental(c, 3)
-    found = enumerate_trails(M, word, 3)
+    found = enumerate_trails(M, word)
     assert len(found) == 7
     assert len(calls) <= word.m + 1
     calls.clear()
-    assert enumerate_trails(M, word, 3) == found
+    assert enumerate_trails(M, word) == found
     assert calls == []
 
 
@@ -446,8 +455,8 @@ def test_word_is_not_kept_alive_by_a_cache(cartans):
     c = cartans["B3"]
     word = WordJ(c, (3, 2, 3, 1, 2, 3, 1, 2, 1))
     M = build_fundamental(c, 1)
-    enumerate_trails(M, word, 1)
-    env = construct_envelope(M, word, 1)
+    enumerate_trails(M, word)
+    env = construct_envelope(M, word)
     assert env.functions
     ref = weakref.ref(word)
     del word, env
@@ -471,7 +480,7 @@ def _greedy_w0(cartan) -> tuple[int, ...]:
 def _assert_walk_rebuilds(M, word, t) -> int:
     """Every trail the search found equals the one the checking walk of
     ``Trail`` builds from its exponents: fields, weights, phi and hash."""
-    found = enumerate_trails(M, word, t)
+    found = enumerate_trails(M, word)
     for K in found:
         R = Trail(word, t, K.exps)
         assert R == K and hash(R) == hash(K)
@@ -522,11 +531,11 @@ def test_driving_trail_and_start_vector_are_computed_once(cartans,
     c = cartans["C3"]
     word = WordJ(c, (3, 2, 3, 1, 2, 3, 1, 2, 1))    # its own memo
     M = build_fundamental(c, 2)
-    found = enumerate_trails(M, word, 2)
-    assert enumerate_trails(M, word, 2) == found
-    assert all(make_trail(M, word, 2, K.exps) == K for K in found)
-    construct_envelope(M, word, 2)
-    K = driving_trail(c, word, 2)
+    found = enumerate_trails(M, word)
+    assert enumerate_trails(M, word) == found
+    assert all(make_trail(M, word, K.exps) == K for K in found)
+    construct_envelope(M, word)
+    K = driving_trail(word, 2)
     assert K in found and vars(K) == vars(Trail(word, 2, K.exps))
     assert walks == [2]
     # the module may have made its start vector before this test
@@ -565,10 +574,10 @@ def test_an_exponent_that_is_not_an_int_is_rejected(modules, cartans, bad):
     with pytest.raises(ConsistencyError,
                        match=f"^exponent {bad!r} at position 2 is not an int$"):
         Trail(w, 1, (0, bad, 0))
-    assert make_trail(modules["A2", 1], w, 1, (0, bad, 0)) is None
+    assert make_trail(modules["A2", 1], w, (0, bad, 0)) is None
     # nothing was interned: the word's trails keep int weights
-    K = make_trail(modules["A2", 1], w, 1, (0, 1, 0))
-    (L,) = enumerate_trails(modules["A2", 1], w, 1)
+    K = make_trail(modules["A2", 1], w, (0, 1, 0))
+    (L,) = enumerate_trails(modules["A2", 1], w)
     for T in (K, L, Trail(w, 1, (0, 1, 0))):
         assert all(type(x) is int for g in T.gamma for x in g), T.gamma
 
