@@ -86,7 +86,9 @@ class CartanData:
         return (1,) * self.n
 
     def check_label(self, i: int) -> None:
-        if not (isinstance(i, int) and 1 <= i <= self.n):
+        """Raise UnknownLetterError unless i is an int label 1..n; a bool
+        equals an int but is no label."""
+        if isinstance(i, bool) or not (isinstance(i, int) and 1 <= i <= self.n):
             raise UnknownLetterError(f"label {i!r} outside 1..{self.n}")
 
 
@@ -384,7 +386,11 @@ class WordJ:
         """-w_j(omega_t): the extremal weight reached after j letters."""
         if not 0 <= j <= self.m:
             raise PositionMissingError(f"prefix length {j} outside [0,{self.m}]")
-        return self.memoized(("prefix", t), lambda: self._prefix_weights(t))[j]
+        return self.prefix_weights(t)[j]
+
+    def prefix_weights(self, t: int) -> tuple[Weight, ...]:
+        """-w_j(omega_t) for j = 0..m, index j."""
+        return self.memoized(("prefix", t), lambda: self._prefix_weights(t))
 
     def _prefix_weights(self, t: int) -> tuple[Weight, ...]:
         w = wneg(self.cartan.fundamental_weight(t))

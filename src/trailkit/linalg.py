@@ -1,12 +1,18 @@
 """Exact linear algebra helpers; no floats anywhere.
 
-Matrices are plain lists of lists (rows).  This is deliberately small: row
-reduction and an inverse over `fractions.Fraction`, an exact convex-hull
-membership test as a phase-one simplex with Bland's rule that pivots
-fraction-free over the integers and certifies each answer, and the one
-extremality routine of the package, which tries integer witnesses and
-midpoints before that test.  Both take distinct points with exact `int`
-coordinates only.
+Matrices are plain lists of lists (rows).  This is deliberately small:
+- a fraction-free row reduction over the integers, which the module build
+  runs once per weight;
+- row reduction and an inverse over `fractions.Fraction`; `rref` now
+  serves only `invert` (the inverse Cartan matrix) and the Fraction
+  reference build of the tests;
+- an exact convex-hull membership test as a phase-one simplex with Bland's
+  rule that pivots fraction-free over the integers and certifies each
+  answer;
+- the one extremality routine of the package, which tries integer
+  witnesses and midpoints before that test.
+
+The last two take distinct points with exact `int` coordinates only.
 """
 
 from __future__ import annotations
@@ -84,6 +90,38 @@ def _eliminate(row: list[int], prow: list[int], pv: int, f: int,
     if d == 1:
         return [pv * x - f * y for x, y in zip(row, prow)]
     return [(pv * x - f * y) // d for x, y in zip(row, prow)]
+
+
+def integer_rref(rows: list[list[int]]):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of integer rows of one length, which it consumes: (pivot rows,
+    pivot columns, d).  Every pivot entry ends equal to d > 0, so the
+    reduced row echelon form of the rows is the pivot rows over d.
+
+    Each column's pivot is an entry of least absolute value, its row
+    negated if that entry is negative (as if the input row were).  A step
+    turns every other row x into (pv * x - x[c] * pivot row) / d, an exact
+    division as every entry is a minor of the input, then sets d = pv; rows
+    that vanish are dropped."""
+    done: list[list[int]] = []
+    pivots: list[int] = []
+    d = 1
+    for c in range(len(rows[0]) if rows else 0):
+        k = min((k for k, row in enumerate(rows) if row[c]),
+                key=lambda k: abs(rows[k][c]), default=None)
+        if k is None:
+            continue
+        prow = rows.pop(k)
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        pv = prow[c]
+        done = [_eliminate(row, prow, pv, row[c], d) for row in done]
+        rows = [row for row in (_eliminate(row, prow, pv, row[c], d)
+                                for row in rows) if any(row)]
+        done.append(prow)
+        pivots.append(c)
+        d = pv
+    return done, pivots, d
 
 
 def in_convex_hull(point: Sequence, generators: Sequence[Sequence]) -> bool:

@@ -16,18 +16,19 @@ dimension formula) cross-check every weight multiplicity during the build;
 disagreement raises RadicalRankMismatch.  A module is built, checked and
 memoized once per process; nothing is read from or written to disk.
 
-Each operator is kept once, as an integer form: the lcm D of its column
-denominators and its columns scaled by D.  Module vectors are integer
-vectors over these forms, known only up to a positive factor, which never
-changes whether a vector vanishes; the trail calculus asks nothing else
-of them.  Rational numbers appear only inside the build.
+The build has no rational numbers: it keeps each column as sparse
+integers over one positive denominator in lowest terms, and reduces each
+weight's e-images fraction-free.  Each operator is kept once, as an
+integer form: the lcm D of its column denominators and its columns scaled
+by D.  Module vectors are integer vectors over these forms, known only up
+to a positive factor, which never changes whether a vector vanishes; the
+trail calculus asks nothing else of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .cartan_core import (
@@ -42,7 +43,7 @@ from .cartan_core import (
     wsub,
 )
 from .errors import NotExtremalWeightError, NotReducedError, RadicalRankMismatch
-from .linalg import rref
+from .linalg import integer_rref
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +57,13 @@ def saturated_weight_set(cartan: CartanData, highest: Weight) -> set[Weight]:
     whole interval towards its image under each simple reflection.
     """
     require_finite(cartan)
+    roots = [cartan.simple_root(i) for i in cartan.labels]
     seen = {highest}
     queue = [highest]
     while queue:
         mu = queue.pop()
-        for i in cartan.labels:
-            p = mu[i - 1]
-            alpha = cartan.simple_root(i)
+        for i, alpha in enumerate(roots):
+            p = mu[i]
             step = wneg(alpha) if p > 0 else alpha
             for _ in range(abs(p)):
                 mu2 = wadd(mu, step)
@@ -182,13 +183,14 @@ class IntegerForm(NamedTuple):
     cols: IntColumns
 
 
-def _integer_form(cols: list[tuple[tuple[int, Fraction], ...]]
+def _integer_form(dens: list[int], cols: list[tuple[tuple[int, int], ...]]
                   ) -> IntegerForm:
-    """The IntegerForm of an operator given by its Fraction columns."""
-    scale = lcm(1, *(x.denominator for col in cols for _, x in col))
+    """The IntegerForm of an operator whose column b is ``cols[b]`` over the
+    denominator ``dens[b]``, each in lowest terms: the scale is their lcm."""
+    scale = lcm(1, *dens)
     return IntegerForm(scale, tuple(
-        tuple((r, x.numerator * (scale // x.denominator)) for r, x in col)
-        for col in cols))
+        col if d == scale else tuple((r, x * (scale // d)) for r, x in col)
+        for d, col in zip(dens, cols)))
 
 
 def apply_projective(cols: IntColumns, v: dict[int, int]) -> dict[int, int]:
@@ -241,47 +243,85 @@ class LowestWeightModule:
         return self.weight_spaces.get(mu, ())
 
 
-def _e_images(e_cols, f_cols, weights, j: int, b: int) -> dict[int, dict[int, Fraction]]:
-    """e_i(f_j b) = f_j(e_i b) + delta_ij <h_i, wt b> b for every i, as
-    sparse coordinates computed from the columns built so far."""
+def _lowest_terms(den: int, col: list[tuple[int, int]]):
+    """(den, col) with the common factor of den > 0 and every entry removed;
+    an empty column gets the denominator 1."""
+    if den == 1:
+        return 1, tuple(col)
+    g = gcd(den, *(x for _, x in col))
+    if g == 1:
+        return den, tuple(col)
+    return den // g, tuple((r, x // g) for r, x in col)
+
+
+def _e_images(e_cols, f_cols, weights, j: int, b: int):
+    """e_i(f_j b) = f_j(e_i b) + delta_ij <h_i, wt b> b for every i, from
+    the columns built so far, each as (den, {row: integer}) with zeros
+    dropped.  ``e_cols[i]`` and ``f_cols[j]`` are (denominators, columns)
+    pairs."""
+    f_dens, f_j = f_cols[j]
     out = {}
-    for i, cols in e_cols.items():
-        acc: dict[int, Fraction] = {}
-        for r, x in cols[b]:
-            for q, y in f_cols[j][r]:
-                acc[q] = acc.get(q, 0) + x * y
+    for i, (dens, cols) in e_cols.items():
+        col = cols[b]
+        acc: dict[int, int] = {}
+        den = dens[b]
+        if col:
+            common = lcm(*[f_dens[r] for r, _ in col])
+            den *= common
+            for r, x in col:
+                if common != 1:
+                    x *= common // f_dens[r]
+                for q, y in f_j[r]:
+                    acc[q] = acc.get(q, 0) + x * y
         if i == j:
-            acc[b] = acc.get(b, 0) + weights[b][i - 1]
-        out[i] = {q: x for q, x in acc.items() if x}
+            acc[b] = acc.get(b, 0) + den * weights[b][i - 1]
+        out[i] = den, {q: x for q, x in acc.items() if x}
     return out
 
 
 def _build_matrices(cartan: CartanData, t: int):
     """Highest-weight build of V(omega_t): returns (weights, e_int, f_int),
-    the operators as IntegerForms of the Fraction columns built here.
+    the operators as IntegerForms.
 
     Basis index 0 is the top vector; each level below it holds the weights
-    one simple root lower, weight spaces in sorted order.
+    one simple root lower, weight spaces in sorted order.  A column is kept
+    as sparse integers over one positive denominator in lowest terms.  Each
+    weight's matrix of e-images (a row per coordinate, a column per
+    candidate) is cleared of denominators row by row, which leaves its
+    reduced row echelon form as it is, and then reduced fraction-free; the
+    pivots and f-coefficients are those of a reduction over Fractions.
     """
     lam = cartan.fundamental_weight(t)
     fmult = freudenthal_multiplicities(cartan, lam)
+    roots = [(j, cartan.simple_root(j)) for j in cartan.labels]
     weights: list[Weight] = [lam]
-    e_cols: dict[int, list[tuple]] = {i: [()] for i in cartan.labels}
-    f_cols: dict[int, list[tuple]] = {i: [] for i in cartan.labels}
+    # (denominators, columns) of each operator, by basis index
+    e_cols = {i: ([1], [()]) for i in cartan.labels}
+    f_cols = {i: ([], []) for i in cartan.labels}
     level = [0]
     while level:
         groups: dict[Weight, list[tuple[int, int]]] = {}
         for b in level:
-            for j in cartan.labels:
-                nu = wsub(weights[b], cartan.simple_root(j))
-                groups.setdefault(nu, []).append((j, b))
+            for j, alpha in roots:
+                groups.setdefault(wsub(weights[b], alpha), []).append((j, b))
         f_level: dict[tuple[int, int], tuple] = {}
         next_level: list[int] = []
         for nu in sorted(groups):
             cands = groups[nu]
             images = [_e_images(e_cols, f_cols, weights, j, b) for j, b in cands]
-            keys = sorted({(i, q) for im in images for i, col in im.items() for q in col})
-            red, pivots = rref([[im[i].get(q, 0) for im in images] for i, q in keys])
+            entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+            for c, im in enumerate(images):
+                for i, (den, col) in im.items():
+                    for q, x in col.items():
+                        entries.setdefault((i, q), []).append((c, x, den))
+            rows = []
+            for row_entries in entries.values():
+                common = lcm(*(den for _, _, den in row_entries))
+                row = [0] * len(cands)
+                for c, x, den in row_entries:
+                    row[c] = x * (common // den)
+                rows.append(row)
+            red, pivots, d = integer_rref(rows)
             if len(pivots) != fmult.get(nu, 0):
                 raise RadicalRankMismatch(
                     f"weight {nu}: rank of the e-images {len(pivots)} != "
@@ -289,19 +329,24 @@ def _build_matrices(cartan: CartanData, t: int):
             new = range(len(weights), len(weights) + len(pivots))
             for p in pivots:
                 weights.append(nu)
-                for i in cartan.labels:
-                    e_cols[i].append(tuple(sorted(images[p][i].items())))
+                for i, (den, col) in images[p].items():
+                    den, col = _lowest_terms(den, sorted(col.items()))
+                    e_cols[i][0].append(den)
+                    e_cols[i][1].append(col)
+            # candidate c is the sum of red[r][c] / d times new vector r
             for c, key in enumerate(cands):
-                f_level[key] = tuple((new[r], red[r][c]) for r in range(len(pivots))
-                                     if red[r][c])
+                f_level[key] = _lowest_terms(d, [
+                    (new[r], row[c]) for r, row in enumerate(red) if row[c]])
             next_level.extend(new)
         for b in level:
-            for j in cartan.labels:
-                f_cols[j].append(f_level[j, b])
+            for j, _ in roots:
+                den, col = f_level[j, b]
+                f_cols[j][0].append(den)
+                f_cols[j][1].append(col)
         level = next_level
     return (weights,
-            {i: _integer_form(cols) for i, cols in e_cols.items()},
-            {i: _integer_form(cols) for i, cols in f_cols.items()})
+            {i: _integer_form(*cols) for i, cols in e_cols.items()},
+            {i: _integer_form(*cols) for i, cols in f_cols.items()})
 
 
 def _verify_module(m: LowestWeightModule) -> None:
@@ -339,13 +384,15 @@ def _verify_module(m: LowestWeightModule) -> None:
                     f"[e_{i}, f_{i}] is not alpha_{i}^vee on weight {mu}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_fundamental(cartan: CartanData, t: int) -> LowestWeightModule:
     """Build V(-omega_t) with exact raising/lowering matrices.
 
     Every build passes the Weyl-dimension, weight-grading, lowest-vector
     and [e_i, f_i] checks of ``_verify_module`` before it is returned, and
-    is memoized for the life of the process.
+    is memoized for the life of the process.  The memo is typed, so a t
+    that equals a label without being an int (True) reaches the label
+    check instead of a module built for that label.
     """
     require_finite(cartan)
     cartan.check_label(t)

@@ -141,10 +141,11 @@ def _build_driving_data(word: WordJ, t: int):
     return tuple(gamma), low
 
 
-def _trivialization_step(word: WordJ, t: int, gamma) -> int:
-    """phi: the least step with gamma_{j+1} = -w_j(omega_t) for j >= phi."""
-    phi = word.m
-    while phi > 1 and gamma[phi - 1] == word.prefix_weight(t, phi - 1):
+def _trivialization_step(prefix, gamma) -> int:
+    """phi: the least step with gamma_{j+1} = -w_j(omega_t) for j >= phi,
+    where ``prefix[j]`` is -w_j(omega_t)."""
+    phi = len(gamma) - 1
+    while phi > 1 and gamma[phi - 1] == prefix[phi - 1]:
         phi -= 1
     return phi
 
@@ -197,21 +198,20 @@ class Trail:
                 g = wadd(g, wscale(n, alpha))
                 g = shared.setdefault(g, g)
             gamma.append(g)
-        if g != word.prefix_weight(self.t, word.m):
+        prefix = word.prefix_weights(self.t)
+        if g != prefix[word.m]:
             raise ConsistencyError("trail does not end at -w_m(omega_t)")
         object.__setattr__(self, "gamma", tuple(gamma))
-        object.__setattr__(self, "phi",
-                           _trivialization_step(word, self.t, gamma))
+        object.__setattr__(self, "phi", _trivialization_step(prefix, gamma))
 
     @classmethod
     def _walked(cls, word: WordJ, t: int, exps: tuple[int, ...],
-                gamma: tuple[Weight, ...]) -> "Trail":
+                gamma: tuple[Weight, ...], phi: int) -> "Trail":
         """The trail with exponents ``exps`` whose axioms a caller has
-        already checked along the way, with the weights ``gamma`` that the
-        walk would derive; nothing is walked again."""
+        already checked along the way, with the weights ``gamma`` and the
+        step ``phi`` that the walk would derive; nothing is walked again."""
         K = cls.__new__(cls)
-        K.__dict__.update(word=word, t=t, exps=exps, gamma=gamma,
-                          phi=_trivialization_step(word, t, gamma))
+        K.__dict__.update(word=word, t=t, exps=exps, gamma=gamma, phi=phi)
         return K
 
     @property
@@ -245,20 +245,20 @@ class Trail:
 def driving_trail(word: WordJ, t: int) -> Trail:
     """The driving trail of type t: constant at -s_t(omega_t) through the
     first occurrence of t, then the extremal weights -w_j(omega_t)."""
-    exps, gamma = word.memoized(("driving_trail", t),
-                                lambda: _build_driving_trail(word, t))
-    return Trail._walked(word, t, exps, gamma)
+    exps, gamma, phi = word.memoized(("driving_trail", t),
+                                     lambda: _build_driving_trail(word, t))
+    return Trail._walked(word, t, exps, gamma, phi)
 
 
 def _build_driving_trail(word: WordJ, t: int):
-    """(exps, gamma) of the driving trail, checked by one walk."""
+    """(exps, gamma, phi) of the driving trail, checked by one walk."""
     drive = _driving_data(word, t)[0]
     # alpha_i has 2 at coordinate i, so a step n alpha_i raises it by 2n
     K = Trail(word, t, tuple((b[i - 1] - a[i - 1]) // 2 for i, a, b
                              in zip(word.letters, drive, drive[1:])))
     if K.gamma != drive:
         raise ConsistencyError("the driving weights do not form a trail")
-    return K.exps, K.gamma
+    return K.exps, K.gamma, K.phi
 
 
 def trail_function(K: Trail) -> LinearFunctionBJ:
@@ -368,57 +368,84 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
     integer forms of the e_i, exact up to a positive factor.  Each node
     carries its weights, and each leaf becomes a trail with them.
     Finite-dimensionality bounds every branch.
+
+    The raisings at position j move only the root coordinate of its letter
+    i, so a node checks the other coordinates once and each raising checks
+    that one against its bounds after step j: the driving trail's below,
+    the final weight's above, and equality with the final weight when i
+    does not occur after j.
     """
     word = _as_word(M.cartan, word)
     t = M.t
     m = word.m
+    letters = word.letters
     drive, low = _driving_data(word, t)
     alphas = _letter_roots(word)
+    prefix = word.prefix_weights(t)
     shared = word.memoized(("weights", t), dict)
-    letters_after = [set(word.letters[j:]) for j in range(m + 1)]
     # Root coordinates relative to gamma_1: a node's are its raising counts,
     # the driving trail's are the lower bounds of (P), and the final weight
     # -w_m(omega_t) = drive_{m+1} gives the upper bounds.
     high = low[m]
+    # Per position j: the bounds after step j of each other coordinate k,
+    # as (k, low, high, must equal high), checked once per node, and those
+    # of the letter's own coordinate, checked at every raising.
+    others = [None]
+    bounds = [None]
+    for j, i in enumerate(letters, start=1):
+        after = set(letters[j:])
+        others.append(tuple((k, lo, hi, k + 1 not in after) for k, (lo, hi)
+                            in enumerate(zip(low[j], high)) if k != i - 1))
+        bounds.append((low[j][i - 1], high[i - 1], i not in after))
     found: list[Trail] = []
-    exps: list[int] = []  # the exponents of the current node
-    gamma = [drive[0]]    # and its weights gamma_1..gamma_j
+    exps: list[int] = []    # the exponents of the current node
+    gamma = [drive[0]]      # and its weights gamma_1..gamma_j
+    x = [0] * M.cartan.n    # and its root coordinates
 
-    def admissible(x: list[int], j: int) -> bool:
-        if any(a < b for a, b in zip(x, low[j])):
-            return False
-        return all(a <= h and (a == h or c + 1 in letters_after[j])
-                   for c, (a, h) in enumerate(zip(x, high)))
+    def others_admissible(j: int) -> bool:
+        for k, lo, hi, exact in others[j]:
+            a = x[k]
+            if not lo <= a <= hi or (exact and a != hi):
+                return False
+        return True
 
-    def search(j: int, x: list[int], v: dict[int, int]):
+    def search(j: int, v: dict[int, int]):
         if j > m:
             # the checks above are the walk's: (P) at every node, and the
             # end weight at the last, where no letter is left to raise by
-            found.append(Trail._walked(word, t, tuple(exps), tuple(gamma)))
+            g = tuple(gamma)
+            found.append(Trail._walked(word, t, tuple(exps), g,
+                                       _trivialization_step(prefix, g)))
             return
-        i = word.letters[j - 1]
+        i = letters[j - 1]
+        c = i - 1
+        if not others_admissible(j):
+            return
+        lo, hi, exact = bounds[j]
         alpha = alphas[j - 1]
         cols = M.e_int[i].cols
+        start = a = x[c]
         n = 0
-        x = list(x)
         while True:
-            if admissible(x, j):
+            if lo <= a <= hi and (a == hi or not exact):
                 g = gamma[-1]
                 if n:
                     g = wadd(g, wscale(n, alpha))
                     g = shared.setdefault(g, g)
+                x[c] = a
                 exps.append(n)
                 gamma.append(g)
-                search(j + 1, x, v)
+                search(j + 1, v)
                 gamma.pop()
                 exps.pop()
             n += 1
             v = apply_projective(cols, v)
             if not v:
-                return
-            x[i - 1] += 1
+                break
+            a += 1
+        x[c] = start
 
-    search(1, [0] * M.cartan.n, M.start_vector)
+    search(1, M.start_vector)
 
     trails = frozenset(found)
     first = word.position(t, 1)

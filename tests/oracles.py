@@ -6,9 +6,13 @@ computes another way; none of them runs in the package itself.
 
 from __future__ import annotations
 
-from trailkit.cartan_core import reflect
-from trailkit.errors import ConsistencyError
-from trailkit.linalg import in_convex_hull
+from fractions import Fraction
+from math import lcm
+
+from trailkit.cartan_core import reflect, wsub
+from trailkit.errors import ConsistencyError, RadicalRankMismatch
+from trailkit.linalg import in_convex_hull, rref
+from trailkit.rep_builder import IntegerForm, freudenthal_multiplicities
 from trailkit.trails import (LinearFunctionBJ, _as_word, face_function,
                              kashiwara_function)
 
@@ -25,6 +29,86 @@ def weyl_act(cartan, word, w):
     for i in word:
         w = reflect(cartan, i, w)
     return w
+
+
+# --- the module build over Fractions ---------------------------------------
+# The reference for rep_builder._build_matrices, which works on integer
+# columns over one denominator each: the same level-by-level build with
+# Fraction columns and a Fraction row reduction per weight.
+
+
+def _fraction_e_images(e_cols, f_cols, weights, j: int, b: int):
+    """e_i(f_j b) = f_j(e_i b) + delta_ij <h_i, wt b> b for every i."""
+    out = {}
+    for i, cols in e_cols.items():
+        acc: dict[int, Fraction] = {}
+        for r, x in cols[b]:
+            for q, y in f_cols[j][r]:
+                acc[q] = acc.get(q, 0) + x * y
+        if i == j:
+            acc[b] = acc.get(b, 0) + weights[b][i - 1]
+        out[i] = {q: x for q, x in acc.items() if x}
+    return out
+
+
+def fraction_columns(cartan, t: int):
+    """(weights, e_cols, f_cols) of V(omega_t): basis index 0 is the top
+    vector, each column a tuple of (row, Fraction) pairs."""
+    lam = cartan.fundamental_weight(t)
+    fmult = freudenthal_multiplicities(cartan, lam)
+    weights = [lam]
+    e_cols = {i: [()] for i in cartan.labels}
+    f_cols = {i: [] for i in cartan.labels}
+    level = [0]
+    while level:
+        groups = {}
+        for b in level:
+            for j in cartan.labels:
+                nu = wsub(weights[b], cartan.simple_root(j))
+                groups.setdefault(nu, []).append((j, b))
+        f_level = {}
+        next_level = []
+        for nu in sorted(groups):
+            cands = groups[nu]
+            images = [_fraction_e_images(e_cols, f_cols, weights, j, b)
+                      for j, b in cands]
+            keys = sorted({(i, q) for im in images for i, col in im.items()
+                           for q in col})
+            red, pivots = rref([[im[i].get(q, 0) for im in images]
+                                for i, q in keys])
+            if len(pivots) != fmult.get(nu, 0):
+                raise RadicalRankMismatch(f"weight {nu}: rank {len(pivots)}")
+            new = range(len(weights), len(weights) + len(pivots))
+            for p in pivots:
+                weights.append(nu)
+                for i in cartan.labels:
+                    e_cols[i].append(tuple(sorted(images[p][i].items())))
+            for c, key in enumerate(cands):
+                f_level[key] = tuple((new[r], red[r][c])
+                                     for r in range(len(pivots)) if red[r][c])
+            next_level.extend(new)
+        for b in level:
+            for j in cartan.labels:
+                f_cols[j].append(f_level[j, b])
+        level = next_level
+    return weights, e_cols, f_cols
+
+
+def fraction_integer_form(cols) -> IntegerForm:
+    """The operator with these Fraction columns times the lcm of their
+    denominators."""
+    scale = lcm(1, *(x.denominator for col in cols for _, x in col))
+    return IntegerForm(scale, tuple(
+        tuple((r, x.numerator * (scale // x.denominator)) for r, x in col)
+        for col in cols))
+
+
+def fraction_build_matrices(cartan, t: int):
+    """What rep_builder._build_matrices returns, from the Fraction build."""
+    weights, e_cols, f_cols = fraction_columns(cartan, t)
+    return (weights,
+            {i: fraction_integer_form(cols) for i, cols in e_cols.items()},
+            {i: fraction_integer_form(cols) for i, cols in f_cols.items()})
 
 
 # --- extremality ----------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The integer convex-hull LP against the Fraction simplex it replaced, and
-the extremality routine against the plain LP.
+"""The integer convex-hull LP against the Fraction simplex it replaced, the
+extremality routine against the plain LP, and the fraction-free row
+reduction against the Fraction one.
 
 ``_reference_in_convex_hull`` is the phase-one simplex with Bland's rule
 over `fractions.Fraction` that `linalg.in_convex_hull` used before it
@@ -130,6 +131,19 @@ def test_in_convex_hull_agrees_with_fraction_simplex(gens, data):
         st.sampled_from(gens) if gens else st.nothing()))
     assert in_convex_hull(probe, gens) == _reference_in_convex_hull(probe,
                                                                     gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+    max_size=7)))
+def test_integer_rref_is_the_fraction_rref_over_d(rows):
+    """The pivot rows of the fraction-free reduction, divided by d > 0,
+    are the nonzero rows of the Fraction reduced row echelon form."""
+    red, pivots = linalg.rref(rows)
+    done, got, d = linalg.integer_rref([list(r) for r in rows])
+    assert d > 0 and got == pivots
+    assert [[Fraction(x, d) for x in row] for row in done] == red[:len(pivots)]
 
 
 @pytest.mark.parametrize("pts", [

@@ -10,7 +10,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 import trailkit
 
 from trailkit import (
+    WordJ,
     build_fundamental,
     extremal_vector,
     freudenthal_multiplicities,
@@ -34,6 +34,8 @@ from trailkit.errors import (NotExtremalWeightError, NotFiniteTypeError,
 from trailkit.rep_builder import apply_projective
 
 from conftest import FULL_WORDS, GCM, cartan_key
+from oracles import (fraction_build_matrices, fraction_columns,
+                     fraction_integer_form)
 
 FUNDAMENTAL_DIMS = {
     "A1": (2,),
@@ -128,6 +130,22 @@ def test_build_fundamental_rejects(cartans):
     affine = validate_gcm([[2, -2], [-2, 2]])
     with pytest.raises(NotFiniteTypeError):
         build_fundamental(affine, 1)
+
+
+def test_a_bool_is_not_a_label(cartans):
+    # True == 1 and hash(True) == hash(1): neither the label check nor the
+    # memo may take one for the other
+    c = cartans["A2"]
+    module = build_fundamental(c, 1)
+    with pytest.raises(UnknownLetterError, match="label True outside"):
+        build_fundamental(c, True)
+    assert build_fundamental(c, 1) is module and type(module.t) is int
+    fresh = validate_gcm([[2, -1], [-1, 2]])
+    with pytest.raises(UnknownLetterError, match="label True outside"):
+        build_fundamental.__wrapped__(fresh, True)
+    with pytest.raises(UnknownLetterError, match="label True outside"):
+        WordJ(c, (True, 2, 1))
+    assert WordJ(c, (1, 2, 1)).letters == (1, 2, 1)
 
 
 def _combine(*terms) -> dict:
@@ -378,20 +396,10 @@ def _fraction_columns(tag: str, t: int):
 
 
 def _recorded_columns(cartan, t: int):
-    """The Fraction columns that ``_build_matrices`` turns into integer
-    forms, flipped as ``build_fundamental`` flips them: (e, f) by i."""
-    seen = {}
-    real = rep_builder._integer_form
-
-    def record(cols):
-        form = real(cols)
-        seen[form] = tuple(cols)
-        return form
-
-    with mock.patch.object(rep_builder, "_integer_form", record):
-        _, e_int, f_int = rep_builder._build_matrices(cartan, t)
-    return ({i: seen[form] for i, form in f_int.items()},
-            {i: seen[form] for i, form in e_int.items()})
+    """The Fraction columns of the reference build, flipped as
+    ``build_fundamental`` flips them: (e, f) by i."""
+    _, e_cols, f_cols = fraction_columns(cartan, t)
+    return f_cols, e_cols
 
 
 def _apply_columns(cols, u: dict) -> dict:
@@ -457,9 +465,23 @@ def test_verify_module_catches_a_changed_non_integer_entry(cartans):
     scale, cols = forms[name][i]
     fracs = [[(r, Fraction(x, scale)) for r, x in col] for col in cols]
     fracs[b][k] = (fracs[b][k][0], Fraction(1, 3))
-    forms[name][i] = rep_builder._integer_form(fracs)
+    forms[name][i] = fraction_integer_form(fracs)
     assert forms[name][i].scale != scale
     tampered = rep_builder.LowestWeightModule(
         m.cartan, m.t, m.weights, forms["e"], forms["f"])
     with pytest.raises(RadicalRankMismatch, match=r"\[e_\d, f_\d\] is not"):
         rep_builder._verify_module(tampered)
+
+
+# the modules that the enumerate benchmark builds
+ENUMERATE_MODULES = [("C5", 5), ("C5", 4), ("F4", 1), ("E6", 2), ("E6", 6),
+                     ("D6", 6), ("F4", 4)]
+
+
+@pytest.mark.parametrize("tag,t", RANK_4_FUNDAMENTALS + [
+    key for key in ENUMERATE_MODULES if key not in RANK_4_FUNDAMENTALS])
+def test_integer_build_equals_the_fraction_build(tag, t):
+    """The integer build returns exactly what the Fraction reference build
+    returns: the same weights and the same integer forms."""
+    c = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
+    assert rep_builder._build_matrices(c, t) == fraction_build_matrices(c, t)
