@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
+from operator import add, neg, sub
 
 from .errors import (
     ConsistencyError,
@@ -35,19 +36,19 @@ Weight = tuple[int, ...]
 
 
 def wadd(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def wsub(u: Weight, v: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def wneg(u: Weight) -> Weight:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def wscale(c, u):
-    return tuple(c * a for a in u)
+    return tuple([c * a for a in u])
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,8 @@ def _type_tag(a: list[list[int]]) -> str | None:
                     comp.append(j)
                     queue.append(j)
         comp.sort()
-        sub = [[a[i][j] for j in comp] for i in comp]
-        tag = _classify_component(sub)
+        block = [[a[i][j] for j in comp] for i in comp]
+        tag = _classify_component(block)
         if tag is None:
             return None
         tags.append(tag)

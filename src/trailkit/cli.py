@@ -224,6 +224,19 @@ def _shared_listings(obj) -> set[int]:
     return shared
 
 
+class _RowTexts(dict):
+    """(nl, row) -> the text of a row of exact ints whose brackets sit at
+    the indentation nl, encoded on first use.  A row is a tuple, and only
+    rows of exact ints may be looked up: (True, 1) == (1, 1) as a key."""
+
+    def __missing__(self, key: tuple[str, tuple[int, ...]]) -> str:
+        nl, x = key
+        inner = nl + " "
+        text = self[key] = ("[" + inner + ("," + inner).join(
+            map(int.__repr__, x)) + nl + "]" if x else "[]")
+        return text
+
+
 def _write_json(path: str, obj) -> None:
     """Write ``obj`` exactly as ``json.dump(obj, fh, sort_keys=True,
     indent=1)`` followed by a newline would, in one pass and in bounded
@@ -235,10 +248,12 @@ def _write_json(path: str, obj) -> None:
     mixed types raise TypeError as they do in the stdlib encoder.  A listing
     (a list whose first item is a dict) that ``obj`` holds at several places
     is encoded once per indentation: its first encoding is kept whole, and
-    later ones reuse its text.
+    later ones reuse its text.  Likewise each distinct row of exact ints,
+    a list or a tuple, is encoded once per indentation.
     """
     shared = _shared_listings(obj)
     texts: dict[tuple[int, str], str] = {}  # (id, nl) -> encoded text
+    rows = _RowTexts()
     enc = encode_basestring_ascii
     # the text of a leaf, by its exact type; a subclass goes the long way
     leaf = {str: enc, int: int.__repr__, bool: _LEAF_TEXT.__getitem__,
@@ -280,18 +295,14 @@ def _write_json(path: str, obj) -> None:
                 inner = nl + " "
                 types = set(map(type, o))
                 if types == {int}:  # the common leaf
-                    items = ("," + inner).join(map(int.__repr__, o))
-                    append("[" + inner + items + nl + "]")
+                    append(rows[nl, tuple(o)])
                     return
-                if types == {list} and set(
+                if types <= {list, tuple} and set(
                         map(type, itertools.chain.from_iterable(o))) <= {int}:
-                    # a list of int lists: weights, coordinates, terms
-                    deeper = inner + " "
-                    sep = "," + deeper
-                    append("[" + inner + ("," + inner).join([
-                        "[" + deeper + sep.join(map(int.__repr__, x))
-                        + inner + "]" if x else "[]" for x in o])
-                        + nl + "]")
+                    # a list of int rows: weights, coordinates, terms
+                    append("[" + inner + ("," + inner).join(map(
+                        rows.__getitem__, zip(itertools.repeat(inner),
+                                              map(tuple, o)))) + nl + "]")
                     return
                 known = (id(o), nl) if id(o) in shared else None
                 if known in texts:
@@ -339,10 +350,6 @@ def _require_labels(cfg: JobConfig, labels, why: str) -> None:
         if s not in cfg.word.letters:
             raise ConfigError(f"label {s} does not occur in the word "
                               f"{list(cfg.word.letters)}; {why}")
-
-
-def _fn_terms(z) -> list[list[int]]:
-    return [list(term) for term in z.terms]
 
 
 def cmd_enumerate(cfg: JobConfig, out: str) -> int:
@@ -523,17 +530,16 @@ def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
                 "t": t,
                 "step": e.step,
                 "class": repr(e.class_key),
-                "function": _fn_terms(e.function),
-                "nearest": None if e.nearest is None else _fn_terms(e.nearest),
+                "function": e.function.terms,
+                "nearest": None if e.nearest is None else e.nearest.terms,
                 "detail": e.detail,
             }
             raise
         rep = check_constructibility(env)
         if crystal is None:
             elements = generate_binf(cfg.word, cfg.depth, cfg.convention)
-            crystal = (elements, [
-                {"coords": [[j, m] for j, m in b],
-                 "total": sum(m for _, m in b)} for b in elements])
+            crystal = (elements, [{"coords": b, "total": sum(m for _, m in b)}
+                                  for b in elements])
         # every label's maximum equals the overall one, or this raises; a
         # label whose vertex functions are all the settled functions takes
         # the overall maximum by definition, so only the others are checked

@@ -178,6 +178,8 @@ class Trail:
             if type(n) is not int:
                 raise ConsistencyError(
                     f"exponent {n!r} at position {j} is not an int")
+        # a bool equals its int as a memo key, so t is checked first
+        word.cartan.check_label(self.t)
         drive, low = _driving_data(word, self.t)
         # equal weights of the trails of one (word, t) share one tuple
         shared = word.memoized(("weights", self.t), dict)
@@ -234,9 +236,10 @@ class Trail:
         return self.exps
 
     def to_json_dict(self) -> dict:
+        # the weight tuples are shared and the writer takes tuples as lists
         return {
-            "gamma": [list(g) for g in self.gamma],
-            "exps": list(self.exps),
+            "gamma": self.gamma,
+            "exps": self.exps,
             "phi": self.phi,
             "z": {str(j): c for j, c in trail_function(self).terms},
         }
@@ -245,6 +248,7 @@ class Trail:
 def driving_trail(word: WordJ, t: int) -> Trail:
     """The driving trail of type t: constant at -s_t(omega_t) through the
     first occurrence of t, then the extremal weights -w_j(omega_t)."""
+    word.cartan.check_label(t)
     exps, gamma, phi = word.memoized(("driving_trail", t),
                                      lambda: _build_driving_trail(word, t))
     return Trail._walked(word, t, exps, gamma, phi)
@@ -373,7 +377,8 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
     i, so a node checks the other coordinates once and each raising checks
     that one against its bounds after step j: the driving trail's below,
     the final weight's above, and equality with the final weight when i
-    does not occur after j.
+    does not occur after j.  Raising stops once that coordinate reaches
+    its upper bound, as every further raising overshoots it.
     """
     word = _as_word(M.cartan, word)
     t = M.t
@@ -438,6 +443,8 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
                 search(j + 1, v)
                 gamma.pop()
                 exps.pop()
+            if a >= hi:     # a raising only moves a further past hi
+                break
             n += 1
             v = apply_projective(cols, v)
             if not v:

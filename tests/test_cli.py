@@ -542,8 +542,11 @@ def test_flags_override_config(tmp_path):
 _LEAVES = (st.none() | st.booleans() | st.integers()
            | st.integers(min_value=-2 ** 100, max_value=2 ** 100)
            | st.sampled_from([0, 1, True, False, -1]) | st.text())
+# short int rows repeat often, as lists and as tuples, and some hold a bool
+# that equals an int: the writer encodes each distinct int row once
+_ROWS = st.lists(st.integers(-1, 1) | st.just(True), max_size=2)
 _REPORTS = st.recursive(
-    _LEAVES,
+    _LEAVES | _ROWS | _ROWS.map(tuple),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(st.text(), inner, max_size=4)
@@ -614,7 +617,10 @@ def test_write_json_encodes_a_shared_listing_once(monkeypatch):
 def test_write_json_fixed_cases():
     for obj in ({}, [], (), "", [[], {}], {"é\x00": "\x1f \U0001f600"},
                 {10: 1, 2: [True, 1, False, 0], -3: None},
-                [10 ** 40, -10 ** 40], {"z": {"y": {"x": [[1]]}}}):
+                [10 ** 40, -10 ** 40], {"z": {"y": {"x": [[1]]}}},
+                # (True, 1) == (1, 1) as a key: the row's types come first
+                [(1, 1), [1, 1], (True, 1), [[1, 1]], {"a": [(1, 1)]}],
+                [[(True, 1)], [(1, 1)], [[1, True], [1, 1]], ((1, 1),)]):
         assert _written(obj) == (
             json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
 

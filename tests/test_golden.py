@@ -6,13 +6,14 @@ deliberate change of report content.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from trailkit import cli, validate_gcm
-from trailkit.cartan_core import is_reduced
+from trailkit.cartan_core import _standard_gcm, is_reduced
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,17 +71,20 @@ C5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
 E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
       [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
 
-# Greedy reduced words of w0 (the least admissible label at every step);
-# both modules have weight spaces of dimension > 1.
+# Greedy reduced words of w0 (the least admissible label at every step).
+C5_GREEDY = [1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4, 3, 2, 5, 4,
+             3, 5, 4, 5]
+E6_GREEDY = [1, 2, 3, 1, 4, 2, 3, 1, 4, 3, 5, 4, 2, 3, 1, 4, 3, 5, 4, 2, 6,
+             5, 4, 2, 3, 1, 4, 3, 5, 4, 2, 6, 5, 4, 3, 1]
+F4_GREEDY = [1, 2, 1, 3, 2, 1, 3, 2, 3, 4, 3, 2, 1, 3, 2, 3, 4, 3, 2, 1, 3,
+             2, 3, 4]
+D6_GREEDY = [1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 6, 4, 3, 2, 1, 5,
+             4, 3, 2, 6, 4, 3, 5, 4, 6]
+
+# Both modules have weight spaces of dimension > 1.
 GOLDEN_TRAILS = [
-    ("trails_c5_t4.json",
-     {"cartan": C5, "t": 4,
-      "word": [1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 5, 4, 3, 2, 5,
-               4, 3, 5, 4, 5]}),
-    ("trails_e6_t2.json",
-     {"cartan": E6, "t": 2,
-      "word": [1, 2, 3, 1, 4, 2, 3, 1, 4, 3, 5, 4, 2, 3, 1, 4, 3, 5, 4, 2,
-               6, 5, 4, 2, 3, 1, 4, 3, 5, 4, 2, 6, 5, 4, 3, 1]}),
+    ("trails_c5_t4.json", {"cartan": C5, "t": 4, "word": C5_GREEDY}),
+    ("trails_e6_t2.json", {"cartan": E6, "t": 2, "word": E6_GREEDY}),
 ]
 
 
@@ -119,3 +123,36 @@ def test_digest_pins_are_well_formed(name, suite, job):
     word = job["word"]      # a reduced word of w0: no letter extends it
     assert is_reduced(cartan, word)
     assert not any(is_reduced(cartan, word + [i]) for i in cartan.labels)
+
+
+# The largest enumerate reports of the benchmark (210-370 KB, where most
+# weight rows repeat), pinned by sha256; CI also runs each in a fresh
+# process with `trailkit enumerate` and checks it with `sha256sum -c`.
+GOLDEN_TRAIL_DIGESTS = [
+    ("trails_c5_t5.sha256", {"cartan": C5, "t": 5, "word": C5_GREEDY}),
+    ("trails_f4_t4.sha256",
+     {"cartan": _standard_gcm("F", 4), "t": 4, "word": F4_GREEDY}),
+    ("trails_d6_t6.sha256",
+     {"cartan": _standard_gcm("D", 6), "t": 6, "word": D6_GREEDY}),
+    ("trails_e6_t6.sha256", {"cartan": E6, "t": 6, "word": E6_GREEDY}),
+]
+
+
+@pytest.mark.parametrize("name,job", GOLDEN_TRAIL_DIGESTS,
+                         ids=[g[0].removesuffix(".sha256")
+                              for g in GOLDEN_TRAIL_DIGESTS])
+def test_enumerate_report_matches_digest(tmp_path, name, job):
+    digest, fname = (DATA / name).read_text(encoding="ascii").split()
+    assert fname == "trails.json"
+    cartan = validate_gcm(job["cartan"])
+    word = job["word"]      # the greedy reduced word of w0
+    for j in range(len(word) + 1):  # the least label that extends, or none
+        least = next((i for i in cartan.labels
+                      if is_reduced(cartan, word[:j] + [i])), None)
+        assert least == (word[j] if j < len(word) else None)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(job), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["enumerate", "--config", str(cfg), "--out", str(out)]) == 0
+    report = (out / "trails.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
