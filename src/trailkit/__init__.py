@@ -49,11 +49,7 @@ from .trails import (
     face_function,
     group_ts_classes,
     kashiwara_function,
-    make_trail,
-    minimax_decompose,
     trail_function,
-    try_adjoin_face,
-    try_remove_face,
 )
 
 __all__ = [
@@ -96,11 +92,7 @@ __all__ = [
     "face_function",
     "group_ts_classes",
     "kashiwara_function",
-    "make_trail",
-    "minimax_decompose",
     "trail_function",
-    "try_adjoin_face",
-    "try_remove_face",
 ]
 
 __version__ = "0.1.0"

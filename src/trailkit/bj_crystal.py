@@ -9,10 +9,12 @@ functions r_i^k: the lowering operator adds 1 at the i-occurrence with the
 least k among those maximizing r_i^k, the raising operator removes 1 at
 the greatest such k and is defined only while the maximum is positive.
 
-Two pairing conventions are supported.  "dual" evaluates r_i^k with the
-pairing rows indexed by the traversed letters, matching the trail
-functions of this package; "straight" transposes the pairing.  The default
-is "dual" so that crystal data and trail data live on the same surface.
+The crystal has one pairing convention, the dual one: r_i^k pairs the
+coroot of each later letter with alpha_i, as
+:func:`trails.kashiwara_function` does, so crystal data and trail data
+live on the same surface.  (The transposed pairing equals it on every
+symmetric Cartan matrix and matched the trail functions on no B3 or C3
+word, so it is gone.)
 """
 
 from __future__ import annotations
@@ -22,32 +24,28 @@ from operator import add
 from .cartan_core import WordJ
 from .errors import ConfigError, NotApplicable
 
-CONVENTIONS = ("dual", "straight")
 
-
-def _kashiwara_columns(word: WordJ, convention: str):
+def _kashiwara_columns(word: WordJ):
     """Per position q, the change of every Kashiwara value when m_q grows by
     1: entry p (0-based) of column q is the coefficient of m_q in r_i^k, for
-    (i, k) the occurrence at position p.  Built once per word and
-    convention."""
+    (i, k) the occurrence at position p.  Built once per word."""
 
     def build():
         letters, pairing = word.letters, word.cartan.pairing
-        dual = convention == "dual"
         cols = []
         for q, b in enumerate(letters):
             col = [0] * word.m
             for p, a in enumerate(letters[:q]):
-                col[p] = pairing(b, a) if dual else pairing(a, b)
+                col[p] = pairing(b, a)
             col[q] = 1
             cols.append(tuple(col))
         return tuple(cols)
 
-    return word.memoized(("kashiwara_columns", convention), build)
+    return word.memoized("kashiwara_columns", build)
 
 
-def generate_binf(word: WordJ, depth: int, convention: str = "dual"
-                  ) -> tuple[tuple[tuple[int, int], ...], ...]:
+def generate_binf(word: WordJ,
+                  depth: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All elements reachable from the empty element by at most ``depth``
     lowering steps, as (position, m) pairs.
 
@@ -66,12 +64,10 @@ def generate_binf(word: WordJ, depth: int, convention: str = "dual"
     seen = {start}
     levels = [[(start, start)]]     # (exponents, Kashiwara values) per depth
     if depth:
-        if convention not in CONVENTIONS:
-            raise ConfigError(f"unknown convention {convention!r}")
         for i in cartan.labels:
             if word.count(i) == 0:
                 raise NotApplicable(f"letter {i} does not occur in the word")
-        cols = _kashiwara_columns(word, convention)
+        cols = _kashiwara_columns(word)
         occurrences = [[word.position(i, k) - 1
                         for k in range(1, word.count(i) + 1)]
                        for i in cartan.labels]

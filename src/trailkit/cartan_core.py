@@ -31,6 +31,7 @@ from .errors import (
     PositionMissingError,
     UnknownLetterError,
 )
+from .linalg import integer_rref
 
 Weight = tuple[int, ...]
 
@@ -127,7 +128,9 @@ def _positive_definite(sym: list[list[int]]) -> bool:
     """Exact leading-principal-minor test on a symmetric integer matrix."""
     n = len(sym)
     m = [[Fraction(x) for x in row] for row in sym]
-    # Fraction-free enough for desk scale: straightforward elimination.
+    # Elimination without row swaps: pivot k is the ratio of the leading
+    # minors of orders k + 1 and k, so all pivots are positive iff all
+    # minors are.
     for k in range(n):
         if m[k][k] <= 0:
             return False
@@ -446,15 +449,20 @@ def positive_roots(cartan: CartanData):
 @lru_cache(maxsize=None)
 def _scaled_inverse(cartan: CartanData) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(D, D A^{-1}) with D the least common denominator of A^{-1}, so the
-    scaled inverse has integer entries."""
-    from .linalg import invert
+    scaled inverse has integer entries.
 
-    inv = invert(cartan.gcm)
-    den = 1
-    for row in inv:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    return den, tuple(tuple(int(x * den) for x in row) for row in inv)
+    The fraction-free reduction of [A | I] ends at [d I | R] with R = d A^{-1};
+    with g the gcd of d and the entries of R, D = d / g and D A^{-1} = R / g.
+    """
+    n = cartan.n
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(cartan.gcm)]
+    done, pivots, d = integer_rref(rows)
+    if pivots != list(range(n)):
+        raise ConsistencyError("the Cartan matrix is singular")
+    right = [row[n:] for row in done]
+    g = gcd(d, *(x for row in right for x in row))
+    return d // g, tuple(tuple(x // g for x in row) for row in right)
 
 
 def root_coordinates(cartan: CartanData, w: Weight) -> tuple[int, ...] | None:

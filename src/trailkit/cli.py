@@ -5,15 +5,18 @@ Subcommands::
     trailkit enumerate --config job.json [--out DIR]
     trailkit sgraph    --config job.json [--out DIR]
     trailkit verify    --config job.json [--out DIR] [--suite NAME]
-                       [--depth N] [--convention dual|straight]
+                       [--depth N]
 
 The config carries the instance: ``{"cartan": [[...]], "word": [...]}``
 plus optional ``"t"`` (default: every label), ``"c"`` or ``"class"`` for
-the sgraph command, ``"depth"``, ``"convention"`` and output overrides.
-Flags win over config keys.  Exit codes: 0 success, 2 malformed config or
-an output path that cannot be written, 3 valid matrix outside finite
-type, 4 a checked contract failed, 5 false-trail detection (the forensic
-block is written to the report and echoed on stderr).
+the sgraph command, ``"depth"`` and output overrides.  Flags win over
+config keys.  The crystal has one convention, the dual one: a
+``"convention"`` key of ``"dual"``, left by older job files, is ignored,
+and any other value is a config error.  Exit codes: 0 success, 2
+malformed config or an output path that cannot be written, 3 valid
+matrix outside finite type, 4 a checked contract failed, 5 false-trail
+detection (the forensic block is written to the report and echoed on
+stderr).
 
 All JSON is written with sorted keys and all listings in sorted order, so
 a fixed config produces byte-identical reports; graphs are emitted as DOT.
@@ -29,7 +32,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .bj_crystal import CONVENTIONS, generate_binf
+from .bj_crystal import generate_binf
 from .cartan_core import CartanData, WordJ, require_finite, validate_gcm
 from .errors import (ConfigError, FalseTrailDetected, NotFiniteTypeError,
                      TrailkitError)
@@ -63,14 +66,13 @@ class JobConfig:
 
     def __init__(self, cartan: CartanData, word: WordJ, t: int | None,
                  c: tuple[int, ...] | None, selector: dict | None,
-                 depth: int, convention: str, inject_spurious: bool):
+                 depth: int, inject_spurious: bool):
         self.cartan = cartan
         self.word = word
         self.t = t
         self.c = c
         self.selector = selector
         self.depth = depth
-        self.convention = convention
         self.inject_spurious = inject_spurious
 
     @property
@@ -114,7 +116,8 @@ def load_config(path: str, args) -> JobConfig:
     Integer fields take JSON integers only; booleans are rejected.  An
     explicit ``c`` may span at most ``SGRAPH_BOX_LIMIT`` lattice points,
     and ``depth`` may not exceed ``DEPTH_LIMIT``.  ``inject_spurious``
-    takes a JSON boolean only.
+    takes a JSON boolean only, and ``convention`` the string ``"dual"``
+    only, which changes nothing.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -184,15 +187,14 @@ def load_config(path: str, args) -> JobConfig:
     if not _is_int(depth) or not 0 <= depth <= DEPTH_LIMIT:
         raise ConfigError(
             f"{path}: depth must be an integer in 0..{DEPTH_LIMIT}")
-    convention = (args.convention if args.convention is not None
-                  else raw.get("convention", "dual"))
-    if convention not in CONVENTIONS:
-        raise ConfigError(f"{path}: convention must be one of {CONVENTIONS}")
+    if raw.get("convention", "dual") != "dual":
+        raise ConfigError(f"{path}: convention must be \"dual\", the only "
+                          "crystal convention that remains")
     inject = raw.get("inject_spurious", False)
     if not isinstance(inject, bool):
         raise ConfigError(f"{path}: inject_spurious must be true or false")
     inject = inject or getattr(args, "inject_spurious", False)
-    return JobConfig(cartan, word, t, c, selector, depth, convention, inject)
+    return JobConfig(cartan, word, t, c, selector, depth, inject)
 
 
 # Pieces of report text buffered before one write to the file.  Writing a
@@ -537,7 +539,7 @@ def _suite_envelope(cfg: JobConfig, forensics: dict) -> dict:
             raise
         rep = check_constructibility(env)
         if crystal is None:
-            elements = generate_binf(cfg.word, cfg.depth, cfg.convention)
+            elements = generate_binf(cfg.word, cfg.depth)
             crystal = (elements, [{"coords": b, "total": sum(m for _, m in b)}
                                   for b in elements])
         # every label's maximum equals the overall one, or this raises; a
@@ -614,8 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int, default=None,
                        help="crystal generation depth, at most "
                        f"{DEPTH_LIMIT} (default 4)")
-        p.add_argument("--convention", choices=CONVENTIONS, default=None,
-                       help="pairing convention for crystal checks")
         if name == "verify":
             p.add_argument("--suite", choices=SUITES, default="all")
             p.add_argument("--inject-spurious", action="store_true",

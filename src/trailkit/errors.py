@@ -64,10 +64,6 @@ class MixedTrivialization(TrailkitError):
     """Trails grouped together trivialize at different steps."""
 
 
-class NoMaximalTrail(TrailkitError):
-    """No trail in the class satisfies the maximality condition."""
-
-
 class PointOutside(TrailkitError):
     """Point is not a member of the polytope under discussion."""
 

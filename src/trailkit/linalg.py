@@ -1,11 +1,9 @@
-"""Exact linear algebra helpers; no floats anywhere.
+"""Exact linear algebra helpers over the integers; no floats and no
+fractions anywhere.
 
 Matrices are plain lists of lists (rows).  This is deliberately small:
-- a fraction-free row reduction over the integers, which the module build
-  runs once per weight;
-- row reduction and an inverse over `fractions.Fraction`; `rref` now
-  serves only `invert` (the inverse Cartan matrix) and the Fraction
-  reference build of the tests;
+- a fraction-free row reduction, which the module build runs once per
+  weight and the inverse Cartan matrix once per matrix;
 - an exact convex-hull membership test as a phase-one simplex with Bland's
   rule that pivots fraction-free over the integers and certifies each
   answer;
@@ -17,55 +15,11 @@ The last two take distinct points with exact `int` coordinates only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from operator import mul, sub
 from typing import Sequence
 
 from .errors import ConsistencyError
-
-Matrix = list[list[Fraction]]
-
-
-def to_fractions(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = to_fractions(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv if x else x for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def invert(a: Sequence[Sequence]) -> Matrix:
-    n = len(a)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ConsistencyError("matrix is singular")
-    return [row[n:] for row in red]
 
 
 def _int_points(points: Sequence[Sequence]) -> list[tuple[int, ...]]:

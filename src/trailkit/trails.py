@@ -39,7 +39,6 @@ from .cartan_core import (
 from .errors import (
     ConsistencyError,
     MixedTrivialization,
-    NoMaximalTrail,
     OpenFaceRequest,
     PositionMissingError,
     TNotInWord,
@@ -158,9 +157,8 @@ class Trail:
     construction checks that each n_j is an int (not a bool, before any
     weight is stored), walks them once, checks n_j >= 0, (P) and the end
     weight, and keeps the weights ``gamma`` and the trivialization step
-    ``phi`` as derived attributes.  Realizability needs a module, so the
-    constructors that hold one (:func:`enumerate_trails`,
-    :func:`make_trail`) check it.  The search of :func:`enumerate_trails`
+    ``phi`` as derived attributes.  Realizability needs a module, so
+    :func:`enumerate_trails`, which holds one, checks it.  Its search
     checks the same axioms node by node and carries the weights, so it
     builds its trails without a second walk (:meth:`_walked`).
     """
@@ -328,38 +326,6 @@ def _build_face_basis(word: WordJ) -> dict[int, LinearFunctionBJ]:
             _, f = face_function(word, s, k)
             basis[word.position(s, k)] = f
     return basis
-
-
-def _chain(M: LowestWeightModule, word: WordJ,
-           exps) -> list[dict[int, int]] | None:
-    """Vectors v_1..v_{m+1} along the word, each a positive multiple of the
-    exact one in integers, or None if any vanishes."""
-    v = M.start_vector
-    out = [v]
-    for i, n in zip(word.letters, exps):
-        cols = M.e_int[i].cols
-        for _ in range(n):
-            v = apply_projective(cols, v)
-            if not v:
-                return None
-        out.append(v)
-    return out
-
-
-def make_trail(M: LowestWeightModule, word, exps) -> Trail | None:
-    """The trail of type ``M.t`` with the given exponents, or None if the
-    axioms or realizability fail."""
-    word = _as_word(M.cartan, word)
-    exps = tuple(exps)
-    if len(exps) != word.m:
-        return None
-    try:
-        K = Trail(word, M.t, exps)
-    except ConsistencyError:
-        return None
-    if _chain(M, word, exps) is None:
-        return None
-    return K
 
 
 def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
@@ -594,108 +560,3 @@ def _check_class_bounds(s, a, l, c, l_min: Trail, positions) -> None:
         if c[i - 1] != -l_min.pairing_delta(p):
             raise ConsistencyError(
                 "c from the exponent sums disagrees with the midpoint pairing")
-
-
-# No CLI path runs the face moves and minimax_decompose below yet; they are
-# kept for the false-trail forensics of ROADMAP item 1, which will report
-# what minimax_decompose says of each failing class.
-
-
-def try_adjoin_face(K: Trail, s: int, k: int, M: LowestWeightModule) -> Trail | None:
-    """K + F_s^k (k > 1) if it is again a trail, else None."""
-    return _shift_face(K, s, k, M, +1)
-
-
-def try_remove_face(K: Trail, s: int, k: int, M: LowestWeightModule) -> Trail | None:
-    """K - F_s^k (k > 1) if it is again a trail, else None."""
-    return _shift_face(K, s, k, M, -1)
-
-
-def _shift_face(K: Trail, s: int, k: int, M: LowestWeightModule,
-                sign: int) -> Trail | None:
-    if k <= 1:
-        raise OpenFaceRequest("only closed faces (k > 1) can be adjoined")
-    if K.t != M.t:
-        raise ConsistencyError(
-            f"a trail of type t={K.t} moved in the module of t={M.t}")
-    u = K.word.position(s, k)
-    v = K.word.position(s, k - 1)
-    exps = list(K.exps)
-    exps[v - 1] += sign
-    exps[u - 1] -= sign
-    if exps[v - 1] < 0 or exps[u - 1] < 0:
-        return None
-    return make_trail(M, K.word, exps)
-
-
-def minimal_in_class(M: LowestWeightModule, cls: TsClass, K: Trail) -> bool:
-    """Whether f_s kills the vector entering every position (s,i)."""
-    chain = _chain(M, K.word, K.exps)
-    cols = M.f_int[cls.s].cols
-    return not any(apply_projective(cols, chain[p - 1]) for p in cls.positions)
-
-
-def maximal_in_class(M: LowestWeightModule, cls: TsClass, K: Trail) -> bool:
-    """Whether e_s kills the vector leaving every position (s,i)."""
-    chain = _chain(M, K.word, K.exps)
-    cols = M.e_int[cls.s].cols
-    return not any(apply_projective(cols, chain[p]) for p in cls.positions)
-
-
-def minimax_decompose(cls: TsClass, M: LowestWeightModule) -> tuple[Trail, tuple[int, ...]]:
-    """Locate the maximal member, then strip d_l copies of the face F_s^l
-    for l = 2..n in increasing order, landing on the minimal member.
-
-    Returns (K_min, d).  Raises NoMaximalTrail when no member is maximal;
-    every step of the descent is re-verified (the midpoint sign pattern,
-    the defining vanishing of K_min, d_{k+1} matching K_min's coefficients,
-    and the exact round trip back to K_max).
-    """
-    s, positions, n = cls.s, cls.positions, cls.n
-    maximal = [K for K in cls.members if maximal_in_class(M, cls, K)]
-    if not maximal:
-        raise NoMaximalTrail(f"no maximal member among {len(cls.members)} trails")
-    if len(maximal) > 1:
-        raise ConsistencyError("the maximal member should be unique")
-    k_max = maximal[0]
-    d = tuple(k_max.pairing_delta(p) for p in positions)
-    if d[0] != 0:
-        raise ConsistencyError(f"d_1={d[0]} must vanish")
-    if any(x < 0 for x in d):
-        raise ConsistencyError(f"negative entry in d={d}")
-
-    def check_sign_pattern(K: Trail, level: int) -> None:
-        for i, p in enumerate(positions, start=1):
-            val = K.pairing_delta(p)
-            want = -d[i] if i < level else (0 if i == level else d[i - 1])
-            if val != want:
-                raise ConsistencyError(
-                    f"midpoint pairing {val} at (s,{i}) after level {level}, "
-                    f"expected {want}")
-
-    K = k_max
-    check_sign_pattern(K, 1)
-    for level in range(2, n + 1):
-        for _ in range(d[level - 1]):
-            nxt = try_remove_face(K, s, level, M)
-            if nxt is None:
-                raise ConsistencyError(
-                    f"removing a face at level {level} left the trail set")
-            K = nxt
-        check_sign_pattern(K, level)
-    k_min = K
-    if not minimal_in_class(M, cls, k_min):
-        raise ConsistencyError("descent did not land on a minimal trail")
-    c_min = tuple(-k_min.pairing_delta(p) for p in positions)
-    if any(d[i] != c_min[i - 1] for i in range(1, n)):
-        raise ConsistencyError(f"d={d} does not match shifted c={c_min}")
-    back = k_min
-    for level in range(2, n + 1):
-        for _ in range(c_min[level - 2]):
-            back = try_adjoin_face(back, s, level, M)
-            if back is None:
-                raise ConsistencyError("re-adjoining the faces failed")
-    if back != k_max:
-        raise ConsistencyError("face adjunction did not return to the maximal trail")
-    return k_min, d
-

@@ -10,11 +10,13 @@ from fractions import Fraction
 from math import lcm
 
 from trailkit.cartan_core import reflect, wsub
-from trailkit.errors import ConsistencyError, RadicalRankMismatch
-from trailkit.linalg import in_convex_hull, rref
-from trailkit.rep_builder import IntegerForm, freudenthal_multiplicities
-from trailkit.trails import (LinearFunctionBJ, _as_word, face_function,
-                             kashiwara_function)
+from trailkit.errors import (ConsistencyError, OpenFaceRequest,
+                             RadicalRankMismatch)
+from trailkit.linalg import in_convex_hull
+from trailkit.rep_builder import (IntegerForm, apply_projective,
+                                  freudenthal_multiplicities)
+from trailkit.trails import (LinearFunctionBJ, Trail, _as_word,
+                             face_function, kashiwara_function)
 
 
 def evaluate(f: LinearFunctionBJ, values) -> int:
@@ -29,6 +31,49 @@ def weyl_act(cartan, word, w):
     for i in word:
         w = reflect(cartan, i, w)
     return w
+
+
+# --- row reduction over Fractions -------------------------------------------
+# The reference for linalg.integer_rref, which reduces fraction-free over
+# the integers, and for cartan_core._scaled_inverse, which reads the
+# inverse Cartan matrix off that reduction.
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            m[r] = [x / pv if x else x for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def invert(a) -> list[list[Fraction]]:
+    """The inverse of a square matrix, by :func:`rref` on [A | I]."""
+    n = len(a)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ConsistencyError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 # --- the module build over Fractions ---------------------------------------
@@ -109,6 +154,141 @@ def fraction_build_matrices(cartan, t: int):
     return (weights,
             {i: fraction_integer_form(cols) for i, cols in e_cols.items()},
             {i: fraction_integer_form(cols) for i, cols in f_cols.items()})
+
+
+# --- trails one exponent tuple at a time, and the face moves -----------------
+# The realizability reference for trails.enumerate_trails, which cuts its
+# search where the partial monomial vector vanishes, and the moves along the
+# closed faces F_s^k within a class.
+
+
+def _chain(M, word, exps) -> list[dict[int, int]] | None:
+    """Vectors v_1..v_{m+1} along the word, each a positive multiple of the
+    exact one in integers, or None if any vanishes."""
+    v = M.start_vector
+    out = [v]
+    for i, n in zip(word.letters, exps):
+        cols = M.e_int[i].cols
+        for _ in range(n):
+            v = apply_projective(cols, v)
+            if not v:
+                return None
+        out.append(v)
+    return out
+
+
+def make_trail(M, word, exps) -> Trail | None:
+    """The trail of type ``M.t`` with the given exponents, or None if the
+    axioms or realizability fail."""
+    word = _as_word(M.cartan, word)
+    exps = tuple(exps)
+    if len(exps) != word.m:
+        return None
+    try:
+        K = Trail(word, M.t, exps)
+    except ConsistencyError:
+        return None
+    if _chain(M, word, exps) is None:
+        return None
+    return K
+
+
+def try_adjoin_face(K: Trail, s: int, k: int, M) -> Trail | None:
+    """K + F_s^k (k > 1) if it is again a trail, else None."""
+    return _shift_face(K, s, k, M, +1)
+
+
+def try_remove_face(K: Trail, s: int, k: int, M) -> Trail | None:
+    """K - F_s^k (k > 1) if it is again a trail, else None."""
+    return _shift_face(K, s, k, M, -1)
+
+
+def _shift_face(K: Trail, s: int, k: int, M, sign: int) -> Trail | None:
+    if k <= 1:
+        raise OpenFaceRequest("only closed faces (k > 1) can be adjoined")
+    if K.t != M.t:
+        raise ConsistencyError(
+            f"a trail of type t={K.t} moved in the module of t={M.t}")
+    u = K.word.position(s, k)
+    v = K.word.position(s, k - 1)
+    exps = list(K.exps)
+    exps[v - 1] += sign
+    exps[u - 1] -= sign
+    if exps[v - 1] < 0 or exps[u - 1] < 0:
+        return None
+    return make_trail(M, K.word, exps)
+
+
+def minimal_in_class(M, cls, K: Trail) -> bool:
+    """Whether f_s kills the vector entering every position (s,i)."""
+    chain = _chain(M, K.word, K.exps)
+    cols = M.f_int[cls.s].cols
+    return not any(apply_projective(cols, chain[p - 1]) for p in cls.positions)
+
+
+def maximal_in_class(M, cls, K: Trail) -> bool:
+    """Whether e_s kills the vector leaving every position (s,i)."""
+    chain = _chain(M, K.word, K.exps)
+    cols = M.e_int[cls.s].cols
+    return not any(apply_projective(cols, chain[p]) for p in cls.positions)
+
+
+def minimax_decompose(cls, M) -> tuple[Trail, tuple[int, ...]]:
+    """Locate the maximal member, then strip d_l copies of the face F_s^l
+    for l = 2..n in increasing order, landing on the minimal member.
+
+    Returns (K_min, d).  Raises ConsistencyError when no member is maximal
+    or a step of the descent fails its check (the midpoint sign pattern,
+    the defining vanishing of K_min, d_{k+1} matching K_min's coefficients,
+    and the exact round trip back to K_max).
+    """
+    s, positions, n = cls.s, cls.positions, cls.n
+    maximal = [K for K in cls.members if maximal_in_class(M, cls, K)]
+    if len(maximal) != 1:
+        raise ConsistencyError(f"{len(maximal)} maximal members among "
+                               f"{len(cls.members)} trails, not one")
+    k_max = maximal[0]
+    d = tuple(k_max.pairing_delta(p) for p in positions)
+    if d[0] != 0:
+        raise ConsistencyError(f"d_1={d[0]} must vanish")
+    if any(x < 0 for x in d):
+        raise ConsistencyError(f"negative entry in d={d}")
+
+    def check_sign_pattern(K: Trail, level: int) -> None:
+        for i, p in enumerate(positions, start=1):
+            val = K.pairing_delta(p)
+            want = -d[i] if i < level else (0 if i == level else d[i - 1])
+            if val != want:
+                raise ConsistencyError(
+                    f"midpoint pairing {val} at (s,{i}) after level {level}, "
+                    f"expected {want}")
+
+    K = k_max
+    check_sign_pattern(K, 1)
+    for level in range(2, n + 1):
+        for _ in range(d[level - 1]):
+            nxt = try_remove_face(K, s, level, M)
+            if nxt is None:
+                raise ConsistencyError(
+                    f"removing a face at level {level} left the trail set")
+            K = nxt
+        check_sign_pattern(K, level)
+    k_min = K
+    if not minimal_in_class(M, cls, k_min):
+        raise ConsistencyError("descent did not land on a minimal trail")
+    c_min = tuple(-k_min.pairing_delta(p) for p in positions)
+    if any(d[i] != c_min[i - 1] for i in range(1, n)):
+        raise ConsistencyError(f"d={d} does not match shifted c={c_min}")
+    back = k_min
+    for level in range(2, n + 1):
+        for _ in range(c_min[level - 2]):
+            back = try_adjoin_face(back, s, level, M)
+            if back is None:
+                raise ConsistencyError("re-adjoining the faces failed")
+    if back != k_max:
+        raise ConsistencyError(
+            "face adjunction did not return to the maximal trail")
+    return k_min, d
 
 
 # --- extremality ----------------------------------------------------------
@@ -208,21 +388,11 @@ def total(b: Element) -> int:
     return sum(m for _, m in b)
 
 
-def _sigmas(cartan, word, i: int, b: Element, convention: str) -> list[int]:
-    """Values r_i^k(b) for k = 1..count(i), in the chosen convention."""
+def _sigmas(word, i: int, b: Element) -> list[int]:
+    """Values r_i^k(b) for k = 1..count(i)."""
     values = dict(b)
-    n = word.count(i)
-    if convention == "dual":
-        return [evaluate(kashiwara_function(word, i, k), values)
-                for k in range(1, n + 1)]
-    out = []
-    for k in range(1, n + 1):
-        u = word.position(i, k)
-        total = values.get(u, 0)
-        for j in range(u + 1, word.m + 1):
-            total += cartan.pairing(i, word.letters[j - 1]) * values.get(j, 0)
-        out.append(total)
-    return out
+    return [evaluate(kashiwara_function(word, i, k), values)
+            for k in range(1, word.count(i) + 1)]
 
 
 def _bump(b: Element, j: int, delta: int) -> Element:
@@ -232,27 +402,24 @@ def _bump(b: Element, j: int, delta: int) -> Element:
     return make_element(d)
 
 
-def crystal_epsilon(cartan, word, i: int, b: Element,
-                    convention: str = "dual") -> int:
+def crystal_epsilon(cartan, word, i: int, b: Element) -> int:
     """Largest Kashiwara-function value; string length left for raising."""
-    return max(_sigmas(cartan, _as_word(cartan, word), i, b, convention))
+    return max(_sigmas(_as_word(cartan, word), i, b))
 
 
-def crystal_f(cartan, word, i: int, b: Element,
-              convention: str = "dual") -> Element:
+def crystal_f(cartan, word, i: int, b: Element) -> Element:
     """Add one to the exponent at the least maximizing i-occurrence."""
     word = _as_word(cartan, word)
-    sig = _sigmas(cartan, word, i, b, convention)
+    sig = _sigmas(word, i, b)
     k = sig.index(max(sig)) + 1
     return _bump(b, word.position(i, k), +1)
 
 
-def crystal_e(cartan, word, i: int, b: Element,
-              convention: str = "dual") -> Element | None:
+def crystal_e(cartan, word, i: int, b: Element) -> Element | None:
     """Remove one at the greatest maximizing i-occurrence, or None at the
     bottom of the i-string (maximum not positive)."""
     word = _as_word(cartan, word)
-    sig = _sigmas(cartan, word, i, b, convention)
+    sig = _sigmas(word, i, b)
     top = max(sig)
     if top <= 0:
         return None

@@ -21,16 +21,13 @@ from pathlib import Path
 import trailkit
 
 SRC = Path(trailkit.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 # The roots of the search, each with why it stays.
 KEEP = {
     ("cli", "main"): "the console script entry point",
     ("giant", "epsilon_star"): "bench/tracer.py wraps it by name",
     ("sgraph", "extremal_functions"): "bench/tracer.py wraps it by name",
-    ("trails", "minimax_decompose"):
-        "ROADMAP item 1: the false-trail forensics will report it per class",
-    ("trails", "try_adjoin_face"): "ROADMAP item 1, with minimax_decompose",
-    ("trails", "try_remove_face"): "ROADMAP item 1, with minimax_decompose",
     ("cartan_core", "reduced_words_of_w0"):
         "ROADMAP item 3: the w0 word families of the sweeps come from it",
 }
@@ -120,6 +117,24 @@ def test_keep_list_names_exist():
 
 def test_every_public_name_is_reached_from_the_cli_or_the_keep_list():
     assert _unreachable() == []
+
+
+def _tracer_binds() -> set[tuple[str, str]]:
+    """The (module, name) pairs that ``tracer.install`` reads off the
+    package as ``module.name``, from the source of ``bench/tracer.py``."""
+    tree = ast.parse(TRACER.read_text())
+    (install,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "install"]
+    return {(node.value.id, node.attr) for node in ast.walk(install)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)}
+
+
+def test_keep_list_reasons_citing_the_tracer_hold():
+    cited = {key for key, why in KEEP.items() if "bench/tracer.py" in why}
+    assert cited, "no keep-list entry cites bench/tracer.py"
+    assert cited <= _tracer_binds(), sorted(cited - _tracer_binds())
 
 
 def test_every_exported_name_resolves():

@@ -96,34 +96,6 @@ def test_raising_inverts_lowering(cartans, moves):
         b = nxt
 
 
-def test_conventions_agree_when_pairing_symmetric(cartans):
-    c = cartans["A3"]
-    w = (1, 2, 1, 3, 2, 1)
-    for b in generate_binf(WordJ(c, w), 3):
-        for i in c.labels:
-            assert (crystal_f(c, w, i, b)
-                    == crystal_f(c, w, i, b, convention="straight"))
-            assert (crystal_epsilon(c, w, i, b)
-                    == crystal_epsilon(c, w, i, b, convention="straight"))
-
-
-def test_conventions_differ_on_b2(cartans):
-    c = cartans["B2"]
-    w = (1, 2, 1, 2)
-    dual = straight = make_element()
-    for i in (2, 1, 2, 1):
-        dual = crystal_f(c, w, i, dual)
-        straight = crystal_f(c, w, i, straight, convention="straight")
-    assert dual == ((2, 2), (3, 2))
-    assert straight == ((1, 1), (2, 1), (3, 1), (4, 1))
-
-
-def test_unknown_convention(cartans):
-    with pytest.raises(ConfigError):
-        generate_binf(WordJ(cartans["A2"], (1, 2, 1)), 1,
-                      convention="sideways")
-
-
 def test_letter_absent(cartans):
     c = cartans["A3"]
     with pytest.raises(NotApplicable):
@@ -140,19 +112,17 @@ def test_negative_depth(cartans):
 def test_generate_binf_checks_only_when_it_lowers(cartans):
     c = cartans["A3"]
     short = WordJ(c, (1, 2, 1))
-    assert generate_binf(short, 0, "sideways") == (make_element(),)
-    with pytest.raises(ConfigError):
-        generate_binf(WordJ(c, (1, 2, 1, 3, 2, 1)), 1, "sideways")
+    assert generate_binf(short, 0) == (make_element(),)
     with pytest.raises(NotApplicable, match="letter 3 does not occur"):
         generate_binf(short, 1)
 
 
-def _crystal_f_closure(cartan, word, depth, convention):
+def _crystal_f_closure(cartan, word, depth):
     """Every element within ``depth`` lowering steps of the empty one, each
     step taken by :func:`crystal_f`."""
     seen = frontier = {make_element()}
     for _ in range(depth):
-        frontier = {crystal_f(cartan, word, i, b, convention)
+        frontier = {crystal_f(cartan, word, i, b)
                     for b in frontier for i in cartan.labels} - seen
         seen = seen | frontier
     return seen
@@ -164,12 +134,10 @@ def test_generate_binf_is_the_crystal_f_closure():
         cartan = validate_gcm(GCM[name])
         for letters in reduced_words_of_w0(cartan):
             word = WordJ(cartan, letters)
-            for convention in ("dual", "straight"):
-                assert (set(generate_binf(word, 4, convention))
-                        == _crystal_f_closure(cartan, word, 4, convention)), (
-                    name, letters, convention)
-                checked += 1
-    assert checked == 200
+            assert (set(generate_binf(word, 4))
+                    == _crystal_f_closure(cartan, word, 4)), (name, letters)
+            checked += 1
+    assert checked == 100
 
 
 def test_generate_binf_is_closed_under_raising():
@@ -179,17 +147,16 @@ def test_generate_binf_is_closed_under_raising():
     for name in ("A3", "B3", "C3"):
         cartan = validate_gcm(GCM[name])
         word = WordJ(cartan, reduced_words_of_w0(cartan)[-1])
-        for convention in ("dual", "straight"):
-            elems = set(generate_binf(word, 4, convention))
-            for b in elems:
-                for i in cartan.labels:
-                    up = crystal_e(cartan, word, i, b, convention)
-                    eps = crystal_epsilon(cartan, word, i, b, convention)
-                    assert (up is None) == (eps <= 0), (name, b, i)
-                    if up is not None:
-                        assert up in elems and total(up) == total(b) - 1
-                        checked += 1
-    assert checked == 534
+        elems = set(generate_binf(word, 4))
+        for b in elems:
+            for i in cartan.labels:
+                up = crystal_e(cartan, word, i, b)
+                eps = crystal_epsilon(cartan, word, i, b)
+                assert (up is None) == (eps <= 0), (name, b, i)
+                if up is not None:
+                    assert up in elems and total(up) == total(b) - 1
+                    checked += 1
+    assert checked == 267
 
 
 def test_generate_binf_comes_depth_by_depth_each_depth_sorted(cartans):
@@ -208,5 +175,5 @@ def test_generate_binf_comes_depth_by_depth_each_depth_sorted(cartans):
     for name in ("B3", "C3"):
         cartan = validate_gcm(GCM[name])
         for letters in reduced_words_of_w0(cartan)[:10]:
-            elems = generate_binf(WordJ(cartan, letters), 4, "straight")
+            elems = generate_binf(WordJ(cartan, letters), 4)
             assert list(elems) == sorted(elems, key=lambda b: (total(b), b))

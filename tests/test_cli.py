@@ -17,6 +17,7 @@ from trailkit.bj_crystal import generate_binf
 from trailkit.sgraph import CoeffVector, integer_points
 
 from oracles import evaluate, lp_extremal_points
+from test_golden import DATA, GOLDEN
 
 
 def write_config(tmp_path, obj, name="job.json"):
@@ -537,6 +538,34 @@ def test_flags_override_config(tmp_path):
         assert len(m["epsilon_star_elements"]) == 3
 
 
+def test_the_convention_key_takes_dual_only(tmp_path, capsys):
+    # job files written when there were two conventions may say "dual",
+    # which changes no byte of the report; any other value is exit 2
+    name, code, job = GOLDEN[0]
+    argv = ["verify", "--suite", "all", "--config"]
+    cfg = write_config(tmp_path, dict(job, convention="dual"), "dual.json")
+    assert cli.main(argv + [cfg, "--out", str(tmp_path / "dual")]) == code
+    assert ((tmp_path / "dual" / "verify.json").read_bytes()
+            == (DATA / name).read_bytes())
+    capsys.readouterr()
+    cfg = write_config(tmp_path, dict(job, convention="straight"))
+    out = tmp_path / "straight"
+    assert cli.main(argv + [cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert "convention" in err and "dual" in err and "Traceback" not in err
+    assert not (out / "verify.json").exists()
+
+
+def test_the_convention_flag_is_gone(tmp_path, capsys):
+    cfg = write_config(tmp_path, A2_JOB)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", cfg, "--out", str(tmp_path),
+                  "--convention", "dual"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --convention" in capsys.readouterr().err
+
+
 # --- the report writer -------------------------------------------------------
 
 _LEAVES = (st.none() | st.booleans() | st.integers()
@@ -671,6 +700,7 @@ def _configs(draw):
                                         "s": st.integers(1, 2),
                                         "j": st.integers(1, 6)}),
         "depth": st.integers(0, 5),
+        # "straight", the convention that is gone, is a config error (2)
         "convention": st.sampled_from(["dual", "straight"]),
         "inject_spurious": st.booleans(),
     })))

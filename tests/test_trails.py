@@ -24,11 +24,7 @@ from trailkit import (
     face_function,
     group_ts_classes,
     kashiwara_function,
-    make_trail,
-    minimax_decompose,
     trail_function,
-    try_adjoin_face,
-    try_remove_face,
     validate_gcm,
 )
 import trailkit
@@ -46,7 +42,8 @@ from trailkit.errors import (
 
 from conftest import FULL_WORDS, GCM, cartan_key
 from oracles import (driving_function, evaluate, face_cone_coordinates,
-                     in_xt_cone, xt_leq)
+                     in_xt_cone, make_trail, minimax_decompose,
+                     try_adjoin_face, try_remove_face, xt_leq)
 
 # every trail of every fixture module, frozen as exponent tuples
 EXPECTED_TRAILS = {
