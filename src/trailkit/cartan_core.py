@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import gcd
 from operator import add, neg, sub
 
@@ -189,13 +188,20 @@ def _classify_component(a: list[list[int]]) -> str | None:
         if not (lo <= n <= hi):
             continue
         std = _standard_gcm(family, n)
-        if sorted(sorted(row) for row in std) != mine:
-            continue
-        for perm in permutations(range(n)):
-            if all(std[perm[i]][perm[j]] == a[i][j]
-                   for i in range(n) for j in range(n)):
-                return f"{family}{n}"
+        if sorted(sorted(row) for row in std) == mine and _relabels(std, a, []):
+            return f"{family}{n}"
     return None
+
+
+def _relabels(std, a, perm: list[int]) -> bool:
+    """Whether ``perm`` (rows of std for the first rows of a) extends to a p
+    with std[p[i]][p[j]] == a[i][j]: row by row, backtracking."""
+    i = len(perm)
+    return i == len(a) or any(
+        _relabels(std, a, perm + [k]) for k, row in enumerate(std)
+        if k not in perm and sorted(row) == sorted(a[i]) and all(
+            row[p] == a[i][j] and std[p][k] == a[j][i]
+            for j, p in enumerate(perm)))
 
 
 def _type_tag(a: list[list[int]]) -> str | None:

@@ -309,6 +309,9 @@ def _build_matrices(cartan: CartanData, t: int):
         for nu in sorted(groups):
             cands = groups[nu]
             images = [_e_images(e_cols, f_cols, weights, j, b) for j, b in cands]
+            if nu not in fmult and not any(
+                    col for im in images for _, col in im.values()):
+                continue    # rank 0: no basis vector, empty f-columns
             entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
             for c, im in enumerate(images):
                 for i, (den, col) in im.items():
@@ -340,7 +343,7 @@ def _build_matrices(cartan: CartanData, t: int):
             next_level.extend(new)
         for b in level:
             for j, _ in roots:
-                den, col = f_level[j, b]
+                den, col = f_level.get((j, b), (1, ()))
                 f_cols[j][0].append(den)
                 f_cols[j][1].append(col)
         level = next_level

@@ -81,10 +81,6 @@ class LinearFunctionBJ:
         return LinearFunctionBJ(
             tuple(sorted((j, c) for j, c in coeffs.items() if c != 0)))
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.terms)
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
 
@@ -214,10 +210,6 @@ class Trail:
         K.__dict__.update(word=word, t=t, exps=exps, gamma=gamma, phi=phi)
         return K
 
-    @property
-    def m(self) -> int:
-        return self.word.m
-
     def weight(self, j: int) -> Weight:
         """gamma_j, 1-based, j in [1, m+1]."""
         return self.gamma[j - 1]
@@ -265,13 +257,15 @@ def _build_driving_trail(word: WordJ, t: int):
 
 def trail_function(K: Trail) -> LinearFunctionBJ:
     """z^K: the coefficient at position j is the coroot pairing of
-    alpha_{i_j} against (gamma_j + gamma_{j+1})/2."""
-    coeffs = {j: K.pairing_delta(j) for j in range(1, K.m + 1)}
-    f = LinearFunctionBJ.from_coeffs(coeffs)
-    if any(j > K.phi for j in f.support):
+    alpha_{i_j} against (gamma_j + gamma_{j+1})/2, which is
+    gamma_j[i_j - 1] + n_j, as alpha_{i_j} pairs to 2 with its coroot."""
+    terms = tuple((j, z) for j, (i, n, g)
+                  in enumerate(zip(K.word.letters, K.exps, K.gamma), start=1)
+                  if (z := g[i - 1] + n))
+    if terms and terms[-1][0] > K.phi:
         raise ConsistencyError(
             f"trail function supported beyond the trivialization step {K.phi}")
-    return f
+    return LinearFunctionBJ(terms)
 
 
 def kashiwara_function(word: WordJ, s: int, k: int) -> LinearFunctionBJ:
@@ -339,46 +333,44 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
     carries its weights, and each leaf becomes a trail with them.
     Finite-dimensionality bounds every branch.
 
-    The raisings at position j move only the root coordinate of its letter
-    i, so a node checks the other coordinates once and each raising checks
-    that one against its bounds after step j: the driving trail's below,
-    the final weight's above, and equality with the final weight when i
-    does not occur after j.  Raising stops once that coordinate reaches
-    its upper bound, as every further raising overshoots it.
+    A node at position j raises the root coordinate of its letter i alone,
+    and checks it against its bounds after step j: the driving trail's
+    below, the final weight's above, and equality with the final weight
+    when i does not occur after j.  No other coordinate k is checked, as by
+    induction on j it meets its bounds after step j.  Step j leaves k as it
+    is, and keeps its bounds: the driving trail moves only coordinate i at
+    step j, and a letter other than i occurs after j exactly when it occurs
+    from j on.  So k meets them as it met its bounds after step j - 1, at
+    the parent node.  At j = 1 all coordinates are 0, as are the driving
+    trail's; its exponents are non-negative, so the upper bounds are at
+    least 0, and 0 at a letter that the word lacks.  After step m no letter
+    is left, so a leaf ends at the final weight.  Raising stops once the
+    coordinate reaches its upper bound, as every further raising overshoots
+    it, and at a weight with no weight space, where the vector vanishes
+    without a product.
     """
     word = _as_word(M.cartan, word)
     t = M.t
     m = word.m
     letters = word.letters
+    # the walk of the driving trail checks the premises of the induction
+    drv = driving_trail(word, t)
     drive, low = _driving_data(word, t)
     alphas = _letter_roots(word)
     prefix = word.prefix_weights(t)
     shared = word.memoized(("weights", t), dict)
+    spaces = M.weight_spaces
     # Root coordinates relative to gamma_1: a node's are its raising counts,
     # the driving trail's are the lower bounds of (P), and the final weight
     # -w_m(omega_t) = drive_{m+1} gives the upper bounds.
     high = low[m]
-    # Per position j: the bounds after step j of each other coordinate k,
-    # as (k, low, high, must equal high), checked once per node, and those
-    # of the letter's own coordinate, checked at every raising.
-    others = [None]
-    bounds = [None]
-    for j, i in enumerate(letters, start=1):
-        after = set(letters[j:])
-        others.append(tuple((k, lo, hi, k + 1 not in after) for k, (lo, hi)
-                            in enumerate(zip(low[j], high)) if k != i - 1))
-        bounds.append((low[j][i - 1], high[i - 1], i not in after))
+    # per position j: the bounds after step j of the letter's coordinate
+    bounds = [None] + [(low[j][i - 1], high[i - 1], i not in letters[j:])
+                       for j, i in enumerate(letters, start=1)]
     found: list[Trail] = []
     exps: list[int] = []    # the exponents of the current node
     gamma = [drive[0]]      # and its weights gamma_1..gamma_j
     x = [0] * M.cartan.n    # and its root coordinates
-
-    def others_admissible(j: int) -> bool:
-        for k, lo, hi, exact in others[j]:
-            a = x[k]
-            if not lo <= a <= hi or (exact and a != hi):
-                return False
-        return True
 
     def search(j: int, v: dict[int, int]):
         if j > m:
@@ -390,31 +382,29 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
             return
         i = letters[j - 1]
         c = i - 1
-        if not others_admissible(j):
-            return
         lo, hi, exact = bounds[j]
         alpha = alphas[j - 1]
         cols = M.e_int[i].cols
+        g = gamma[-1]
         start = a = x[c]
         n = 0
         while True:
             if lo <= a <= hi and (a == hi or not exact):
-                g = gamma[-1]
-                if n:
-                    g = wadd(g, wscale(n, alpha))
-                    g = shared.setdefault(g, g)
                 x[c] = a
                 exps.append(n)
-                gamma.append(g)
+                gamma.append(shared.setdefault(g, g) if n else g)
                 search(j + 1, v)
                 gamma.pop()
                 exps.pop()
             if a >= hi:     # a raising only moves a further past hi
                 break
-            n += 1
+            g = wadd(g, alpha)
+            if g not in spaces:
+                break
             v = apply_projective(cols, v)
             if not v:
                 break
+            n += 1
             a += 1
         x[c] = start
 
@@ -422,7 +412,6 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
 
     trails = frozenset(found)
     first = word.position(t, 1)
-    drv = driving_trail(word, t)
     earliest = [K for K in trails if K.phi <= first]
     if earliest != [drv]:
         raise ConsistencyError(

@@ -7,9 +7,10 @@ computes another way; none of them runs in the package itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
-from trailkit.cartan_core import reflect, wsub
+from trailkit.cartan_core import _FAMILIES, _standard_gcm, reflect, wsub
 from trailkit.errors import (ConsistencyError, OpenFaceRequest,
                              RadicalRankMismatch)
 from trailkit.linalg import in_convex_hull
@@ -31,6 +32,29 @@ def weyl_act(cartan, word, w):
     for i in word:
         w = reflect(cartan, i, w)
     return w
+
+
+# --- Cartan classification -------------------------------------------------
+# The reference for cartan_core._classify_component, which matches the
+# standard matrix row by row with backtracking.
+
+
+def permutation_component_tag(a) -> str | None:
+    """The family tag of a connected Cartan matrix, by trying every
+    simultaneous relabelling of each standard matrix of its rank."""
+    n = len(a)
+    mine = sorted(sorted(row) for row in a)
+    for family, lo, hi in _FAMILIES:
+        if not lo <= n <= hi:
+            continue
+        std = _standard_gcm(family, n)
+        if sorted(sorted(row) for row in std) != mine:
+            continue
+        for perm in permutations(range(n)):
+            if all(std[perm[i]][perm[j]] == a[i][j]
+                   for i in range(n) for j in range(n)):
+                return f"{family}{n}"
+    return None
 
 
 # --- row reduction over Fractions -------------------------------------------

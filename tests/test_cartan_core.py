@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from trailkit import WordJ, is_reduced, validate_gcm
-from trailkit.cartan_core import reduced_words_of_w0, require_finite
+from trailkit.cartan_core import (_classify_component, _standard_gcm,
+                                  reduced_words_of_w0, require_finite)
 from trailkit.errors import (
     NotFiniteTypeError,
     NotGCMError,
@@ -14,7 +17,7 @@ from trailkit.errors import (
 )
 
 from conftest import GCM
-from oracles import weyl_act
+from oracles import permutation_component_tag, weyl_act
 
 
 def test_fixture_matrices_are_finite_type():
@@ -33,6 +36,47 @@ def test_type_tags():
     # the rank-2 C matrix is the B2 diagram with the labels swapped
     assert validate_gcm(GCM["C2"]).type_tag == "B2"
     assert validate_gcm(GCM["D4"]).type_tag == "D4"
+
+
+# every finite type of rank <= 8
+FINITE_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+                + [("E", n) for n in range(6, 9)] + [("F", 4), ("G", 2)])
+
+
+def test_type_tags_do_not_depend_on_the_labelling():
+    """Three seeded simultaneous relabellings of every finite type of rank
+    <= 8 keep its tag; up to rank 7 the tag is also the one of the
+    reference that tries every permutation."""
+    assert len(FINITE_TYPES) == 32
+    rng = random.Random(20261020)
+    for family, n in FINITE_TYPES:
+        std = _standard_gcm(family, n)
+        # the rank-2 C matrix is the B2 diagram with the labels swapped
+        tag = "B2" if (family, n) == ("C", 2) else f"{family}{n}"
+        assert _classify_component(std) == validate_gcm(std).type_tag == tag
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            a = [[std[p][q] for q in perm] for p in perm]
+            assert _classify_component(a) == validate_gcm(a).type_tag == tag
+            if n <= 7:
+                assert permutation_component_tag(a) == tag, (tag, perm)
+
+
+@pytest.mark.parametrize("matrix,finite,tag", [
+    ([[2, 0, 0], [0, 2, -1], [0, -3, 2]], True, "A1xG2"),
+    ([[2, -1, 0], [-3, 2, 0], [0, 0, 2]], True, "A1xG2"),
+    ([[2, -2], [-2, 2]], False, None),
+    ([[2, -1], [-4, 2]], False, None),
+    ([[2, -3], [-3, 2]], False, None),
+    ([[2, -1], [-5, 2]], False, None),
+])
+def test_type_tags_of_sums_and_infinite_types(matrix, finite, tag):
+    c = validate_gcm(matrix)
+    assert (c.finite_type, c.type_tag) == (finite, tag)
+    # no standard matrix matches a sum or an infinite type as one component
+    assert _classify_component(matrix) is None
+    assert permutation_component_tag(matrix) is None
 
 
 @pytest.mark.parametrize("matrix,message", [

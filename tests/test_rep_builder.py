@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -471,6 +472,27 @@ def test_verify_module_catches_a_changed_non_integer_entry(cartans):
         m.cartan, m.t, m.weights, forms["e"], forms["f"])
     with pytest.raises(RadicalRankMismatch, match=r"\[e_\d, f_\d\] is not"):
         rep_builder._verify_module(tampered)
+
+
+def test_a_weight_missing_from_the_character_is_a_rank_error(monkeypatch):
+    """Outside the character the build skips the row reduction only when
+    every e-image is empty; a weight that Freudenthal wrongly leaves out
+    still has a non-empty e-image, and its rank is checked as before."""
+    c = validate_gcm(_standard_gcm("B", 2))
+    full = freudenthal_multiplicities(c, c.fundamental_weight(1))
+    assert full[-1, 0] == 1
+
+    def dropped(cartan, highest):
+        mult = freudenthal_multiplicities(cartan, highest)
+        del mult[-1, 0]     # the lowest weight of B2 omega_1
+        return mult
+
+    monkeypatch.setattr(rep_builder, "freudenthal_multiplicities", dropped)
+    # build_fundamental is memoized, so the build is called directly
+    with pytest.raises(RadicalRankMismatch, match=re.escape(
+            "weight (-1, 0): rank of the e-images 1 != Freudenthal "
+            "multiplicity 0")):
+        rep_builder._build_matrices(c, 1)
 
 
 # the modules that the enumerate benchmark builds

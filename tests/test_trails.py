@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -44,6 +45,7 @@ from conftest import FULL_WORDS, GCM, cartan_key
 from oracles import (driving_function, evaluate, face_cone_coordinates,
                      in_xt_cone, make_trail, minimax_decompose,
                      try_adjoin_face, try_remove_face, xt_leq)
+from test_rep_builder import RANK_4_FUNDAMENTALS
 
 # every trail of every fixture module, frozen as exponent tuples
 EXPECTED_TRAILS = {
@@ -261,7 +263,7 @@ def test_lower_members(modules, full_words):
     # lower <=> the function involves nothing at the closing step j
     for cls in (first, second):
         for K in cls.members:
-            support = trail_function(K).support
+            support = [j for j, _ in trail_function(K).terms]
             assert (K.exps in lower[cls]) == (not support
                                               or support[-1] <= 5)
 
@@ -511,6 +513,35 @@ def test_search_builds_the_trails_the_walk_builds(cartans):
     assert total > 1000
 
 
+def _random_w0(cartan, seed: int) -> tuple[int, ...]:
+    """A reduced word of w0 whose letters a seeded generator picks, each
+    among those that keep the word reduced."""
+    rng = random.Random(seed)
+    word: tuple[int, ...] = ()
+    while True:
+        grown = [i for i in cartan.labels if is_reduced(cartan, word + (i,))]
+        if not grown:
+            return word
+        word += (rng.choice(grown),)
+
+
+def test_search_builds_the_walked_trails_up_to_rank_4():
+    """The search checks at each node only the coordinate it raises; the
+    walk of ``Trail`` checks (P) on every coordinate at every position.
+    Every fundamental of rank <= 4 on its greedy w0, and those of B4, C4,
+    D4 and F4 on one seeded random w0 word too."""
+    total = 0
+    for tag, t in RANK_4_FUNDAMENTALS:
+        cartan = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
+        M = build_fundamental(cartan, t)
+        words = [_greedy_w0(cartan)]
+        if tag in ("B4", "C4", "D4", "F4"):
+            words.append(_random_w0(cartan, 20261020))
+        for letters in words:
+            total += _assert_walk_rebuilds(M, WordJ(cartan, letters), t)
+    assert total == 432
+
+
 @pytest.mark.parametrize("tag,t,count", [
     ("C5", 5, 131), ("C5", 4, 4), ("F4", 1, 1), ("E6", 2, 1), ("E6", 6, 98),
     ("D6", 6, 131), ("F4", 4, 118)])
@@ -524,10 +555,12 @@ def test_search_builds_the_walked_trails_on_larger_modules(tag, t, count):
 
 def test_the_search_makes_every_raising_it_needs(monkeypatch):
     """The search checks the raised coordinate only, and stops raising once
-    it reaches its upper bound, past which no exponent is admissible: 7,582
+    it reaches its upper bound, past which no exponent is admissible, or a
+    weight with no weight space, where the vector vanishes: 4,521
     applications of an e_i over the greedy w0 words of the enumerate
-    benchmark, where raising until the vector vanishes took 10,155, with
-    the same trails."""
+    benchmark, with the same trails.  Raising until the vector vanished
+    took 10,155; stopping at the upper bound alone took 7,582, of which
+    3,061 were products into an empty weight space."""
     runs = []
     for tag, t in (("C5", 5), ("C5", 4), ("F4", 1), ("E6", 2), ("E6", 6),
                    ("D6", 6), ("F4", 4)):
@@ -545,7 +578,7 @@ def test_the_search_makes_every_raising_it_needs(monkeypatch):
     monkeypatch.setattr(trails, "apply_projective", counted)
     found = [len(enumerate_trails(M, word)) for M, word in runs]
     assert found == [131, 4, 1, 1, 98, 131, 118]
-    assert len(calls) == 7582
+    assert len(calls) == 4521
 
 
 def test_driving_trail_and_start_vector_are_computed_once(cartans,
