@@ -17,10 +17,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import add, neg, sub
+from math import gcd, lcm
+from operator import add, mul, neg, sub
 
 from .errors import (
     ConsistencyError,
@@ -94,48 +93,60 @@ class CartanData:
 
 
 def _symmetrizer(a: list[list[int]]) -> tuple[int, ...] | None:
-    """Minimal positive integer d with d_i a_ij = d_j a_ji, or None."""
+    """Minimal positive integer d with d_i a_ij = d_j a_ji, or None.
+
+    Each d_j is held as an integer pair (numerator, denominator) in lowest
+    terms; every component starts at 1, and the result is scaled by the lcm
+    of all denominators and divided by the gcd of all numerators.
+    """
     n = len(a)
-    d: list[Fraction | None] = [None] * n
+    d: list[tuple[int, int] | None] = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        d[start] = (1, 1)
         stack = [start]
         while stack:
             i = stack.pop()
+            p, q = d[i]
             for j in range(n):
                 if a[i][j] == 0 or i == j:
                     continue
-                want = d[i] * Fraction(a[i][j], a[j][i])
+                num, den = p * -a[i][j], q * -a[j][i]   # both positive
+                g = gcd(num, den)
+                want = (num // g, den // g)
                 if d[j] is None:
                     d[j] = want
                     stack.append(j)
                 elif d[j] != want:
                     return None  # inconsistent cycle: not symmetrizable
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    denom_lcm = lcm(*(den for _, den in d))
+    ints = [num * (denom_lcm // den) for num, den in d]
+    g = gcd(*ints)
     return tuple(v // g for v in ints)
 
 
 def _positive_definite(sym: list[list[int]]) -> bool:
-    """Exact leading-principal-minor test on a symmetric integer matrix."""
+    """Exact leading-principal-minor test on a symmetric integer matrix.
+
+    Fraction-free (Bareiss) elimination without row swaps: the pivot of
+    step k is the leading principal minor of order k + 1, and each update
+    divides exactly by the pivot before it.
+    """
     n = len(sym)
-    m = [[Fraction(x) for x in row] for row in sym]
-    # Elimination without row swaps: pivot k is the ratio of the leading
-    # minors of orders k + 1 and k, so all pivots are positive iff all
-    # minors are.
+    m = [list(row) for row in sym]
+    prev = 1
     for k in range(n):
-        if m[k][k] <= 0:
+        pivot = m[k][k]
+        if pivot <= 0:
             return False
+        top = m[k]
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
     return True
 
 
@@ -283,34 +294,32 @@ def reflect(cartan: CartanData, i: int, w: Weight) -> Weight:
     return tuple(w[k] - c * cartan.gcm[k][i - 1] for k in range(cartan.n))
 
 
-def _unit_columns(n: int) -> list[list[int]]:
-    """The root coordinates of w^{-1}(alpha_i) for w = 1, by column."""
-    return [[int(r == k) for r in range(n)] for k in range(n)]
-
-
-def _append_letter(cartan: CartanData, cols, i: int) -> None:
-    """Turn the columns of w^{-1} into those of (w s_i)^{-1}, in place."""
-    ci = i - 1
-    pivot = cols[ci]
-    for k, f in enumerate(cartan.gcm[ci]):
-        if f and k != ci:
-            cols[k] = [x - f * y for x, y in zip(cols[k], pivot)]
-    cols[ci] = [-x for x in pivot]
+def _root_supports(cartan: CartanData) -> list[list[tuple[int, int]]]:
+    """For each i, the 0-based k with their nonzero entries alpha_i[k], so
+    that s_i(lam) = lam - lam_i alpha_i moves those coordinates alone."""
+    return [[(k, x) for k, x in enumerate(col) if x]
+            for col in zip(*cartan.gcm)]
 
 
 def is_reduced(cartan: CartanData, letters) -> bool:
     """True iff the letters form a reduced expression.
 
-    Tracks the columns of w^{-1} on the root lattice: appending letter i is
-    length-additive exactly when w^{-1}(alpha_i) is still a positive root.
+    Every label is checked before the first step.  The word then carries
+    lam = w^{-1}(rho) by its pairings lam_k = <lam, alpha_k^vee>, from
+    rho = (1, ..., 1).  By Kac, Lemma 3.11, appending letter i to a word
+    of w is length-additive iff w(alpha_i) > 0, that is iff lam_i > 0; the
+    new lam is s_i(lam) = lam - lam_i alpha_i, as in :func:`reflect`.
     """
     for i in letters:
         cartan.check_label(i)
-    cols = _unit_columns(cartan.n)
+    lam = list(cartan.rho())
+    supports = _root_supports(cartan)
     for i in letters:
-        if any(x < 0 for x in cols[i - 1]):
+        c = lam[i - 1]
+        if c <= 0:
             return False
-        _append_letter(cartan, cols, i)
+        for k, x in supports[i - 1]:
+            lam[k] -= c * x
     return True
 
 
@@ -318,21 +327,25 @@ def reduced_words_of_w0(cartan: CartanData) -> list[tuple[int, ...]]:
     """Every reduced word of the longest element w0, in lexicographic order.
 
     A depth-first search extends reduced words letter by letter, carrying
-    the columns of w^{-1} as :func:`is_reduced` does.  A reduced word is a
-    word of w0 exactly when no letter extends it.
+    lam = w^{-1}(rho) as :func:`is_reduced` does.  A reduced word is a word
+    of w0 exactly when no lam_i is positive, that is when no letter
+    extends it.
     """
     require_finite(cartan)
     out = []
-    stack = [((), _unit_columns(cartan.n))]
+    supports = _root_supports(cartan)
+    stack = [((), list(cartan.rho()))]
     while stack:
-        word, cols = stack.pop()
-        grown = [i for i in cartan.labels if all(x >= 0 for x in cols[i - 1])]
+        word, lam = stack.pop()
+        grown = [i for i, c in enumerate(lam, start=1) if c > 0]
         if not grown:
             out.append(word)
         for i in reversed(grown):   # the least letter is taken first
-            grown_cols = list(cols)
-            _append_letter(cartan, grown_cols, i)
-            stack.append((word + (i,), grown_cols))
+            c = lam[i - 1]
+            moved = lam[:]
+            for k, x in supports[i - 1]:
+                moved[k] -= c * x
+            stack.append((word + (i,), moved))
     return out
 
 
@@ -355,8 +368,6 @@ class WordJ:
     def __post_init__(self):
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
-        for i in letters:
-            self.cartan.check_label(i)
         if not is_reduced(self.cartan, letters):
             raise NotReducedError(f"word {letters} is not reduced")
         pos: dict[int, list[int]] = {}
@@ -421,10 +432,15 @@ class WordJ:
 
 @lru_cache(maxsize=None)
 def _root_system(cartan: CartanData):
-    """All positive (root, coroot) coordinate pairs, by reflection closure."""
+    """All positive (root, coroot) coordinate pairs, by reflection closure.
+
+    s_i moves coordinate i alone: by <alpha_i^vee, root> (row i of the
+    matrix) on a root and by <coroot, alpha_i> (column i) on a coroot.
+    """
     require_finite(cartan)
     n = cartan.n
-    a = cartan.gcm
+    rows = cartan.gcm
+    cols = tuple(zip(*rows))
     start = [(tuple(int(k == i) for k in range(n)),
               tuple(int(k == i) for k in range(n))) for i in range(n)]
     seen = set(start)
@@ -432,11 +448,12 @@ def _root_system(cartan: CartanData):
     while queue:
         root, coroot = queue.pop()
         for i in range(n):
-            p = sum(a[i][j] * root[j] for j in range(n))
-            new_root = tuple(root[j] - p * int(j == i) for j in range(n))
-            q = sum(a[j][i] * coroot[j] for j in range(n))
-            new_coroot = tuple(coroot[j] - q * int(j == i) for j in range(n))
-            pair = (new_root, new_coroot)
+            p = sum(map(mul, rows[i], root))
+            q = sum(map(mul, cols[i], coroot))
+            if not (p or q):
+                continue
+            pair = (root[:i] + (root[i] - p,) + root[i + 1:],
+                    coroot[:i] + (coroot[i] - q,) + coroot[i + 1:])
             if pair not in seen:
                 seen.add(pair)
                 queue.append(pair)

@@ -226,10 +226,9 @@ class Envelope:
             for b in sorted(L.blocks, key=lambda b: _fn_key(b.driving)):
                 classes.append({
                     "s": b.s,
-                    "a": list(b.a) if b.a is not None else [],
-                    "c": list(b.c),
-                    "z_vertices": sorted(
-                        [list(p) for p in _fn_key(v)] for v in b.vertices),
+                    "a": b.a if b.a is not None else (),
+                    "c": b.c,
+                    "z_vertices": sorted(map(_fn_key, b.vertices)),
                     "kz_size": len(b.points),
                 })
             layers.append({
@@ -416,10 +415,10 @@ def _check_disjoint(j: int, blocks) -> None:
 def _check_layer(j: int, prev, truth, blocks) -> None:
     """Cover (every earlier function lies in a lower block) and exactness
     (the blocks produce precisely the functions settled by step j)."""
-    for f in sorted(prev, key=_fn_key):
-        if not any(f in b.lower for b in blocks):
-            raise _escaped(j, blocks, f,
-                           "settled function missing from every lower block")
+    lower = _union(b.lower for b in blocks)
+    if not prev <= lower:
+        raise _escaped(j, blocks, min(prev - lower, key=_fn_key),
+                       "settled function missing from every lower block")
     constructed = _union(b.functions for b in blocks)
     if truth - constructed:
         raise _escaped(j, blocks, min(truth - constructed, key=_fn_key),
@@ -688,7 +687,6 @@ def extremality_report(env: Envelope) -> dict:
         "t": env.t,
         "functions": len(env.functions),
         "extremal": len(ext),
-        "extremal_functions": [list(map(list, _fn_key(z))) for z in
-                               sorted(ext, key=_fn_key)],
+        "extremal_functions": sorted(map(_fn_key, ext)),
         "per_s": per_s,
     }

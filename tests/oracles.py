@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import gcd, lcm
 
-from trailkit.cartan_core import _FAMILIES, _standard_gcm, reflect, wsub
+from trailkit.cartan_core import (_FAMILIES, _standard_gcm, reflect,
+                                  require_finite, wsub)
 from trailkit.errors import (ConsistencyError, OpenFaceRequest,
                              RadicalRankMismatch)
 from trailkit.linalg import in_convex_hull
@@ -55,6 +56,132 @@ def permutation_component_tag(a) -> str | None:
                    for i in range(n) for j in range(n)):
                 return f"{family}{n}"
     return None
+
+
+# --- Weyl group by root columns, symmetrizer and definiteness by Fractions --
+# The references for cartan_core.is_reduced and reduced_words_of_w0, which
+# carry the single weight w^{-1}(rho), for the integer symmetrizer and the
+# Bareiss minor test of cartan_core.validate_gcm, and for the reflection
+# closure of cartan_core._root_system.
+
+
+def _unit_columns(n: int) -> list[list[int]]:
+    """The root coordinates of w^{-1}(alpha_i) for w = 1, by column."""
+    return [[int(r == k) for r in range(n)] for k in range(n)]
+
+
+def _append_letter(cartan, cols, i: int) -> None:
+    """Turn the columns of w^{-1} into those of (w s_i)^{-1}, in place."""
+    ci = i - 1
+    pivot = cols[ci]
+    for k, f in enumerate(cartan.gcm[ci]):
+        if f and k != ci:
+            cols[k] = [x - f * y for x, y in zip(cols[k], pivot)]
+    cols[ci] = [-x for x in pivot]
+
+
+def column_is_reduced(cartan, letters) -> bool:
+    """Whether the letters form a reduced expression, by the columns of
+    w^{-1} on the root lattice: appending letter i is length-additive
+    exactly when w^{-1}(alpha_i) is still a positive root."""
+    for i in letters:
+        cartan.check_label(i)
+    cols = _unit_columns(cartan.n)
+    for i in letters:
+        if any(x < 0 for x in cols[i - 1]):
+            return False
+        _append_letter(cartan, cols, i)
+    return True
+
+
+def column_words_of_w0(cartan) -> list[tuple[int, ...]]:
+    """Every reduced word of w0 in lexicographic order, by a depth-first
+    search that carries the columns of w^{-1}."""
+    require_finite(cartan)
+    out = []
+    stack = [((), _unit_columns(cartan.n))]
+    while stack:
+        word, cols = stack.pop()
+        grown = [i for i in cartan.labels if all(x >= 0 for x in cols[i - 1])]
+        if not grown:
+            out.append(word)
+        for i in reversed(grown):
+            grown_cols = list(cols)
+            _append_letter(cartan, grown_cols, i)
+            stack.append((word + (i,), grown_cols))
+    return out
+
+
+def fraction_symmetrizer(a) -> tuple[int, ...] | None:
+    """Minimal positive integer d with d_i a_ij = d_j a_ji, or None, by
+    Fractions spread along each component."""
+    n = len(a)
+    d: list[Fraction | None] = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if a[i][j] == 0 or i == j:
+                    continue
+                want = d[i] * Fraction(a[i][j], a[j][i])
+                if d[j] is None:
+                    d[j] = want
+                    stack.append(j)
+                elif d[j] != want:
+                    return None
+    denom_lcm = lcm(*(x.denominator for x in d))
+    ints = [int(x * denom_lcm) for x in d]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return tuple(v // g for v in ints)
+
+
+def fraction_positive_definite(sym) -> bool:
+    """Whether a symmetric integer matrix is positive definite, by Fraction
+    elimination without row swaps: pivot k is the ratio of the leading
+    minors of orders k + 1 and k."""
+    n = len(sym)
+    m = [[Fraction(x) for x in row] for row in sym]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return True
+
+
+def closure_root_system(cartan):
+    """The sorted positive (root, coroot) pairs, by reflecting every pair
+    in every simple reflection until nothing new appears."""
+    require_finite(cartan)
+    n = cartan.n
+    a = cartan.gcm
+    start = [(tuple(int(k == i) for k in range(n)),
+              tuple(int(k == i) for k in range(n))) for i in range(n)]
+    seen = set(start)
+    queue = list(start)
+    while queue:
+        root, coroot = queue.pop()
+        for i in range(n):
+            p = sum(a[i][j] * root[j] for j in range(n))
+            new_root = tuple(root[j] - p * int(j == i) for j in range(n))
+            q = sum(a[j][i] * coroot[j] for j in range(n))
+            new_coroot = tuple(coroot[j] - q * int(j == i) for j in range(n))
+            pair = (new_root, new_coroot)
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    positives = sorted(p for p in seen if all(x >= 0 for x in p[0]))
+    if 2 * len(positives) != len(seen):
+        raise ConsistencyError(
+            "the roots do not split into positive and negative halves")
+    return tuple(positives)
 
 
 # --- row reduction over Fractions -------------------------------------------

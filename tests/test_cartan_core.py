@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import trailkit
 from trailkit import WordJ, is_reduced, validate_gcm
 from trailkit.cartan_core import (_classify_component, _standard_gcm,
+                                  _type_tag, positive_roots,
                                   reduced_words_of_w0, require_finite)
 from trailkit.errors import (
     NotFiniteTypeError,
@@ -17,7 +22,10 @@ from trailkit.errors import (
 )
 
 from conftest import GCM
-from oracles import permutation_component_tag, weyl_act
+from oracles import (closure_root_system, column_is_reduced,
+                     column_words_of_w0, fraction_positive_definite,
+                     fraction_symmetrizer, permutation_component_tag,
+                     weyl_act)
 
 
 def test_fixture_matrices_are_finite_type():
@@ -134,6 +142,62 @@ def test_symmetrizer():
     for i in range(3):
         for j in range(3):
             assert d[i] * b3.gcm[i][j] == d[j] * b3.gcm[j][i]
+    # one lcm and one gcd over all components: A1 + G2 + A1
+    sum_g2 = validate_gcm([[2, 0, 0, 0], [0, 2, -3, 0], [0, -2, 2, 0],
+                           [0, 0, 0, 2]])
+    assert sum_g2.symmetrizer == (2, 2, 3, 2)
+    # a cycle whose products disagree is not symmetrizable
+    assert validate_gcm([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]]
+                        ).symmetrizer == (0, 0, 0)
+
+
+def random_gcm(rng: random.Random, n: int) -> list[list[int]]:
+    """A random generalized Cartan matrix of rank n.  Each pair of nodes
+    is joined with a probability drawn per matrix, mostly by -1 entries,
+    so that finite, affine, indefinite and (from rank 3) non-symmetrizable
+    matrices all occur."""
+    a = [[2 * int(i == j) for j in range(n)] for i in range(n)]
+    p = rng.choice((0.2, 0.4, 0.9))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                a[i][j] = -rng.choice((1, 1, 1, 1, 2, 3, 4))
+                a[j][i] = -rng.choice((1, 1, 1, 1, 2, 3, 4))
+    return a
+
+
+def reference_validation(a) -> tuple:
+    """(symmetrizer, finite_type, type_tag) as the Fraction symmetrizer and
+    the Fraction minor test give them."""
+    n = len(a)
+    d = fraction_symmetrizer(a)
+    finite = d is not None and fraction_positive_definite(
+        [[d[i] * a[i][j] for j in range(n)] for i in range(n)])
+    return (d if d is not None else (0,) * n, finite,
+            _type_tag(a) if finite else None)
+
+
+def compare_random_gcms(seed: int, count: int, max_rank: int):
+    """Compare validate_gcm with the Fraction reference on ``count`` seeded
+    random matrices of rank 1..max_rank; return how many were finite,
+    symmetrizable but not finite, and not symmetrizable."""
+    rng = random.Random(seed)
+    kinds = {"finite": 0, "infinite": 0, "non-symmetrizable": 0}
+    for _ in range(count):
+        a = random_gcm(rng, rng.randint(1, max_rank))
+        c = validate_gcm(a)
+        got = (c.symmetrizer, c.finite_type, c.type_tag)
+        assert got == reference_validation(a), a
+        kind = ("non-symmetrizable" if not any(c.symmetrizer) else
+                "finite" if c.finite_type else "infinite")
+        kinds[kind] += 1
+    return kinds
+
+
+def test_validation_matches_the_fraction_reference():
+    kinds = compare_random_gcms(20261020, 2000, 6)
+    # each kind is well represented among the seeded matrices
+    assert min(kinds.values()) >= 200, kinds
 
 
 def test_word_validation():
@@ -150,6 +214,15 @@ def test_word_validation():
     # both rank-2 orderings of the B2 longest word are fine
     WordJ(b2, (1, 2, 1, 2))
     WordJ(b2, (2, 1, 2, 1))
+
+
+def test_a_bad_label_is_named_before_reducedness():
+    a2 = validate_gcm(GCM["A2"])
+    for word in [(1, 1, 3), (1, 2, 1, 2, 0), (1, 1, True)]:
+        with pytest.raises(UnknownLetterError, match="outside 1..2"):
+            is_reduced(a2, word)
+        with pytest.raises(UnknownLetterError, match="outside 1..2"):
+            WordJ(a2, word)
 
 
 def test_word_positions():
@@ -215,12 +288,93 @@ def test_is_reduced():
     assert is_reduced(b2, (1, 2, 1, 2))
 
 
+# every standard type of rank <= 6, and affine and hyperbolic matrices
+RANK_6_STANDARD = [(f, n) for f, n in FINITE_TYPES if n <= 6]
+INFINITE_GCMS = [
+    [[2, -2], [-2, 2]],                        # affine A1
+    [[2, -1], [-4, 2]],                        # affine A2 twisted
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],   # affine A2
+    [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],     # affine, rank 3
+    [[2, -1, 0], [-1, 2, -3], [0, -1, 2]],     # affine G2
+    [[2, -3], [-3, 2]],                        # hyperbolic
+    [[2, -1], [-5, 2]],                        # hyperbolic
+    [[2, -2, 0], [-2, 2, -1], [0, -1, 2]],     # hyperbolic, rank 3
+]
+
+
+def _random_reduced_words(cartan, rng, walks: int, cap: int):
+    """Seeded walks that grow a reduced word one letter at a time, each
+    letter picked among those that keep it reduced, until no letter does
+    or the word has ``cap`` letters.  Every candidate extension is
+    compared with the column reference on the way."""
+    count = 0
+    for _ in range(walks):
+        word: tuple[int, ...] = ()
+        while len(word) < cap:
+            grown = []
+            for i in cartan.labels:
+                got = is_reduced(cartan, word + (i,))
+                assert got == column_is_reduced(cartan, word + (i,)), word
+                count += 1
+                if got:
+                    grown.append(i)
+            if not grown:
+                break
+            word += (rng.choice(grown),)
+    return count
+
+
+def test_is_reduced_matches_the_column_reference():
+    rng = random.Random(20261020)
+    count = 0
+    for family, n in RANK_6_STANDARD:
+        cartan = validate_gcm(_standard_gcm(family, n))
+        count += _random_reduced_words(cartan, rng, 3, 10 ** 6)
+        # words of random letters, mostly not reduced
+        for _ in range(20):
+            word = tuple(rng.choice(cartan.labels)
+                         for _ in range(rng.randint(0, 2 * n * n)))
+            assert is_reduced(cartan, word) == column_is_reduced(cartan, word)
+            count += 1
+    for matrix in INFINITE_GCMS:
+        cartan = validate_gcm(matrix)
+        assert not cartan.finite_type
+        count += _random_reduced_words(cartan, rng, 5, 40)
+    assert count > 5000, count
+
+
+# the number of positive roots of each family at rank n
+POSITIVE_ROOTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
+                  "C": lambda n: n * n, "D": lambda n: n * (n - 1),
+                  "E": {6: 36, 7: 63, 8: 120}.get, "F": lambda n: 24,
+                  "G": lambda n: 6}
+
+
+def test_root_systems_match_the_closure_reference():
+    for family, n in FINITE_TYPES:
+        c = validate_gcm(_standard_gcm(family, n))
+        roots = positive_roots(c)
+        assert len(roots) == POSITIVE_ROOTS[family](n), (family, n)
+        assert roots == closure_root_system(c), (family, n)
+
+
+def test_import_leaves_fractions_out():
+    src = os.path.dirname(os.path.dirname(trailkit.__file__))
+    code = "import sys, trailkit; print('fractions' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_reduced_words_of_w0():
     counts = {"A3": 16, "B3": 42, "C3": 42, "A4": 768, "D4": 2316}
     for name, count in counts.items():
         c = validate_gcm(GCM[name])
         words = reduced_words_of_w0(c)
         assert len(words) == count, name
+        assert words == column_words_of_w0(c), name
         assert words == sorted(set(words)), name    # lexicographic, distinct
         n_pos = len(words[0])
         assert all(len(w) == n_pos and is_reduced(c, w) for w in words)
