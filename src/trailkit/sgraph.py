@@ -38,16 +38,12 @@ class CoeffVector:
     theta: tuple[int, ...]
 
     @staticmethod
-    def make(c, tie_break: str = "index") -> "CoeffVector":
+    def make(c) -> "CoeffVector":
+        """The lift that breaks ties in c by the smaller index first."""
         c = tuple(c)
         if any(x < 0 for x in c):
             raise ValueError(f"negative coefficient in {c}")
-        if tie_break == "index":
-            lift = tuple(sorted(range(1, len(c) + 1), key=lambda i: (c[i - 1], i)))
-        elif tie_break == "rindex":
-            lift = tuple(sorted(range(1, len(c) + 1), key=lambda i: (c[i - 1], -i)))
-        else:
-            raise ValueError(f"unknown tie break {tie_break!r}")
+        lift = tuple(sorted(range(1, len(c) + 1), key=lambda i: (c[i - 1], i)))
         theta = tuple(sorted(lift[:j]).index(lift[j - 1]) + 1
                       for j in range(1, len(c) + 1))
         return CoeffVector(c, lift, theta)

@@ -12,26 +12,28 @@ the coefficient of v_l in f^b v_k (b = total drop), and
 checks it against.  The tests also check it against a direct expansion in
 the plain product basis (``tests/oracles.py``).
 
+``Sl2Config`` is the one place where labels are validated.  Every function
+below reads its tuples once and computes on plain tuples of ints; the
+recurrence only ever lowers some k_t > 0 by 1, so its sub-configurations
+are valid by construction and build no ``Sl2Config``.
+
 All arithmetic is arbitrary-precision integer; zero tests are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class Sl2Config:
-    """Labels (a, k, l) with their prefix-sum calculus.
+    """Labels (a, k, l): three non-empty tuples of one length n whose
+    entries are non-negative exact ``int`` values (a bool is not one).
 
-    ``b_i = k_i - l_i`` are the per-position drops.  The prefix sums
-    a_1 + ... + a_j (and those of k and l) for ``0 <= j <= n`` are computed
-    once, on first use.
+    ``b_i = k_i - l_i`` are the per-position drops.
     """
 
     a: tuple[int, ...]
@@ -39,63 +41,49 @@ class Sl2Config:
     l: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "k", tuple(self.k))
-        object.__setattr__(self, "l", tuple(self.l))
-        if not (len(self.a) == len(self.k) == len(self.l)) or not self.a:
+        a, k, l = tuple(self.a), tuple(self.k), tuple(self.l)
+        if not (len(a) == len(k) == len(l)) or not a:
             raise DomainError("a, k, l must be non-empty tuples of equal length")
-        if any(x < 0 for x in self.a + self.k + self.l):
-            raise DomainError("labels must be non-negative")
+        for x in a + k + l:
+            if type(x) is not int:
+                raise DomainError(f"labels must be ints, got {x!r}")
+            if x < 0:
+                raise DomainError("labels must be non-negative")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
 
     @property
     def n(self) -> int:
         return len(self.a)
-
-    @property
-    def b(self) -> tuple[int, ...]:
-        return tuple(x - y for x, y in zip(self.k, self.l))
-
-    @property
-    def b_total(self) -> int:
-        return sum(self.k) - sum(self.l)
-
-    @property
-    def has_negative_b(self) -> bool:
-        return any(x < y for x, y in zip(self.k, self.l))
-
-    @cached_property
-    def _prefix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(accumulate(x, initial=0))
-                     for x in (self.a, self.k, self.l))
 
 
 def coefficient_A_factors(cfg: Sl2Config):
     """The closed form split into (b_total!, binomials, linear factors).
 
     The linear factors are (a^(j) + 1 - i - k^(j-1) - l^(j)) for j = 1..n and
-    i = 1..b_j; in the rigid regime, a^(j) - k^(j) - l^(j-1) >= 0 for all j,
-    every one of them is positive.
+    i = 1..b_j, where x^(j) = x_1 + ... + x_j; in the rigid regime,
+    a^(j) - k^(j) - l^(j-1) >= 0 for all j, every one of them is positive.
+    All three are empty or zero when some b_j < 0.
     """
-    if cfg.has_negative_b:
-        return 0, [], []
-    binomials = [comb(ki, li) for ki, li in zip(cfg.k, cfg.l)]
-    linear = []
-    a_pref, k_pref, l_pref = cfg._prefix
-    for j, bj in enumerate(cfg.b, 1):
-        base = a_pref[j] + 1 - k_pref[j - 1] - l_pref[j]
-        linear.extend(base - i for i in range(1, bj + 1))
-    return factorial(cfg.b_total), binomials, linear
+    binomials, linear = [], []
+    a_pref = k_pref = l_pref = 0
+    for aj, kj, lj in zip(cfg.a, cfg.k, cfg.l):
+        if kj < lj:
+            return 0, [], []
+        a_pref += aj
+        l_pref += lj
+        binomials.append(comb(kj, lj))
+        top = a_pref - k_pref - l_pref          # the factor for i = 1
+        linear.extend(range(top, top - (kj - lj), -1))
+        k_pref += kj
+    return factorial(k_pref - l_pref), binomials, linear
 
 
 def coefficient_A(cfg: Sl2Config) -> int:
     """Coefficient of v_l in f^b v_k (closed form); 0 when some b_i < 0."""
     head, binomials, linear = coefficient_A_factors(cfg)
-    out = head
-    for x in binomials:
-        out *= x
-    for x in linear:
-        out *= x
-    return out
+    return head * prod(binomials) * prod(linear)
 
 
 def coefficient_A_oracle(cfg: Sl2Config,
@@ -110,9 +98,11 @@ def coefficient_A_oracle(cfg: Sl2Config,
     configurations passes one dict to share them.  None keeps a fresh dict
     for this call only.
     """
-    if memo is None:
-        memo = {}
-    a, k, l = cfg.a, cfg.k, cfg.l
+    return _recurrence(cfg.a, cfg.k, cfg.l, {} if memo is None else memo)
+
+
+def _recurrence(a: tuple[int, ...], k: tuple[int, ...], l: tuple[int, ...],
+                memo: dict[tuple, int]) -> int:
     key = (a, k, l)
     if key in memo:
         return memo[key]
@@ -121,13 +111,12 @@ def coefficient_A_oracle(cfg: Sl2Config,
     total = 0
     a_pref = 0
     k_pref = 0
-    for t in range(len(k)):
+    for t, kt in enumerate(k):
         a_pref += a[t]
-        kt = k[t]
         if kt > 0:
-            sub = Sl2Config(a, k[:t] + (kt - 1,) + k[t + 1:], l)
+            sub = k[:t] + (kt - 1,) + k[t + 1:]
             total -= (kt * (kt + 2 * k_pref - a_pref - 1)
-                      * coefficient_A_oracle(sub, memo))
+                      * _recurrence(a, sub, l, memo))
         k_pref += kt
     memo[key] = total
     return total
@@ -152,8 +141,12 @@ def vanishing_identity(q: int, p1: int, p2: int, u: int) -> int:
 
     Contract: equals 0 for 0 <= u <= q-1 and p2 >= q (the summand is a
     polynomial in v of degree < q hit by a q-th finite difference).  Terms
-    whose factorial arguments go negative are dropped.
+    whose factorial arguments go negative are dropped.  Every argument must
+    be an exact ``int`` (a bool is not one).
     """
+    for name, x in (("q", q), ("p1", p1), ("p2", p2), ("u", u)):
+        if type(x) is not int:
+            raise DomainError(f"{name} must be an int, got {x!r}")
     if not 0 <= u <= q - 1:
         raise DomainError(f"need 0 <= u <= q-1, got u={u}, q={q}")
     if p2 - q < 0:
@@ -163,4 +156,3 @@ def vanishing_identity(q: int, p1: int, p2: int, u: int) -> int:
         sign = -1 if (q - v) % 2 else 1
         total += sign * comb(q, v) * _falling(p2 - v, u) * _falling(p1 + v, q - u - 1)
     return total
-

@@ -7,8 +7,8 @@ computes another way; none of them runs in the package itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import gcd, lcm
+from itertools import accumulate, permutations
+from math import comb, factorial, gcd, lcm
 
 from trailkit.cartan_core import (_FAMILIES, _standard_gcm, reflect,
                                   require_finite, wsub)
@@ -17,6 +17,7 @@ from trailkit.errors import (ConsistencyError, OpenFaceRequest,
 from trailkit.linalg import in_convex_hull
 from trailkit.rep_builder import (IntegerForm, apply_projective,
                                   freudenthal_multiplicities)
+from trailkit.sgraph import CoeffVector
 from trailkit.trails import (LinearFunctionBJ, Trail, _as_word,
                              face_function, kashiwara_function)
 
@@ -465,6 +466,21 @@ def lp_extremal_functions(funcs) -> frozenset:
         [tuple(d.get(q, 0) for q in axes) for d in rows]))
 
 
+# --- the other lift ---------------------------------------------------------
+# CoeffVector.make breaks ties in c by the smaller index first; the vertex
+# functions of the S-graph must not depend on that choice.
+
+
+def reversed_tie_break(c) -> CoeffVector:
+    """The coefficient vector of c whose lift breaks ties in c by the
+    larger index first."""
+    c = tuple(c)
+    lift = tuple(sorted(range(1, len(c) + 1), key=lambda i: (c[i - 1], -i)))
+    theta = tuple(sorted(lift[:j]).index(lift[j - 1]) + 1
+                  for j in range(1, len(c) + 1))
+    return CoeffVector(c, lift, theta)
+
+
 # --- the face cone X_t ------------------------------------------------------
 # References for the integer face-cone coordinates of giant._IntegerForm and
 # the linear extension built on them.
@@ -576,6 +592,25 @@ def crystal_e(cartan, word, i: int, b: Element) -> Element | None:
         return None
     k = len(sig) - sig[::-1].index(top)
     return _bump(b, word.position(i, k), -1)
+
+
+# --- the sl(2) closed form from prefix sums ------------------------------------
+# The reference for the one-pass sl2_engine.coefficient_A_factors.
+
+
+def prefix_coefficient_A_factors(cfg):
+    """sl2_engine.coefficient_A_factors from the prefix sums x^(0..n) of a,
+    k and l and the drops b_j = k_j - l_j, computed up front."""
+    a, k, l = cfg.a, cfg.k, cfg.l
+    b = [x - y for x, y in zip(k, l)]
+    if min(b) < 0:
+        return 0, [], []
+    a_pref, k_pref, l_pref = (list(accumulate(x, initial=0)) for x in (a, k, l))
+    linear = []
+    for j, bj in enumerate(b, 1):
+        base = a_pref[j] + 1 - k_pref[j - 1] - l_pref[j]
+        linear.extend(base - i for i in range(1, bj + 1))
+    return factorial(sum(b)), [comb(x, y) for x, y in zip(k, l)], linear
 
 
 # --- sl(2) strings in the plain product basis ---------------------------------

@@ -51,7 +51,7 @@ from trailkit.trails import (
 )
 
 from oracles import (apply_diagonal_e, apply_diagonal_f, evaluate,
-                     lp_extremal_points)
+                     lp_extremal_points, reversed_tie_break)
 
 RESULTS: dict[int, tuple[str, str, float]] = {}
 
@@ -267,8 +267,7 @@ def test_criterion_5_sgraph_grid():
                     assert is_connected(nodes, edges), (c, j)
                 assert _chain_law_holds(g), c
                 if len(set(c)) < len(c):
-                    alt = binary_fusion(
-                        CoeffVector.make(c, tie_break="rindex"))
+                    alt = binary_fusion(reversed_tie_break(c))
                     assert {v.func for v in alt.vertices} == funcs, c
 
 

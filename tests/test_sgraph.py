@@ -24,7 +24,7 @@ from trailkit.sgraph import (
     to_dot,
 )
 
-from oracles import invert, lp_extremal_points, rref
+from oracles import invert, lp_extremal_points, reversed_tie_break, rref
 
 
 def _lp_extremal_set(cv) -> set:
@@ -96,15 +96,14 @@ def test_coeff_vector_make():
     assert sub.c == (2, 1)
     with pytest.raises(ValueError):
         CoeffVector.make((1, -1))
-    with pytest.raises(ValueError):
-        CoeffVector.make((1, 2), tie_break="weird")
 
 
 def test_coeff_vector_tie_breaks():
     a = CoeffVector.make((2, 2))
-    b = CoeffVector.make((2, 2), tie_break="rindex")
+    b = reversed_tie_break((2, 2))
     assert a.order_lift == (1, 2)
     assert b.order_lift == (2, 1)
+    assert (a.theta, b.theta) == ((1, 2), (1, 1))
 
 
 # --- the worked three-coordinate example c = (2, 3, 1) ---------------------
@@ -269,7 +268,7 @@ def test_tie_break_independence_grid():
     # with ties in c the lift is ambiguous; the vertex functions are not
     for c in [(2, 2), (1, 1), (0, 0, 2), (2, 2, 2), (1, 2, 2), (2, 2, 1)]:
         a = binary_fusion(CoeffVector.make(c))
-        b = binary_fusion(CoeffVector.make(c, tie_break="rindex"))
+        b = binary_fusion(reversed_tie_break(c))
         assert {v.func for v in a.vertices} == {v.func for v in b.vertices}, c
 
 

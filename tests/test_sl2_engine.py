@@ -15,7 +15,8 @@ from trailkit.sl2_engine import (
     vanishing_identity,
 )
 
-from oracles import expansion_check, nested_state, rigid_regime
+from oracles import (expansion_check, nested_state,
+                     prefix_coefficient_A_factors, rigid_regime)
 
 
 def test_config_validation():
@@ -27,9 +28,16 @@ def test_config_validation():
         Sl2Config((2,), (-1,), (0,))
     cfg = Sl2Config([2, 3], [1, 2], [0, 1])
     assert cfg.a == (2, 3)          # sequences are normalised to tuples
-    assert cfg.b == (1, 1)
-    assert cfg.b_total == 2
-    assert not cfg.has_negative_b
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_config_takes_exact_ints_only(bad):
+    # a float, a bool or a str label is refused at the boundary, in every
+    # one of a, k and l, not carried into the arithmetic
+    for labels in [((bad,), (1,), (0,)), ((2,), (bad,), (0,)),
+                   ((2,), (1,), (bad,))]:
+        with pytest.raises(DomainError, match="ints"):
+            Sl2Config(*labels)
 
 
 def test_closed_form_hand_values():
@@ -71,6 +79,32 @@ def test_rigid_regime_factors_positive():
                 rigid += 1
                 assert all(x > 0 for x in coefficient_A_factors(cfg)[2]), cfg
     assert rigid > 100
+
+
+def test_factors_match_the_prefix_sum_reference():
+    checked = 0
+    for n in (1, 2, 3):
+        for combo in itertools.product(range(4), repeat=3 * n):
+            cfg = Sl2Config(combo[:n], combo[n:2 * n], combo[2 * n:])
+            assert coefficient_A_factors(cfg) == \
+                prefix_coefficient_A_factors(cfg), cfg
+            checked += 1
+    assert checked == 4 ** 3 + 4 ** 6 + 4 ** 9
+
+
+def test_oracle_recursion_builds_no_config(monkeypatch):
+    cfg = Sl2Config((4, 3, 4), (3, 2, 4), (1, 0, 2))
+    built = []
+    post_init = Sl2Config.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Sl2Config, "__post_init__", counting)
+    value = coefficient_A_oracle(cfg)
+    assert built == []
+    assert value == coefficient_A(cfg) != 0
 
 
 def test_oracle_matches_closed_form_exhaustively_n2():
@@ -144,3 +178,11 @@ def test_vanishing_identity_domain_errors():
     with pytest.raises(DomainError):
         vanishing_identity(0, 4, 5, 0)
 
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_vanishing_identity_takes_exact_ints_only(bad):
+    good = [3, 1, 3, 1]
+    for i in range(4):
+        args = good[:i] + [bad] + good[i + 1:]
+        with pytest.raises(DomainError, match="int"):
+            vanishing_identity(*args)
