@@ -10,11 +10,11 @@ least k among those maximizing r_i^k, the raising operator removes 1 at
 the greatest such k and is defined only while the maximum is positive.
 
 The crystal has one pairing convention, the dual one: r_i^k pairs the
-coroot of each later letter with alpha_i, as
-:func:`trails.kashiwara_function` does, so crystal data and trail data
-live on the same surface.  (The transposed pairing equals it on every
-symmetric Cartan matrix and matched the trail functions on no B3 or C3
-word, so it is gone.)
+coroot of each later letter with alpha_i.  Its one owner is
+:func:`trails.kashiwara_function`, whose functions the crystal reads, so
+crystal data and trail data live on the same surface.  (The transposed
+pairing equals it on every symmetric Cartan matrix and matched the trail
+functions on no B3 or C3 word, so it is gone.)
 """
 
 from __future__ import annotations
@@ -23,23 +23,22 @@ from operator import add
 
 from .cartan_core import WordJ
 from .errors import ConfigError, NotApplicable
+from .trails import kashiwara_function
 
 
 def _kashiwara_columns(word: WordJ):
     """Per position q, the change of every Kashiwara value when m_q grows by
     1: entry p (0-based) of column q is the coefficient of m_q in r_i^k, for
-    (i, k) the occurrence at position p.  Built once per word."""
+    (i, k) the occurrence at position p.  These are the functions of
+    :func:`trails.kashiwara_function`, one row per position, transposed;
+    built once per word."""
 
     def build():
-        letters, pairing = word.letters, word.cartan.pairing
-        cols = []
-        for q, b in enumerate(letters):
-            col = [0] * word.m
-            for p, a in enumerate(letters[:q]):
-                col[p] = pairing(b, a)
-            col[q] = 1
-            cols.append(tuple(col))
-        return tuple(cols)
+        cols = [[0] * word.m for _ in range(word.m)]
+        for p in range(word.m):
+            for q, c in kashiwara_function(word, *word.occurrence(p + 1)).terms:
+                cols[q - 1][p] = c
+        return tuple(map(tuple, cols))
 
     return word.memoized("kashiwara_columns", build)
 

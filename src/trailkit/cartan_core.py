@@ -29,7 +29,6 @@ from .errors import (
     PositionMissingError,
     UnknownLetterError,
 )
-from .linalg import integer_rref
 
 Weight = tuple[int, ...]
 
@@ -403,12 +402,6 @@ class WordJ:
             return len(occ)
         return sum(1 for j in occ if j <= upto)
 
-    def prefix_weight(self, t: int, j: int) -> Weight:
-        """-w_j(omega_t): the extremal weight reached after j letters."""
-        if not 0 <= j <= self.m:
-            raise PositionMissingError(f"prefix length {j} outside [0,{self.m}]")
-        return self.prefix_weights(t)[j]
-
     def prefix_weights(self, t: int) -> tuple[Weight, ...]:
         """-w_j(omega_t) for j = 0..m, index j."""
         return self.memoized(("prefix", t), lambda: self._prefix_weights(t))
@@ -467,35 +460,3 @@ def _root_system(cartan: CartanData):
 def positive_roots(cartan: CartanData):
     """Positive roots as (root coords, coroot coords) integer tuples."""
     return _root_system(cartan)
-
-
-@lru_cache(maxsize=None)
-def _scaled_inverse(cartan: CartanData) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(D, D A^{-1}) with D the least common denominator of A^{-1}, so the
-    scaled inverse has integer entries.
-
-    The fraction-free reduction of [A | I] ends at [d I | R] with R = d A^{-1};
-    with g the gcd of d and the entries of R, D = d / g and D A^{-1} = R / g.
-    """
-    n = cartan.n
-    rows = [list(row) + [int(i == j) for j in range(n)]
-            for i, row in enumerate(cartan.gcm)]
-    done, pivots, d = integer_rref(rows)
-    if pivots != list(range(n)):
-        raise ConsistencyError("the Cartan matrix is singular")
-    right = [row[n:] for row in done]
-    g = gcd(d, *(x for row in right for x in row))
-    return d // g, tuple(tuple(x // g for x in row) for row in right)
-
-
-def root_coordinates(cartan: CartanData, w: Weight) -> tuple[int, ...] | None:
-    """Integer coordinates of a weight in the simple-root basis, or None
-    when the weight is not in the root lattice."""
-    den, scaled = _scaled_inverse(cartan)
-    out = []
-    for row in scaled:
-        q, r = divmod(sum(a * x for a, x in zip(row, w)), den)
-        if r:
-            return None
-        out.append(q)
-    return tuple(out)

@@ -253,18 +253,6 @@ def _shape(c: tuple[int, ...]):
     return binary_fusion(cv), tuple(sorted(integer_points(cv)))
 
 
-def _face_terms(word: WordJ, s: int):
-    """Per closed face F_s^k, k = 2, 3, ..., its (index j-1, coefficient)
-    pairs; computed once per word and s."""
-    def build():
-        basis = _face_basis(word)
-        return tuple(
-            tuple((j - 1, v) for j, v in basis[word.position(s, k)].terms)
-            for k in range(2, word.count(s) + 1))
-
-    return word.memoized(("face_terms", s), build)
-
-
 def _make_block(form: _IntegerForm, s: int, step: int | None,
                 z: LinearFunctionBJ, c: tuple[int, ...],
                 a: tuple[int, ...] | None = None) -> ClassBlock:
@@ -272,7 +260,9 @@ def _make_block(form: _IntegerForm, s: int, step: int | None,
     the function z + sum_u c'_u F_s^{u+1}.  Each point is expanded on an
     integer row, and a row of ``form`` gives back its own function."""
     word = form.word
-    faces = _face_terms(word, s)
+    basis = _face_basis(word)
+    faces = [basis[word.position(s, k)].terms
+             for k in range(2, word.count(s) + 1)]
     g, pts = _shape(c)
     known = form.by_row
     base = [0] * word.m
@@ -284,7 +274,7 @@ def _make_block(form: _IntegerForm, s: int, step: int | None,
         for face, cp in zip(faces, p):
             if cp:
                 for j, v in face:
-                    row[j] += cp * v
+                    row[j - 1] += cp * v
         row = tuple(row)
         f = known.get(row)
         if f is None:

@@ -36,7 +36,6 @@ from .cartan_core import (
     Weight,
     positive_roots,
     require_finite,
-    root_coordinates,
     wadd,
     wneg,
     wscale,
@@ -50,35 +49,39 @@ from .linalg import integer_rref
 # character oracles
 
 
-def saturated_weight_set(cartan: CartanData, highest: Weight) -> set[Weight]:
-    """The full weight set of the irreducible module with this highest weight.
+def saturated_weight_set(cartan: CartanData,
+                         highest: Weight) -> dict[Weight, tuple[int, ...]]:
+    """The full weight set of the irreducible module with this highest
+    weight, each weight mapped to the root coordinates of highest - weight.
 
     Computed as the saturation closure of {highest}: from any weight walk the
-    whole interval towards its image under each simple reflection.
+    whole interval towards its image under each simple reflection.  Each
+    step of a walk adds or removes one simple root, so the walk counts the
+    coordinates; a weight reached again with other coordinates raises
+    RadicalRankMismatch.
     """
     require_finite(cartan)
     roots = [cartan.simple_root(i) for i in cartan.labels]
-    seen = {highest}
+    seen = {highest: (0,) * cartan.n}
     queue = [highest]
     while queue:
         mu = queue.pop()
+        x = seen[mu]
         for i, alpha in enumerate(roots):
             p = mu[i]
-            step = wneg(alpha) if p > 0 else alpha
+            step, dx = (wneg(alpha), 1) if p > 0 else (alpha, -1)
             for _ in range(abs(p)):
                 mu2 = wadd(mu, step)
+                x = x[:i] + (x[i] + dx,) + x[i + 1:]
                 if mu2 not in seen:
-                    seen.add(mu2)
+                    seen[mu2] = x
                     queue.append(mu2)
+                elif seen[mu2] != x:
+                    raise RadicalRankMismatch(
+                        f"weight {mu2} reached with root coordinates "
+                        f"{seen[mu2]} and {x}")
                 mu = mu2
     return seen
-
-
-def _height(cartan: CartanData, w: Weight) -> int:
-    coords = root_coordinates(cartan, w)
-    if coords is None:
-        raise RadicalRankMismatch(f"{w} is not in the root lattice")
-    return sum(coords)
 
 
 def _dominant_conjugates(cartan: CartanData, weights) -> dict[Weight, Weight]:
@@ -116,17 +119,17 @@ def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weig
     require_finite(cartan)
     d = cartan.symmetrizer
     n = cartan.n
-    weights = saturated_weight_set(cartan, highest)
-    dom = _dominant_conjugates(cartan, weights)
-    by_height = sorted((mu for mu, lam in dom.items() if mu == lam),
-                       key=lambda mu: (_height(cartan, wsub(highest, mu)), mu))
+    coords = saturated_weight_set(cartan, highest)
+    dom = _dominant_conjugates(cartan, coords)
+    top_down = sorted((mu for mu, lam in dom.items() if mu == lam),
+                       key=lambda mu: (sum(coords[mu]), mu))
     pos = positive_roots(cartan)
     # each positive root in fundamental-weight coordinates, for stepping
     pos_w = [tuple(sum(cartan.gcm[k][j] * b[j] for j in range(n)) for k in range(n))
              for b, _ in pos]
     rho = cartan.rho()
     mult: dict[Weight, int] = {}  # dominant weights of non-zero multiplicity
-    for mu in by_height:
+    for mu in top_down:
         if mu == highest:
             mult[mu] = 1
             continue
@@ -139,7 +142,7 @@ def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weig
                 num += mult[dom[nu]] * sum(b[j] * d[j] * nu[j] for j in range(n))
                 nu = wadd(nu, beta_w)
         # denominator (|highest+rho|^2 - |mu+rho|^2) = (highest+mu+2rho, highest-mu)
-        diff = root_coordinates(cartan, wsub(highest, mu))
+        diff = coords[mu]
         tot = wadd(wadd(highest, mu), wadd(rho, rho))
         denom = sum(diff[j] * d[j] * tot[j] for j in range(n))
         if denom == 0:

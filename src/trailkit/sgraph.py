@@ -44,9 +44,7 @@ class CoeffVector:
         if any(x < 0 for x in c):
             raise ValueError(f"negative coefficient in {c}")
         lift = tuple(sorted(range(1, len(c) + 1), key=lambda i: (c[i - 1], i)))
-        theta = tuple(sorted(lift[:j]).index(lift[j - 1]) + 1
-                      for j in range(1, len(c) + 1))
-        return CoeffVector(c, lift, theta)
+        return CoeffVector(c, lift, _theta(lift))
 
     @property
     def n(self) -> int:
@@ -58,9 +56,14 @@ class CoeffVector:
         u = self.order_lift[-1]
         sub = self.c[:u - 1] + self.c[u:]
         lift = tuple(i if i < u else i - 1 for i in self.order_lift[:-1])
-        theta = tuple(sorted(lift[:j]).index(lift[j - 1]) + 1
-                      for j in range(1, len(sub) + 1))
-        return u, CoeffVector(sub, lift, theta)
+        return u, CoeffVector(sub, lift, _theta(lift))
+
+
+def _theta(lift: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry j-1 is the 1-based rank of ``lift[j-1]`` among the naturally
+    sorted first j entries of ``lift``."""
+    return tuple(sorted(lift[:j]).index(lift[j - 1]) + 1
+                 for j in range(1, len(lift) + 1))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .cartan_core import (
     CartanData,
     Weight,
     WordJ,
-    root_coordinates,
     wadd,
     wscale,
     wsub,
@@ -117,23 +116,41 @@ def _letter_roots(word: WordJ) -> tuple[Weight, ...]:
 
 
 def _driving_data(word: WordJ, t: int):
-    """(gamma, low) of the driving trail of type t, computed once per word:
-    its weights gamma_1..gamma_{m+1}, and their integer root coordinates
-    relative to gamma_1 (the lower bounds of (P) in those coordinates)."""
+    """(gamma, low, exps, phi) of the driving trail of type t, built once
+    per word and t: its weights gamma_1..gamma_{m+1}, their integer root
+    coordinates relative to gamma_1 (the lower bounds of (P) in those
+    coordinates), its exponents and its trivialization step."""
     return word.memoized(("driving", t), lambda: _build_driving_data(word, t))
 
 
 def _build_driving_data(word: WordJ, t: int):
+    """One pass over the prefix weights -w_j(omega_t).  The weights stay at
+    -s_t(omega_t), which is -w_p(omega_t) for p the first occurrence of
+    t, through p and follow the prefix weights after it.  Each step is
+    n_j alpha_{i_j}, with n_j half the change at coordinate i_j, as alpha_i
+    has 2 there; a step that is not such a multiple, or a negative n_j,
+    raises ConsistencyError.  The root coordinates are the running sums of
+    the n_j per letter."""
     if word.count(t) == 0:
         raise TNotInWord(f"letter {t} does not occur in {word.letters}")
+    prefix = word.prefix_weights(t)
     p1 = word.position(t, 1)
-    start = wsub(word.cartan.simple_root(t),
-                 word.cartan.fundamental_weight(t))  # -s_t(omega_t)
-    gamma = [start] * (p1 + 1)
-    for j in range(p1 + 1, word.m + 1):
-        gamma.append(word.prefix_weight(t, j))
-    low = tuple(root_coordinates(word.cartan, wsub(g, start)) for g in gamma)
-    return tuple(gamma), low
+    gamma = [prefix[p1]] * p1 + list(prefix[p1:])
+    x = [0] * word.cartan.n
+    low = [tuple(x)]
+    exps = []
+    steps = zip(word.letters, _letter_roots(word), gamma, gamma[1:])
+    for j, (i, alpha, a, b) in enumerate(steps, start=1):
+        n = (b[i - 1] - a[i - 1]) // 2
+        if n < 0 or wsub(b, a) != wscale(n, alpha):
+            raise ConsistencyError(f"the driving step at position {j} is "
+                                   f"not a non-negative multiple of a root")
+        x[i - 1] += n
+        low.append(tuple(x))
+        exps.append(n)
+    gamma = tuple(gamma)
+    return (gamma, tuple(low), tuple(exps),
+            _trivialization_step(prefix, gamma))
 
 
 def _trivialization_step(prefix, gamma) -> int:
@@ -174,7 +191,7 @@ class Trail:
                     f"exponent {n!r} at position {j} is not an int")
         # a bool equals its int as a memo key, so t is checked first
         word.cartan.check_label(self.t)
-        drive, low = _driving_data(word, self.t)
+        drive, low, _, _ = _driving_data(word, self.t)
         # equal weights of the trails of one (word, t) share one tuple
         shared = word.memoized(("weights", self.t), dict)
         # x holds the root coordinates of gamma_j - gamma_1, the raising
@@ -239,20 +256,8 @@ def driving_trail(word: WordJ, t: int) -> Trail:
     """The driving trail of type t: constant at -s_t(omega_t) through the
     first occurrence of t, then the extremal weights -w_j(omega_t)."""
     word.cartan.check_label(t)
-    exps, gamma, phi = word.memoized(("driving_trail", t),
-                                     lambda: _build_driving_trail(word, t))
+    gamma, _, exps, phi = _driving_data(word, t)
     return Trail._walked(word, t, exps, gamma, phi)
-
-
-def _build_driving_trail(word: WordJ, t: int):
-    """(exps, gamma, phi) of the driving trail, checked by one walk."""
-    drive = _driving_data(word, t)[0]
-    # alpha_i has 2 at coordinate i, so a step n alpha_i raises it by 2n
-    K = Trail(word, t, tuple((b[i - 1] - a[i - 1]) // 2 for i, a, b
-                             in zip(word.letters, drive, drive[1:])))
-    if K.gamma != drive:
-        raise ConsistencyError("the driving weights do not form a trail")
-    return K.exps, K.gamma, K.phi
 
 
 def trail_function(K: Trail) -> LinearFunctionBJ:
@@ -353,9 +358,9 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
     t = M.t
     m = word.m
     letters = word.letters
-    # the walk of the driving trail checks the premises of the induction
+    # the driving data checks the premises of the induction
     drv = driving_trail(word, t)
-    drive, low = _driving_data(word, t)
+    drive, low = drv.gamma, _driving_data(word, t)[1]
     alphas = _letter_roots(word)
     prefix = word.prefix_weights(t)
     shared = word.memoized(("weights", t), dict)

@@ -7,6 +7,7 @@ computes another way; none of them runs in the package itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, permutations
 from math import comb, factorial, gcd, lcm
 
@@ -14,7 +15,7 @@ from trailkit.cartan_core import (_FAMILIES, _standard_gcm, reflect,
                                   require_finite, wsub)
 from trailkit.errors import (ConsistencyError, OpenFaceRequest,
                              RadicalRankMismatch)
-from trailkit.linalg import in_convex_hull
+from trailkit.linalg import in_convex_hull, integer_rref
 from trailkit.rep_builder import (IntegerForm, apply_projective,
                                   freudenthal_multiplicities)
 from trailkit.sgraph import CoeffVector
@@ -187,8 +188,7 @@ def closure_root_system(cartan):
 
 # --- row reduction over Fractions -------------------------------------------
 # The reference for linalg.integer_rref, which reduces fraction-free over
-# the integers, and for cartan_core._scaled_inverse, which reads the
-# inverse Cartan matrix off that reduction.
+# the integers.
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -226,6 +226,44 @@ def invert(a) -> list[list[Fraction]]:
     if pivots != list(range(n)):
         raise ConsistencyError("matrix is singular")
     return [row[n:] for row in red]
+
+
+# --- root coordinates by the inverse Cartan matrix -------------------------
+# The reference for the root coordinates that the package counts along the
+# walks that make its weights: rep_builder.saturated_weight_set and the
+# driving data of trails.
+
+
+@lru_cache(maxsize=None)
+def _scaled_inverse(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, D A^{-1}) with D the least common denominator of A^{-1}, so the
+    scaled inverse has integer entries.
+
+    The fraction-free reduction of [A | I] ends at [d I | R] with R = d A^{-1};
+    with g the gcd of d and the entries of R, D = d / g and D A^{-1} = R / g.
+    """
+    n = cartan.n
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(cartan.gcm)]
+    done, pivots, d = integer_rref(rows)
+    if pivots != list(range(n)):
+        raise ConsistencyError("the Cartan matrix is singular")
+    right = [row[n:] for row in done]
+    g = gcd(d, *(x for row in right for x in row))
+    return d // g, tuple(tuple(x // g for x in row) for row in right)
+
+
+def root_coordinates(cartan, w) -> tuple[int, ...] | None:
+    """Integer coordinates of a weight in the simple-root basis, or None
+    when the weight is not in the root lattice."""
+    den, scaled = _scaled_inverse(cartan)
+    out = []
+    for row in scaled:
+        q, r = divmod(sum(a * x for a, x in zip(row, w)), den)
+        if r:
+            return None
+        out.append(q)
+    return tuple(out)
 
 
 # --- the module build over Fractions ---------------------------------------
@@ -343,6 +381,26 @@ def make_trail(M, word, exps) -> Trail | None:
     if _chain(M, word, exps) is None:
         return None
     return K
+
+
+def driving_data(word, t: int):
+    """(gamma, low, exps, phi) of the driving trail of type t, each part on
+    its own: the weights from -s_t(omega_t) and the prefix weights, their
+    root coordinates relative to gamma_1 solved by the inverse Cartan
+    matrix, each exponent as half the change at its letter's coordinate,
+    and phi as the least step from which every weight is a prefix weight.
+    The reference for trails._driving_data, which counts them in one
+    pass."""
+    cartan = word.cartan
+    prefix = word.prefix_weights(t)
+    p1 = word.position(t, 1)
+    start = wsub(cartan.simple_root(t), cartan.fundamental_weight(t))
+    gamma = (start,) * (p1 + 1) + prefix[p1 + 1:]
+    low = tuple(root_coordinates(cartan, wsub(g, start)) for g in gamma)
+    exps = tuple((b[i - 1] - a[i - 1]) // 2
+                 for i, a, b in zip(word.letters, gamma, gamma[1:]))
+    phi = min(j for j in range(1, word.m + 1) if gamma[j:] == prefix[j:])
+    return gamma, low, exps, phi
 
 
 def try_adjoin_face(K: Trail, s: int, k: int, M) -> Trail | None:

@@ -245,13 +245,13 @@ def test_word_positions():
 def test_prefix_weights_a2():
     a2 = validate_gcm(GCM["A2"])
     w = WordJ(a2, (1, 2, 1))
-    assert w.prefix_weight(1, 0) == (-1, 0)
-    assert w.prefix_weight(1, 1) == (1, -1)
-    assert w.prefix_weight(1, 2) == (0, 1)
-    assert w.prefix_weight(1, 3) == (0, 1)
-    assert w.prefix_weight(2, 0) == (0, -1)
-    assert w.prefix_weight(2, 1) == (0, -1)   # s_1 fixes omega_2
-    assert w.prefix_weight(2, 3) == (1, 0)
+    assert w.prefix_weights(1)[0] == (-1, 0)
+    assert w.prefix_weights(1)[1] == (1, -1)
+    assert w.prefix_weights(1)[2] == (0, 1)
+    assert w.prefix_weights(1)[3] == (0, 1)
+    assert w.prefix_weights(2)[0] == (0, -1)
+    assert w.prefix_weights(2)[1] == (0, -1)   # s_1 fixes omega_2
+    assert w.prefix_weights(2)[3] == (1, 0)
 
 
 def test_weyl_act_longest_element():
@@ -274,7 +274,7 @@ def test_weyl_act_longest_element():
         for t in c.labels:
             low = tuple(-x for x in c.fundamental_weight(t))
             for j in range(len(word) + 1):
-                assert w.prefix_weight(t, j) == weyl_act(c, word[:j], low)
+                assert w.prefix_weights(t)[j] == weyl_act(c, word[:j], low)
 
 
 def test_is_reduced():

@@ -27,7 +27,7 @@ from trailkit import (
     weyl_dimension,
 )
 from trailkit import rep_builder
-from trailkit.cartan_core import (_standard_gcm, positive_roots, root_coordinates,
+from trailkit.cartan_core import (CartanData, _standard_gcm, positive_roots,
                                   wadd, wsub)
 from trailkit.errors import (NotExtremalWeightError, NotFiniteTypeError,
                              NotReducedError, RadicalRankMismatch,
@@ -36,7 +36,7 @@ from trailkit.rep_builder import apply_projective
 
 from conftest import FULL_WORDS, GCM, cartan_key
 from oracles import (fraction_build_matrices, fraction_columns,
-                     fraction_integer_form)
+                     fraction_integer_form, root_coordinates)
 
 FUNDAMENTAL_DIMS = {
     "A1": (2,),
@@ -192,7 +192,7 @@ def test_extremal_vector_tracks_prefix_weights(modules, full_words):
             m = modules[name, t]
             for j in range(len(letters) + 1):
                 (idx,) = extremal_vector(m, letters[:j])
-                assert m.weights[idx] == w.prefix_weight(t, j)
+                assert m.weights[idx] == w.prefix_weights(t)[j]
             assert m.start_vector == extremal_vector(m, (t,))
 
 
@@ -334,7 +334,9 @@ def test_every_fundamental_up_to_rank_6_builds_in_2gb():
 
 def _freudenthal_all_weights(cartan, highest):
     """Freudenthal's recursion over every weight, highest first: the
-    reference for the dominant-weight recursion of the library."""
+    reference for the dominant-weight recursion of the library.  It solves
+    for root coordinates with the inverse Cartan matrix, where the library
+    counts them."""
     d = cartan.symmetrizer
     n = cartan.n
     weights = rep_builder.saturated_weight_set(cartan, highest)
@@ -507,3 +509,37 @@ def test_integer_build_equals_the_fraction_build(tag, t):
     returns: the same weights and the same integer forms."""
     c = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
     assert rep_builder._build_matrices(c, t) == fraction_build_matrices(c, t)
+
+
+def assert_counted_coordinates(cartan, t: int) -> int:
+    """Every weight of V(omega_t) carries the root coordinates of
+    omega_t - weight that the inverse Cartan matrix gives; returns the
+    number of weights."""
+    lam = cartan.fundamental_weight(t)
+    coords = rep_builder.saturated_weight_set(cartan, lam)
+    for mu, x in coords.items():
+        assert x == root_coordinates(cartan, wsub(lam, mu)), (mu, x)
+    return len(coords)
+
+
+def test_counted_root_coordinates_match_the_inverse_cartan_matrix():
+    # every fundamental of rank <= 4 and the enumerate benchmark's modules
+    weights = 0
+    for tag, t in RANK_4_FUNDAMENTALS + [
+            key for key in ENUMERATE_MODULES if key not in RANK_4_FUNDAMENTALS]:
+        c = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
+        weights += assert_counted_coordinates(c, t)
+    assert weights > 1000
+
+
+def test_a_weight_reached_with_other_coordinates_raises():
+    """Two walks to one weight must count the same coordinates.  They can
+    differ only when the simple roots are dependent, as for the singular
+    affine matrix of A1 passed off here as finite type: alpha_2 = -alpha_1,
+    so omega_1 - alpha_1 - alpha_2 is omega_1 again."""
+    c = CartanData(gcm=((2, -2), (-2, 2)), symmetrizer=(1, 1),
+                   finite_type=True, type_tag=None)
+    with pytest.raises(RadicalRankMismatch, match=re.escape(
+            "weight (1, 0) reached with root coordinates (0, 0) and "
+            "(1, 1)")):
+        rep_builder.saturated_weight_set(c, (1, 0))

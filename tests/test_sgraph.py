@@ -2,13 +2,11 @@ from __future__ import annotations
 
 import gc
 import itertools
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailkit.cartan_core import _scaled_inverse, _standard_gcm, validate_gcm
 from trailkit.errors import ConsistencyError, DomainError, PointOutside
 from trailkit.linalg import extremal_points, in_convex_hull
 from trailkit.sgraph import (
@@ -43,25 +41,10 @@ def test_rref_and_rank():
     assert rref([[1, 2], [2, 4]])[1] == [0]
 
 
-# the standard matrix of every finite type up to rank 8
-FINITE_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
-                + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
-                + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
-
-
 def test_invert():
     assert invert([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     with pytest.raises(ConsistencyError):
         invert([[1, 1], [1, 1]])
-    # the integer scaled inverse (D, D A^-1), D the least common
-    # denominator, against the Fraction inverse on every finite type
-    assert len(FINITE_TYPES) == 32
-    for family, n in FINITE_TYPES:
-        gcm = _standard_gcm(family, n)
-        inv = invert(gcm)
-        den = lcm(*(x.denominator for row in inv for x in row))
-        assert _scaled_inverse(validate_gcm(gcm)) == (den, tuple(
-            tuple(int(x * den) for x in row) for row in inv)), (family, n)
 
 
 def test_convex_hull_membership():

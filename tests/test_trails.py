@@ -31,7 +31,7 @@ from trailkit import (
 import trailkit
 from trailkit import rep_builder, trails
 from trailkit.cartan_core import (_standard_gcm, is_reduced,
-                                  reduced_words_of_w0, root_coordinates)
+                                  reduced_words_of_w0, wadd, wsub)
 from trailkit.errors import (
     ConsistencyError,
     MixedTrivialization,
@@ -42,9 +42,10 @@ from trailkit.errors import (
 )
 
 from conftest import FULL_WORDS, GCM, cartan_key
-from oracles import (driving_function, evaluate, face_cone_coordinates,
-                     in_xt_cone, make_trail, minimax_decompose,
-                     try_adjoin_face, try_remove_face, xt_leq)
+from oracles import (driving_data, driving_function, evaluate,
+                     face_cone_coordinates, in_xt_cone, make_trail,
+                     minimax_decompose, try_adjoin_face, try_remove_face,
+                     xt_leq)
 from test_rep_builder import RANK_4_FUNDAMENTALS
 
 # every trail of every fixture module, frozen as exponent tuples
@@ -136,7 +137,7 @@ def test_trail_gamma_bookkeeping(modules, full_words):
                 assert K.gamma[j] == tuple(
                     x + n * r for x, r in zip(K.gamma[j - 1], root))
             # final point of the trail is -w0 omega_t
-            assert K.gamma[-1] == w.prefix_weight(t, w.m)
+            assert K.gamma[-1] == w.prefix_weights(t)[w.m]
 
 
 def test_trail_function_is_midpoint_pairing(modules, full_words):
@@ -443,23 +444,68 @@ def test_exponents_rebuild_every_trail_and_face_moves_stay_inside():
 
 def test_enumeration_computes_root_coordinates_once_per_position(
         cartans, monkeypatch):
-    # the driving data is computed once per (word, t); trails reuse it
+    # the driving data, root coordinates of every position included, is
+    # built in one pass once per (word, t); trails reuse it
     calls = []
+    build = trails._build_driving_data
 
-    def counted(cartan, w):
-        calls.append(w)
-        return root_coordinates(cartan, w)
+    def counted(word, t):
+        calls.append((word.letters, t))
+        return build(word, t)
 
-    monkeypatch.setattr(trails, "root_coordinates", counted)
+    monkeypatch.setattr(trails, "_build_driving_data", counted)
     c = cartans["B3"]
     word = WordJ(c, (1, 2, 1, 3, 2, 1, 3, 2, 3))
     M = build_fundamental(c, 3)
     found = enumerate_trails(M, word)
     assert len(found) == 7
-    assert len(calls) <= word.m + 1
-    calls.clear()
+    assert calls == [(word.letters, 3)]
     assert enumerate_trails(M, word) == found
-    assert calls == []
+    assert all(Trail(word, 3, K.exps) == K for K in found)
+    assert driving_trail(word, 3) in found
+    assert calls == [(word.letters, 3)]
+    assert [k for k in word._memo if k[0] == "driving"] == [("driving", 3)]
+
+
+def assert_driving_data(word, t: int) -> None:
+    """The driving data counted in one pass equals the reference
+    ``oracles.driving_data``, and the walk of Trail rebuilds its weights
+    and phi from its exponents."""
+    got = trails._driving_data(word, t)
+    assert got == driving_data(word, t), (word.letters, t)
+    gamma, _, exps, phi = got
+    K = Trail(word, t, exps)
+    assert (K.gamma, K.phi) == (gamma, phi), (word.letters, t)
+
+
+def test_counted_driving_data_matches_the_reference(cartans):
+    # every w0 word of A3, B3 and C3 for every t
+    words = 0
+    for name in ("A3", "B3", "C3"):
+        cartan = cartans[name]
+        for letters in reduced_words_of_w0(cartan):
+            word = WordJ(cartan, letters)
+            for t in cartan.labels:
+                assert_driving_data(word, t)
+            words += 1
+    assert words == 16 + 42 + 42
+
+
+@pytest.mark.parametrize("bend", [(1, 0), (2, -4)])
+def test_a_driving_step_off_its_root_raises(cartans, bend):
+    """Each step of the driving trail is checked to be n alpha_i with
+    n >= 0.  On A2 the second step raises by alpha_2 = (-1, 2); moved by
+    (1, 0) it is no multiple of alpha_2, and moved by (2, -4) it is
+    -alpha_2.  The word is fresh, and its memo is given the bent prefix
+    weights."""
+    word = WordJ(cartans["A2"], (1, 2, 1))
+    prefix = word.prefix_weights(1)
+    assert wsub(prefix[2], prefix[1]) == (-1, 2)
+    bent = prefix[:2] + (wadd(prefix[2], bend),) + prefix[3:]
+    word._memo["prefix", 1] = bent
+    with pytest.raises(ConsistencyError, match="^the driving step at "
+                       "position 2 is not a non-negative multiple of a root$"):
+        driving_trail(word, 1)
 
 
 def test_word_is_not_kept_alive_by_a_cache(cartans):
@@ -584,7 +630,7 @@ def test_the_search_makes_every_raising_it_needs(monkeypatch):
 def test_driving_trail_and_start_vector_are_computed_once(cartans,
                                                           monkeypatch):
     walks, starts = [], []
-    build = trails._build_driving_trail
+    build = trails._build_driving_data
     extremal = rep_builder.extremal_vector
 
     def walk_counted(word, t):
@@ -595,7 +641,7 @@ def test_driving_trail_and_start_vector_are_computed_once(cartans,
         starts.append(word)
         return extremal(M, word)
 
-    monkeypatch.setattr(trails, "_build_driving_trail", walk_counted)
+    monkeypatch.setattr(trails, "_build_driving_data", walk_counted)
     monkeypatch.setattr(rep_builder, "extremal_vector", start_counted)
     c = cartans["C3"]
     word = WordJ(c, (3, 2, 3, 1, 2, 3, 1, 2, 1))    # its own memo
