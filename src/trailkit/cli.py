@@ -420,7 +420,7 @@ def cmd_sgraph(cfg: JobConfig, out: str) -> int:
                 f"{cfg.word.letters[j - 1]}, not s={s}")
         M = build_fundamental(cfg.cartan, t)
         trails = enumerate_trails(M, cfg.word)
-        classes = group_ts_classes([K for K in trails if K.phi <= j], s, j)
+        classes = group_ts_classes(trails, s, j)
         for idx, cls in enumerate(sorted(classes, key=lambda x: x.c)):
             _check_box(f"class selector t={t} s={s} j={j}, class {idx}",
                        cls.c)

@@ -60,10 +60,6 @@ class OpenFaceRequest(TrailkitError):
     """Face index k = 1 requested; that object is the driving trail itself."""
 
 
-class MixedTrivialization(TrailkitError):
-    """Trails grouped together trivialize at different steps."""
-
-
 class PointOutside(TrailkitError):
     """Point is not a member of the polytope under discussion."""
 

@@ -28,6 +28,13 @@ A failed cover or exact check raises :class:`FalseTrailDetected` with the
 offending function and the nearest block, and is not recorded: an envelope
 exists only if every layer passed both, so key "54" (cover) is always true
 in a written report.  The forward checks are report data.
+
+Each step after the driving one builds its blocks, checks cover and exact,
+and only then matches the blocks against the module-level classes that
+:func:`group_ts_classes` forms from the trails settled by the step, so an
+error from grouping or matching never hides a layer error.  Blocks are
+functions only; the a written for a block is that of the class it matched,
+which the layer keeps in ``class_a``.
 """
 
 from __future__ import annotations
@@ -39,8 +46,7 @@ from operator import add, le
 
 from .cartan_core import CartanData, WordJ
 from . import linalg
-from .errors import (ConsistencyError, FalseTrailDetected, TrailkitError,
-                     UnknownLetterError)
+from .errors import ConsistencyError, FalseTrailDetected, UnknownLetterError
 from .rep_builder import LowestWeightModule
 from .sgraph import CoeffVector, binary_fusion, integer_points
 from .trails import (LinearFunctionBJ, _as_word, _face_basis, driving_trail,
@@ -148,7 +154,6 @@ class ClassBlock:
 
     s: int
     c: tuple[int, ...]
-    a: tuple[int, ...] | None
     driving: LinearFunctionBJ
     points: tuple[tuple[int, ...], ...]
     functions: frozenset[LinearFunctionBJ]
@@ -160,11 +165,15 @@ class ClassBlock:
 
 @dataclass(frozen=True)
 class EnvelopeLayer:
+    """One word step.  ``class_a`` pairs the driver of each
+    non-exceptional block with the a of the module class it matched."""
+
     j: int
     s: int
     blocks: tuple[ClassBlock, ...]
     discarded: tuple[LinearFunctionBJ, ...]
     functions: frozenset[LinearFunctionBJ]
+    class_a: tuple[tuple[LinearFunctionBJ, tuple[int, ...]], ...]
     forward_ok: bool
     forward_vertex_ok: bool
 
@@ -222,11 +231,12 @@ class Envelope:
     def to_json_dict(self) -> dict:
         layers = []
         for L in self.layers:
+            a_of = dict(L.class_a)
             classes = []
             for b in sorted(L.blocks, key=lambda b: _fn_key(b.driving)):
                 classes.append({
                     "s": b.s,
-                    "a": b.a if b.a is not None else (),
+                    "a": () if b.exceptional else a_of[b.driving],
                     "c": b.c,
                     "z_vertices": sorted(map(_fn_key, b.vertices)),
                     "kz_size": len(b.points),
@@ -254,8 +264,7 @@ def _shape(c: tuple[int, ...]):
 
 
 def _make_block(form: _IntegerForm, s: int, step: int | None,
-                z: LinearFunctionBJ, c: tuple[int, ...],
-                a: tuple[int, ...] | None = None) -> ClassBlock:
+                z: LinearFunctionBJ, c: tuple[int, ...]) -> ClassBlock:
     """The block driven by z with coefficients c: the point c' of K(c) is
     the function z + sum_u c'_u F_s^{u+1}.  Each point is expanded on an
     integer row, and a row of ``form`` gives back its own function."""
@@ -300,7 +309,7 @@ def _make_block(form: _IntegerForm, s: int, step: int | None,
     expanded = dict(zip(pts, funcs))
     vertices = frozenset(expanded[p] for p in g.functions())
     lower = frozenset(lower)
-    return ClassBlock(s, c, a, z, pts, functions, lower, vertices,
+    return ClassBlock(s, c, z, pts, functions, lower, vertices,
                       vertices & lower)
 
 
@@ -308,7 +317,7 @@ def _exceptional_block(t: int, zt1: LinearFunctionBJ,
                        settled: bool) -> ClassBlock:
     """The lone driving function, which belongs to no type-t class."""
     lower = frozenset({zt1}) if settled else frozenset()
-    return ClassBlock(t, (), None, zt1, ((),), frozenset({zt1}), lower,
+    return ClassBlock(t, (), zt1, ((),), frozenset({zt1}), lower,
                       frozenset({zt1}), lower, exceptional=True)
 
 
@@ -418,33 +427,19 @@ def _check_layer(j: int, prev, truth, blocks) -> None:
                        "block predicts a function with no trail behind it")
 
 
-def _module_classes(j: int, s: int, trails, fn_of):
-    """The module-level type-s classes of the trails settled by step j, by
-    the function of their l-minimal member, and the error that grouping
-    them raised, if any.
-
-    Blocks take their a from these classes.  The error is raised by
-    :func:`_check_classes`, after the layer checks, so it never hides
-    theirs.  ``fn_of`` maps each trail's exponents to its function.
-    """
-    try:
-        classes = group_ts_classes([K for K in trails if K.phi <= j], s, j)
-    except TrailkitError as e:
-        return {}, e
-    return {fn_of[cls.l_min.exps]: cls for cls in classes}, None
-
-
-def _check_classes(j, blocks, classes, failure, fn_of) -> None:
-    """Cross-check blocks against the module-level classes.
+def _check_classes(j: int, s: int, trails, blocks, fn_of):
+    """Cross-check blocks against the module-level type-s classes of the
+    trails settled by step j, and return the (driver, a) pair of each
+    matched block.
 
     Each non-exceptional block must correspond to exactly one class whose
     l-minimal function is the block driver, with equal coefficient tuples,
-    member functions and member coordinates.  ``classes`` and ``failure``
-    come from :func:`_module_classes`; the matched classes are removed
-    from ``classes``.
+    member functions and member coordinates.  ``fn_of`` maps each trail's
+    exponents to its function.
     """
-    if failure is not None:
-        raise failure
+    classes = {fn_of[cls.l_min.exps]: cls
+               for cls in group_ts_classes(trails, s, j)}
+    matched = []
     for b in blocks:
         if b.exceptional:
             continue
@@ -465,25 +460,25 @@ def _check_classes(j, blocks, classes, failure, fn_of) -> None:
         if frozenset(cls.c_primes) != frozenset(p + (0,) for p in b.points):
             raise ConsistencyError("member coordinates disagree with the "
                                    "block lattice points")
+        matched.append((b.driving, cls.a))
     for cls in classes.values():
         raise FalseTrailDetected(
             j, cls.c, fn_of[cls.l_min.exps],
             detail="module class missed by the block construction")
+    return tuple(matched)
 
 
 def _decompose(form: _IntegerForm, t: int, s: int, step: int | None, pool,
-               zt1: LinearFunctionBJ, built: dict, classes=None):
+               zt1: LinearFunctionBJ, built: dict):
     """Disjoint type-s blocks driven by the functions of ``pool``, least
     driver first; a driver already inside a block is discarded.
 
-    ``step`` is the word step of the per-step pass, whose blocks take the
-    a of the class in ``classes`` that their driver drives; ``None`` sweeps
-    the whole word, including classes settling after the last occurrence
-    of s.  ``built`` is the envelope's memo of per-step blocks by
-    (s, driver, c).  Since len(c) + 1 is the number of occurrences of s
-    up to the step, the key fixes the step, and so every function of the
-    block: the sweep uses a stored block as it is (nothing reads the a of
-    a sweep block).
+    ``step`` is the word step of the per-step pass; ``None`` sweeps the
+    whole word, including classes settling after the last occurrence of s.
+    ``built`` is the envelope's memo of per-step blocks by (s, driver, c).
+    Since len(c) + 1 is the number of occurrences of s up to the step, the
+    key fixes the step, and so every function of the block: the sweep uses
+    a stored block as it is.
     """
     word = form.word
     blocks, discarded = [], []
@@ -496,9 +491,7 @@ def _decompose(form: _IntegerForm, t: int, s: int, step: int | None, pool,
             discarded.append(z)
             continue
         if step is not None:
-            cls = classes.get(z)
-            b = built[s, z, c] = _make_block(
-                form, s, step, z, c, None if cls is None else cls.a)
+            b = built[s, z, c] = _make_block(form, s, step, z, c)
         else:
             b = built.get((s, z, c)) or _make_block(form, s, None, z, c)
         blocks.append(b)
@@ -549,11 +542,11 @@ def construct_envelope(M: LowestWeightModule, word, *,
         settling[max((u for u, x in enumerate(row, 1) if x), default=0)
                  ].append(f)
 
-    steps = []          # (j, s, blocks, discarded, settled functions)
+    steps = []          # (j, s, blocks, discarded, settled, class_a)
     prev: frozenset[LinearFunctionBJ] = frozenset(settling[0])
     for j, s in enumerate(w.letters, start=1):
         truth = prev.union(settling[j])
-        blocks, discarded = (), ()
+        blocks, discarded, class_a = (), (), ()
         if j < t1:
             if truth:
                 raise FalseTrailDetected(
@@ -567,12 +560,10 @@ def construct_envelope(M: LowestWeightModule, word, *,
                     j, (), f, nearest=zt1,
                     detail="driving layer is not the single driving function")
         else:
-            classes, failure = _module_classes(j, s, trails, fn_of)
-            blocks, discarded = _decompose(form, t, s, j, prev, zt1, built,
-                                           classes)
+            blocks, discarded = _decompose(form, t, s, j, prev, zt1, built)
             _check_layer(j, prev, truth, blocks)
-            _check_classes(j, blocks, classes, failure, fn_of)
-        steps.append((j, s, blocks, discarded, truth))
+            class_a = _check_classes(j, s, trails, blocks, fn_of)
+        steps.append((j, s, blocks, discarded, truth, class_a))
         prev = truth
     extremal = _extremal_subset(form, all_funcs)
     later = [step[2] for step in steps[1:]] + [None]

@@ -37,7 +37,6 @@ from .cartan_core import (
 )
 from .errors import (
     ConsistencyError,
-    MixedTrivialization,
     OpenFaceRequest,
     PositionMissingError,
     TNotInWord,
@@ -459,8 +458,9 @@ def _partial_sums(xs) -> list[int]:
 
 
 def group_ts_classes(trails, s: int, j: int) -> list[TsClass]:
-    """Partition trails trivializing at step j (a position of letter s) by
-    signature, and compute each class's a/l/c/c' data.
+    """Partition the trails settled by step j (a position of letter s),
+    those with phi <= j, by signature, and compute each class's a/l/c/c'
+    data; the other trails are left out.
 
     The driving trail of type s is never a class member when s = t.  All
     per-class identities that the calculus guarantees are re-verified here
@@ -486,10 +486,7 @@ def group_ts_classes(trails, s: int, j: int) -> list[TsClass]:
     driving_phi = word.position(t, 1) if s == t else 0
     groups: dict[tuple, list[Trail]] = {}
     for K in trails:
-        if K.phi > j:
-            raise MixedTrivialization(
-                f"trail with phi={K.phi} does not trivialize at step {j}")
-        if K.phi <= driving_phi:
+        if not driving_phi < K.phi <= j:
             continue
         sig = tuple(map(K.exps.__getitem__, others))
         groups.setdefault(sig, []).append(K)

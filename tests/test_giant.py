@@ -347,9 +347,9 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
     built = Counter()
     make = giant._make_block
 
-    def counting(form, s, step, z, c, a=None):
+    def counting(form, s, step, z, c):
         built[s, z, c] += 1
-        return make(form, s, step, z, c, a)
+        return make(form, s, step, z, c)
 
     monkeypatch.setattr(giant, "_make_block", counting)
     c3 = validate_gcm([[2, -1, 0], [-1, 2, -2], [0, -1, 2]])
@@ -361,9 +361,13 @@ def test_sweep_reuses_the_per_step_blocks(monkeypatch):
         assert max(built.values()) == 1, t
         shaped = [b for b in env.global_blocks if not b.exceptional]
         for b in shaped:
-            assert b == make(env.form, b.s, None, b.driving, b.c, b.a)
+            assert b == make(env.form, b.s, None, b.driving, b.c)
         per_step = {(b.s, b.driving, b.c): b for L in env.layers
                     for b in L.blocks if not b.exceptional}
+        # every per-step block matched a module class, whose a its layer keeps
+        for L in env.layers:
+            assert [z for z, _ in L.class_a] == [
+                b.driving for b in L.blocks if not b.exceptional], (t, L.j)
         shared = [b for b in shaped if (b.s, b.driving, b.c) in per_step]
         # the sweep takes a stored block as it is, not a copy
         assert all(b is per_step[b.s, b.driving, b.c] for b in shared), t
@@ -384,9 +388,11 @@ def test_g2_t2_layer_shapes(envelopes):
     env = envelopes["G2", 2]
     shapes = []
     for L in env.layers:
+        a_of = dict(L.class_a)
         shapes.append((L.j, L.s, len(L.functions), sorted(
-            (b.s, b.c, b.a, len(b.functions), len(b.vertices),
-             len(b.lower), len(b.lower_vertices), b.exceptional)
+            (b.s, b.c, a_of.get(b.driving), len(b.functions),
+             len(b.vertices), len(b.lower), len(b.lower_vertices),
+             b.exceptional)
             for b in L.blocks)))
     assert shapes == [
         (1, 1, 0, []),
@@ -848,6 +854,27 @@ def test_spurious_function_escapes_blocks(g2_t2):
         assert e.function == LinearFunctionBJ.from_coeffs(coeffs)
         assert e.nearest == LinearFunctionBJ.from_coeffs(near), coeffs
         assert e.detail == "settled function not produced by any block"
+
+
+def test_layer_errors_come_before_class_errors(g2_t2, monkeypatch):
+    # a grouping error at step 5 is raised only after the layer checks of
+    # step 5, so the false trail that those checks find wins
+    M, word = g2_t2
+    group = giant.group_ts_classes
+
+    def failing(trails, s, j):
+        if j == 5:
+            raise ConsistencyError("grouping failed at step 5")
+        return group(trails, s, j)
+
+    monkeypatch.setattr(giant, "group_ts_classes", failing)
+    with pytest.raises(FalseTrailDetected) as exc:
+        construct_envelope(M, word,
+                           spurious=LinearFunctionBJ.from_coeffs({5: 1}))
+    assert exc.value.step == 5
+    assert exc.value.detail == "settled function not produced by any block"
+    with pytest.raises(ConsistencyError, match="grouping failed at step 5"):
+        construct_envelope(M, word)
 
 
 # --- guard rails -------------------------------------------------------------

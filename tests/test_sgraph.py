@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trailkit.cartan_core import _standard_gcm, validate_gcm
 from trailkit.errors import ConsistencyError, DomainError, PointOutside
 from trailkit.linalg import extremal_points, in_convex_hull
 from trailkit.sgraph import (
@@ -22,7 +23,9 @@ from trailkit.sgraph import (
     to_dot,
 )
 
-from oracles import invert, lp_extremal_points, reversed_tie_break, rref
+from oracles import (_scaled_inverse, invert, lp_extremal_points,
+                     reversed_tie_break, rref)
+from test_rep_builder import RANK_6_TYPES
 
 
 def _lp_extremal_set(cv) -> set:
@@ -45,6 +48,13 @@ def test_invert():
     assert invert([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     with pytest.raises(ConsistencyError):
         invert([[1, 1], [1, 1]])
+    # the fraction-free inverse behind oracles.root_coordinates agrees with
+    # the Fraction one on every standard Cartan matrix of rank <= 6
+    for family, n in RANK_6_TYPES:
+        cartan = validate_gcm(_standard_gcm(family, n))
+        den, scaled = _scaled_inverse(cartan)
+        assert [[den * x for x in row] for row in invert(cartan.gcm)] == [
+            list(row) for row in scaled], (family, n)
 
 
 def test_convex_hull_membership():

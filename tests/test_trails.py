@@ -34,7 +34,6 @@ from trailkit.cartan_core import (_standard_gcm, is_reduced,
                                   reduced_words_of_w0, wadd, wsub)
 from trailkit.errors import (
     ConsistencyError,
-    MixedTrivialization,
     OpenFaceRequest,
     PositionMissingError,
     TNotInWord,
@@ -244,12 +243,29 @@ def test_group_classes_g2_s1(modules, full_words):
 def test_group_classes_guards(modules, full_words):
     ts = sorted(_trails_for(modules, full_words, "G2", 2),
                 key=lambda K: K.exps)
-    with pytest.raises(MixedTrivialization):
-        group_ts_classes(ts, 1, 3)         # includes phi > 3 trails
     with pytest.raises(PositionMissingError, match="carries letter 2, not 1"):
         group_ts_classes([K for K in ts if K.phi <= 4], 1, 4)  # letter is 2
     with pytest.raises(PositionMissingError, match="outside"):
         group_ts_classes(ts, 1, 7)         # the word has six letters
+
+
+def test_group_classes_keep_the_settled_trails(cartans, full_words):
+    # grouping every trail of the word gives the classes of the trails with
+    # phi <= j, at every step and every t of G2 and of every w0 word of A3,
+    # B3 and C3
+    words = [full_words["G2"]] + [
+        WordJ(cartans[name], letters) for name in ("A3", "B3", "C3")
+        for letters in reduced_words_of_w0(cartans[name])]
+    steps = 0
+    for w in words:
+        for t in w.cartan.labels:
+            found = enumerate_trails(build_fundamental(w.cartan, t), w)
+            for j, s in enumerate(w.letters, start=1):
+                settled = [K for K in found if K.phi <= j]
+                assert (group_ts_classes(found, s, j)
+                        == group_ts_classes(settled, s, j)), (w.letters, t, j)
+                steps += 1
+    assert steps == 2 * 6 + 3 * (16 * 6 + 84 * 9)
 
 
 def test_lower_members(modules, full_words):
