@@ -12,9 +12,16 @@ Chevalley involution then swaps the raising/lowering matrices to produce
 the lowest-weight module V(-omega_t).
 
 Two independent character oracles (Freudenthal recursion and the Weyl
-dimension formula) cross-check every weight multiplicity during the build;
-disagreement raises RadicalRankMismatch.  A module is built, checked and
-memoized once per process; nothing is read from or written to disk.
+dimension formula) cross-check the build; disagreement raises
+RadicalRankMismatch.  Candidates are grouped only at the weights of
+Freudenthal's character, where the rank of their e-images must equal the
+multiplicity; a candidate at any other weight gets an empty f-column and
+no e-images.  A weight the character wrongly lacks therefore has no rank
+check of its own: it surfaces at a rank check further down, at the Weyl
+dimension, or at the [e_i, f_i] check, since an f_j b of the true module
+recorded as 0 breaks [e_j, f_j] b = <alpha_j^vee, wt b> b.  A module is
+built, checked and memoized once per process; nothing is read from or
+written to disk.
 
 The build has no rational numbers: it keeps each column as sparse
 integers over one positive denominator in lowest terms, and reduces each
@@ -287,12 +294,17 @@ def _build_matrices(cartan: CartanData, t: int):
     the operators as IntegerForms.
 
     Basis index 0 is the top vector; each level below it holds the weights
-    one simple root lower, weight spaces in sorted order.  A column is kept
-    as sparse integers over one positive denominator in lowest terms.  Each
-    weight's matrix of e-images (a row per coordinate, a column per
-    candidate) is cleared of denominators row by row, which leaves its
-    reduced row echelon form as it is, and then reduced fraction-free; the
-    pivots and f-coefficients are those of a reduction over Fractions.
+    of the character one simple root lower, weight spaces in sorted order.
+    A candidate f_j b is grouped only when wt(b) - alpha_j is a weight of
+    the character; any other keeps an empty f-column, and no e-image is
+    formed for it.  So a weight that the character wrongly lacks gets no
+    rank check of its own; a rank check further down or ``_verify_module``
+    catches it.  A column is kept as sparse integers over one positive
+    denominator in lowest terms.  Each weight's matrix of e-images (a row
+    per coordinate, a column per candidate) is cleared of denominators row
+    by row, which leaves its reduced row echelon form as it is, and then
+    reduced fraction-free; the pivots and f-coefficients are those of a
+    reduction over Fractions.
     """
     lam = cartan.fundamental_weight(t)
     fmult = freudenthal_multiplicities(cartan, lam)
@@ -306,15 +318,14 @@ def _build_matrices(cartan: CartanData, t: int):
         groups: dict[Weight, list[tuple[int, int]]] = {}
         for b in level:
             for j, alpha in roots:
-                groups.setdefault(wsub(weights[b], alpha), []).append((j, b))
+                nu = wsub(weights[b], alpha)
+                if nu in fmult:
+                    groups.setdefault(nu, []).append((j, b))
         f_level: dict[tuple[int, int], tuple] = {}
         next_level: list[int] = []
         for nu in sorted(groups):
             cands = groups[nu]
             images = [_e_images(e_cols, f_cols, weights, j, b) for j, b in cands]
-            if nu not in fmult and not any(
-                    col for im in images for _, col in im.values()):
-                continue    # rank 0: no basis vector, empty f-columns
             entries: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
             for c, im in enumerate(images):
                 for i, (den, col) in im.items():
@@ -328,10 +339,10 @@ def _build_matrices(cartan: CartanData, t: int):
                     row[c] = x * (common // den)
                 rows.append(row)
             red, pivots, d = integer_rref(rows)
-            if len(pivots) != fmult.get(nu, 0):
+            if len(pivots) != fmult[nu]:
                 raise RadicalRankMismatch(
                     f"weight {nu}: rank of the e-images {len(pivots)} != "
-                    f"Freudenthal multiplicity {fmult.get(nu, 0)}")
+                    f"Freudenthal multiplicity {fmult[nu]}")
             new = range(len(weights), len(weights) + len(pivots))
             for p in pivots:
                 weights.append(nu)
@@ -364,8 +375,10 @@ def _verify_module(m: LowestWeightModule) -> None:
     vector of weight mu.
     """
     cartan = m.cartan
-    if m.dim != weyl_dimension(cartan, cartan.fundamental_weight(m.t)):
-        raise RadicalRankMismatch("dimension disagrees with the Weyl formula")
+    weyl = weyl_dimension(cartan, cartan.fundamental_weight(m.t))
+    if m.dim != weyl:
+        raise RadicalRankMismatch(
+            f"dimension {m.dim} disagrees with the Weyl formula {weyl}")
     for i in cartan.labels:
         alpha = cartan.simple_root(i)
         e, f = m.e_int[i], m.f_int[i]

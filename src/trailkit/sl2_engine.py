@@ -41,7 +41,14 @@ class Sl2Config:
     l: tuple[int, ...]
 
     def __post_init__(self):
-        a, k, l = tuple(self.a), tuple(self.k), tuple(self.l)
+        a, k, l = self.a, self.k, self.l
+        # written only when a field is not a plain tuple yet; tuple(x) is x
+        # for a plain tuple x, so such a field is kept as it is
+        if not type(a) is type(k) is type(l) is tuple:
+            a, k, l = tuple(a), tuple(k), tuple(l)
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "l", l)
         if not (len(a) == len(k) == len(l)) or not a:
             raise DomainError("a, k, l must be non-empty tuples of equal length")
         for x in a + k + l:
@@ -49,9 +56,6 @@ class Sl2Config:
                 raise DomainError(f"labels must be ints, got {x!r}")
             if x < 0:
                 raise DomainError("labels must be non-negative")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
 
     @property
     def n(self) -> int:

@@ -7,6 +7,8 @@ import re
 import resource
 import subprocess
 import sys
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -476,25 +478,114 @@ def test_verify_module_catches_a_changed_non_integer_entry(cartans):
         rep_builder._verify_module(tampered)
 
 
-def test_a_weight_missing_from_the_character_is_a_rank_error(monkeypatch):
-    """Outside the character the build skips the row reduction only when
-    every e-image is empty; a weight that Freudenthal wrongly leaves out
-    still has a non-empty e-image, and its rank is checked as before."""
-    c = validate_gcm(_standard_gcm("B", 2))
-    full = freudenthal_multiplicities(c, c.fundamental_weight(1))
-    assert full[-1, 0] == 1
+# --- a wrong character ----------------------------------------------------------
+# The build groups candidates only at the weights of Freudenthal's
+# character, so a character that lacks a weight of the module never reaches
+# that weight's rank check.  It must still fail, before build_fundamental
+# returns: the module then lacks a vector f_j b that the true module has,
+# and f_j b = 0 breaks [e_j, f_j] b = <alpha_j^vee, wt b> b at the highest
+# such weight, unless a rank check below or the Weyl dimension fails first.
 
-    def dropped(cartan, highest):
-        mult = freudenthal_multiplicities(cartan, highest)
-        del mult[-1, 0]     # the lowest weight of B2 omega_1
+
+@contextmanager
+def edited_character(edit):
+    """Within the block, rep_builder's Freudenthal character is passed
+    through ``edit``, which changes the dict in place."""
+    real = rep_builder.freudenthal_multiplicities
+
+    def edited(cartan, highest):
+        mult = real(cartan, highest)
+        edit(mult)
         return mult
 
-    monkeypatch.setattr(rep_builder, "freudenthal_multiplicities", dropped)
-    # build_fundamental is memoized, so the build is called directly
-    with pytest.raises(RadicalRankMismatch, match=re.escape(
-            "weight (-1, 0): rank of the e-images 1 != Freudenthal "
-            "multiplicity 0")):
-        rep_builder._build_matrices(c, 1)
+    rep_builder.freudenthal_multiplicities = edited
+    try:
+        yield
+    finally:
+        rep_builder.freudenthal_multiplicities = real
+
+
+# the messages of the checks that can catch a wrong character
+_BUILD_CHECKS = (
+    ("rank", r"weight .*: rank of the e-images \d+ != Freudenthal multiplicity"),
+    ("dimension", r"dimension \d+ disagrees with the Weyl formula \d+$"),
+    ("commutator", r"\[e_\d+, f_\d+\] is not alpha_\d+\^vee on weight"),
+)
+
+
+def assert_each_dropped_weight_raises(cartan, t: int, weights) -> Counter:
+    """A checked build of V(omega_t) (unmemoized) whose character lacks any
+    one of ``weights`` raises RadicalRankMismatch; returns how many cases
+    each check caught: "rank", "dimension" or "commutator"."""
+    caught = Counter()
+    for nu in weights:
+        with edited_character(lambda mult: mult.pop(nu)):
+            with pytest.raises(RadicalRankMismatch) as info:
+                build_fundamental.__wrapped__(cartan, t)
+        message = str(info.value)
+        kind = next((kind for kind, pattern in _BUILD_CHECKS
+                     if re.match(pattern, message)), None)
+        assert kind, (cartan.type_tag, t, nu, message)
+        caught[kind] += 1
+    return caught
+
+
+def test_a_weight_missing_from_the_character_is_a_rank_error():
+    """The lowest weight of B2 omega_1 left out: no rank check runs there,
+    and the checked build raises RadicalRankMismatch at the Weyl dimension
+    instead of returning a module of dimension 4."""
+    c = validate_gcm(_standard_gcm("B", 2))
+    assert freudenthal_multiplicities(c, c.fundamental_weight(1))[-1, 0] == 1
+    with edited_character(lambda mult: mult.pop((-1, 0))):
+        weights, _, _ = rep_builder._build_matrices(c, 1)
+        assert len(weights) == 4 and (-1, 0) not in weights
+        with pytest.raises(RadicalRankMismatch, match=re.escape(
+                "dimension 4 disagrees with the Weyl formula 5")):
+            build_fundamental.__wrapped__(c, 1)
+
+
+def test_every_weight_missing_from_a_rank_3_character_raises():
+    caught = Counter()
+    for family, n in RANK_6_TYPES:
+        if n > 3:
+            continue
+        c = validate_gcm(_standard_gcm(family, n))
+        for t in c.labels:
+            lam = c.fundamental_weight(t)
+            caught += assert_each_dropped_weight_raises(
+                c, t, [mu for mu in freudenthal_multiplicities(c, lam)
+                       if mu != lam])
+    assert sum(caught.values()) == 102, caught
+    assert caught["rank"] and caught["dimension"], caught
+
+
+def test_every_dominant_weight_missing_from_a_rank_6_character_raises():
+    cases = 0
+    for family, n in RANK_6_TYPES:
+        c = validate_gcm(_standard_gcm(family, n))
+        for t in c.labels:
+            lam = c.fundamental_weight(t)
+            dominant = [mu for mu in freudenthal_multiplicities(c, lam)
+                        if mu != lam and min(mu) >= 0]
+            cases += sum(assert_each_dropped_weight_raises(
+                c, t, dominant).values())
+    assert cases == 84
+
+
+def test_a_spurious_weight_that_the_build_reaches_is_a_rank_error():
+    """A weight one simple root below the character, given multiplicity 1:
+    the build groups its candidates, finds e-images of rank 0 and stops
+    there."""
+    c = validate_gcm(_standard_gcm("B", 2))
+    lam = c.fundamental_weight(1)
+    mult = freudenthal_multiplicities(c, lam)
+    nu = min(wsub(mu, c.simple_root(j)) for mu in mult for j in c.labels
+             if wsub(mu, c.simple_root(j)) not in mult)
+    with edited_character(lambda mult: mult.update({nu: 1})):
+        with pytest.raises(RadicalRankMismatch, match=re.escape(
+                f"weight {nu}: rank of the e-images 0 != Freudenthal "
+                f"multiplicity 1")):
+            build_fundamental.__wrapped__(c, 1)
 
 
 # the modules that the enumerate benchmark builds
@@ -509,6 +600,31 @@ def test_integer_build_equals_the_fraction_build(tag, t):
     returns: the same weights and the same integer forms."""
     c = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
     assert rep_builder._build_matrices(c, t) == fraction_build_matrices(c, t)
+
+
+def test_the_build_forms_e_images_only_inside_the_character(monkeypatch):
+    """Over the enumerate benchmark's modules the build forms 1,038
+    e-images and runs 442 row reductions, one per weight below the top;
+    grouping candidates at every weight one simple root below a level
+    would form 2,619 e-images, 1,581 of them outside the character."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_e_images", "integer_rref"):
+        monkeypatch.setattr(rep_builder, name,
+                            counted(name, getattr(rep_builder, name)))
+    weights = 0
+    for tag, t in ENUMERATE_MODULES:
+        c = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
+        weights += len(freudenthal_multiplicities(c, c.fundamental_weight(t)))
+        rep_builder._build_matrices(c, t)
+    assert calls == {"_e_images": 1038, "integer_rref": 442}
+    assert calls["integer_rref"] == weights - len(ENUMERATE_MODULES)
 
 
 def assert_counted_coordinates(cartan, t: int) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,11 @@ from oracles import (expansion_check, nested_state,
                      prefix_coefficient_A_factors, rigid_regime)
 
 
+class Pair(NamedTuple):
+    x: int
+    y: int
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         Sl2Config((2,), (1, 1), (0,))
@@ -28,6 +34,12 @@ def test_config_validation():
         Sl2Config((2,), (-1,), (0,))
     cfg = Sl2Config([2, 3], [1, 2], [0, 1])
     assert cfg.a == (2, 3)          # sequences are normalised to tuples
+    assert (type(cfg.a), type(cfg.k), type(cfg.l)) == (tuple, tuple, tuple)
+    # a tuple subclass comes back as a plain tuple; a plain tuple is kept
+    a = (2, 3)
+    cfg = Sl2Config(a, Pair(1, 2), range(2))
+    assert cfg.a is a and cfg.l == (0, 1)
+    assert type(cfg.k) is tuple and cfg.k == (1, 2)
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
