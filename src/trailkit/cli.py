@@ -38,7 +38,7 @@ from .errors import (ConfigError, FalseTrailDetected, NotFiniteTypeError,
                      TrailkitError)
 from .giant import (check_constructibility, construct_envelope,
                     epsilon_star_batch, extremality_report)
-from .rep_builder import build_fundamental
+from .rep_builder import build_fundamental, weyl_dimension
 from .sgraph import (CoeffVector, binary_fusion, display_tuple,
                      integer_points, is_connected, line_count,
                      neighbor_graph, to_dot)
@@ -59,6 +59,15 @@ SGRAPH_BOX_LIMIT = 512
 # greedy w0 it has 405, 3,235 and 19,886 elements at depths 4, 6 and 8,
 # and generating them alone takes 0.02, 0.22 and 1.3 s (2-vCPU VM).
 DEPTH_LIMIT = 4
+
+# Largest module dimension that a command builds.  Every t that enumerate,
+# the envelope suite or a class selector builds is checked by its Weyl
+# dimension, a closed form, before the first build; the build itself has
+# no bound.  A fresh process builds E6 omega_4 (dim 2,925), the largest
+# fundamental module of rank <= 6, in 0.41 s, A14 omega_7 (dim 6,435) in
+# 1.3 s and A16 omega_8 (dim 24,310) in 4.8 s (2-vCPU VM), while E7
+# omega_4 (dim 365,750) runs for minutes.
+MODULE_DIM_LIMIT = 10000
 
 
 class JobConfig:
@@ -354,9 +363,20 @@ def _require_labels(cfg: JobConfig, labels, why: str) -> None:
                               f"{list(cfg.word.letters)}; {why}")
 
 
+def _check_module_dims(cfg: JobConfig, labels) -> None:
+    """Reject, before any module is built, a t in ``labels`` whose module
+    V(omega_t) has a Weyl dimension above ``MODULE_DIM_LIMIT``."""
+    for t in labels:
+        dim = weyl_dimension(cfg.cartan, cfg.cartan.fundamental_weight(t))
+        if dim > MODULE_DIM_LIMIT:
+            raise ConfigError(f"the module of t={t} has dimension {dim}, "
+                              f"above the limit of {MODULE_DIM_LIMIT}")
+
+
 def cmd_enumerate(cfg: JobConfig, out: str) -> int:
     """Module build + trail dump with per-trivialization-step counts."""
     _require_labels(cfg, cfg.labels, "without t, every label is enumerated")
+    _check_module_dims(cfg, cfg.labels)
     modules = []
     for t in cfg.labels:
         M = build_fundamental(cfg.cartan, t)
@@ -418,6 +438,7 @@ def cmd_sgraph(cfg: JobConfig, out: str) -> int:
             raise ConfigError(
                 f"class selector: position {j} carries letter "
                 f"{cfg.word.letters[j - 1]}, not s={s}")
+        _check_module_dims(cfg, [t])
         M = build_fundamental(cfg.cartan, t)
         trails = enumerate_trails(M, cfg.word)
         classes = group_ts_classes(trails, s, j)
@@ -570,6 +591,7 @@ def cmd_verify(cfg: JobConfig, out: str, suite: str) -> int:
     if suite in ("envelope", "all"):
         _require_labels(cfg, cfg.cartan.labels,
                         "the envelope suite's crystal lowers by every label")
+        _check_module_dims(cfg, cfg.labels)
     report: dict = {"suite": suite}
     path = os.path.join(out, "verify.json")
     forensics: dict = {}

@@ -25,6 +25,7 @@ carrying the a/k/l/c/c' data used downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import ge
 
 from .cartan_core import (
@@ -326,16 +327,50 @@ def _build_face_basis(word: WordJ) -> dict[int, LinearFunctionBJ]:
     return basis
 
 
+def _state_key(M: LowestWeightModule, j: int, g: Weight,
+               v: dict[int, int]) -> tuple:
+    """The memo key of a search state at position j, weight g and non-zero
+    vector v: (j, g) when g's weight space is one-dimensional, else (j, g,
+    the line of v), its (index, entry) pairs in index order divided by the
+    gcd of the entries and signed so that the first entry is positive.  Two
+    vectors at g share a key exactly when one is a non-zero multiple of the
+    other."""
+    if len(M.weight_spaces[g]) == 1:
+        return j, g
+    items = sorted(v.items())
+    d = gcd(*v.values())
+    if items[0][1] < 0:
+        d = -d
+    return j, g, tuple((r, x // d) for r, x in items)
+
+
 def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
-    """All trails for (word, M.t), by depth-first search on exponents.
+    """All trails for (word, M.t), by a search on exponents over memoized
+    states.
+
+    A state is a prefix of exponents seen by what its extensions depend
+    on: the position j it has reached, the weight gamma_j and the line of
+    its partial monomial vector.  The bounds below depend on j and
+    gamma_j alone, and whether a further product e_i^n vanishes depends
+    only on the line of the vector, as the e_i are linear.  So every
+    prefix that reaches one state has the same completions, and the
+    passing raisings of each state are computed once per call and kept
+    as its children; the trails are then read off by walking them.  When
+    gamma_j's weight space is one-dimensional the line is fixed by the
+    weight and the key is (j, gamma_j).  Otherwise the key also holds the
+    line (``_state_key``): at a weight of multiplicity > 1, prefixes reach
+    non-proportional vectors, whose raisings can vanish at different
+    exponents, so a weight-only key would give one of them the other's
+    completions and lose trails.  A state with no completion is no one's
+    child, so the walk visits only nodes on the path to a trail.
 
     Branches are cut when the partial monomial vector vanishes, when a
     weight drops below the driving trail, or when the deficit to the final
     extremal weight -w_m(omega_t) can no longer be filled by the remaining
     letters.  The partial monomial vectors are integer vectors over the
-    integer forms of the e_i, exact up to a positive factor.  Each node
-    carries its weights, and each leaf becomes a trail with them.
-    Finite-dimensionality bounds every branch.
+    integer forms of the e_i, exact up to a positive factor.  Each child
+    carries its weight, and each leaf becomes a trail with the weights of
+    its path.  Finite-dimensionality bounds every branch.
 
     A node at position j raises the root coordinate of its letter i alone,
     and checks it against its bounds after step j: the driving trail's
@@ -371,35 +406,39 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
     # per position j: the bounds after step j of the letter's coordinate
     bounds = [None] + [(low[j][i - 1], high[i - 1], i not in letters[j:])
                        for j, i in enumerate(letters, start=1)]
-    found: list[Trail] = []
-    exps: list[int] = []    # the exponents of the current node
-    gamma = [drive[0]]      # and its weights gamma_1..gamma_j
-    x = [0] * M.cartan.n    # and its root coordinates
+    x = [0] * M.cartan.n    # the root coordinates of the state expanded
+    # state key -> its children: (n_j, gamma_{j+1}, the child's children)
+    # for each passing n_j with a completion; a leaf's children are ()
+    memo: dict[tuple, tuple] = {}
 
-    def search(j: int, v: dict[int, int]):
-        if j > m:
-            # the checks above are the walk's: (P) at every node, and the
-            # end weight at the last, where no letter is left to raise by
-            g = tuple(gamma)
-            found.append(Trail._walked(word, t, tuple(exps), g,
-                                       _trivialization_step(prefix, g)))
-            return
+    def expand(j: int, g: Weight, v: dict[int, int]) -> tuple:
         i = letters[j - 1]
         c = i - 1
         lo, hi, exact = bounds[j]
         alpha = alphas[j - 1]
         cols = M.e_int[i].cols
-        g = gamma[-1]
+        kids = []
         start = a = x[c]
         n = 0
         while True:
             if lo <= a <= hi and (a == hi or not exact):
-                x[c] = a
-                exps.append(n)
-                gamma.append(shared.setdefault(g, g) if n else g)
-                search(j + 1, v)
-                gamma.pop()
-                exps.pop()
+                if n:
+                    g = shared.setdefault(g, g)
+                if j == m:
+                    # the checks above are the walk's: (P) at every node,
+                    # and the end weight at the last, where no letter is
+                    # left to raise by
+                    kids.append((n, g, ()))
+                else:
+                    # _state_key, with its common case inline
+                    key = ((j + 1, g) if len(spaces[g]) == 1
+                           else _state_key(M, j + 1, g, v))
+                    sub = memo.get(key)
+                    if sub is None:
+                        x[c] = a
+                        sub = memo[key] = expand(j + 1, g, v)
+                    if sub:
+                        kids.append((n, g, sub))
             if a >= hi:     # a raising only moves a further past hi
                 break
             g = wadd(g, alpha)
@@ -411,8 +450,26 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
             n += 1
             a += 1
         x[c] = start
+        return tuple(kids)
 
-    search(1, M.start_vector)
+    found: list[Trail] = []
+    exps: list[int] = []    # the exponents of the current node
+    gamma = [drive[0]]      # and its weights gamma_1..gamma_j
+
+    def walk(kids: tuple):
+        for n, g, sub in kids:
+            exps.append(n)
+            gamma.append(g)
+            if sub:
+                walk(sub)
+            else:
+                w = tuple(gamma)
+                found.append(Trail._walked(word, t, tuple(exps), w,
+                                           _trivialization_step(prefix, w)))
+            gamma.pop()
+            exps.pop()
+
+    walk(expand(1, drive[0], M.start_vector))
 
     trails = frozenset(found)
     first = word.position(t, 1)

@@ -12,7 +12,7 @@ from itertools import accumulate, permutations
 from math import comb, factorial, gcd, lcm
 
 from trailkit.cartan_core import (_FAMILIES, _standard_gcm, reflect,
-                                  require_finite, wsub)
+                                  require_finite, wadd, wsub)
 from trailkit.errors import (ConsistencyError, OpenFaceRequest,
                              RadicalRankMismatch)
 from trailkit.linalg import in_convex_hull, integer_rref
@@ -20,6 +20,8 @@ from trailkit.rep_builder import (IntegerForm, apply_projective,
                                   freudenthal_multiplicities)
 from trailkit.sgraph import CoeffVector
 from trailkit.trails import (LinearFunctionBJ, Trail, _as_word,
+                             _driving_data, _letter_roots,
+                             _trivialization_step, driving_trail,
                              face_function, kashiwara_function)
 
 
@@ -365,6 +367,105 @@ def _chain(M, word, exps) -> list[dict[int, int]] | None:
                 return None
         out.append(v)
     return out
+
+
+def tree_enumerate_trails(M, word) -> frozenset[Trail]:
+    """All trails for (word, M.t), by depth-first search on exponents: the
+    plain tree search that expands every prefix on its own.  The reference
+    for trails.enumerate_trails, which expands each state once.
+
+    Branches are cut when the partial monomial vector vanishes, when a
+    weight drops below the driving trail, or when the deficit to the final
+    extremal weight -w_m(omega_t) can no longer be filled by the remaining
+    letters.  The partial monomial vectors are integer vectors over the
+    integer forms of the e_i, exact up to a positive factor.  Each node
+    carries its weights, and each leaf becomes a trail with them.
+    Finite-dimensionality bounds every branch.
+
+    A node at position j raises the root coordinate of its letter i alone,
+    and checks it against its bounds after step j: the driving trail's
+    below, the final weight's above, and equality with the final weight
+    when i does not occur after j.  No other coordinate k is checked, as by
+    induction on j it meets its bounds after step j.  Step j leaves k as it
+    is, and keeps its bounds: the driving trail moves only coordinate i at
+    step j, and a letter other than i occurs after j exactly when it occurs
+    from j on.  So k meets them as it met its bounds after step j - 1, at
+    the parent node.  At j = 1 all coordinates are 0, as are the driving
+    trail's; its exponents are non-negative, so the upper bounds are at
+    least 0, and 0 at a letter that the word lacks.  After step m no letter
+    is left, so a leaf ends at the final weight.  Raising stops once the
+    coordinate reaches its upper bound, as every further raising overshoots
+    it, and at a weight with no weight space, where the vector vanishes
+    without a product.
+    """
+    word = _as_word(M.cartan, word)
+    t = M.t
+    m = word.m
+    letters = word.letters
+    # the driving data checks the premises of the induction
+    drv = driving_trail(word, t)
+    drive, low = drv.gamma, _driving_data(word, t)[1]
+    alphas = _letter_roots(word)
+    prefix = word.prefix_weights(t)
+    shared = word.memoized(("weights", t), dict)
+    spaces = M.weight_spaces
+    # Root coordinates relative to gamma_1: a node's are its raising counts,
+    # the driving trail's are the lower bounds of (P), and the final weight
+    # -w_m(omega_t) = drive_{m+1} gives the upper bounds.
+    high = low[m]
+    # per position j: the bounds after step j of the letter's coordinate
+    bounds = [None] + [(low[j][i - 1], high[i - 1], i not in letters[j:])
+                       for j, i in enumerate(letters, start=1)]
+    found: list[Trail] = []
+    exps: list[int] = []    # the exponents of the current node
+    gamma = [drive[0]]      # and its weights gamma_1..gamma_j
+    x = [0] * M.cartan.n    # and its root coordinates
+
+    def search(j: int, v: dict[int, int]):
+        if j > m:
+            # the checks above are the walk's: (P) at every node, and the
+            # end weight at the last, where no letter is left to raise by
+            g = tuple(gamma)
+            found.append(Trail._walked(word, t, tuple(exps), g,
+                                       _trivialization_step(prefix, g)))
+            return
+        i = letters[j - 1]
+        c = i - 1
+        lo, hi, exact = bounds[j]
+        alpha = alphas[j - 1]
+        cols = M.e_int[i].cols
+        g = gamma[-1]
+        start = a = x[c]
+        n = 0
+        while True:
+            if lo <= a <= hi and (a == hi or not exact):
+                x[c] = a
+                exps.append(n)
+                gamma.append(shared.setdefault(g, g) if n else g)
+                search(j + 1, v)
+                gamma.pop()
+                exps.pop()
+            if a >= hi:     # a raising only moves a further past hi
+                break
+            g = wadd(g, alpha)
+            if g not in spaces:
+                break
+            v = apply_projective(cols, v)
+            if not v:
+                break
+            n += 1
+            a += 1
+        x[c] = start
+
+    search(1, M.start_vector)
+
+    trails = frozenset(found)
+    first = word.position(t, 1)
+    earliest = [K for K in trails if K.phi <= first]
+    if earliest != [drv]:
+        raise ConsistencyError(
+            "the unique earliest-trivializing trail should be the driving trail")
+    return trails
 
 
 def make_trail(M, word, exps) -> Trail | None:

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,10 +17,13 @@ from hypothesis import strategies as st
 from trailkit import (WordJ, build_fundamental, cli, construct_envelope,
                       giant, linalg, validate_gcm)
 from trailkit.bj_crystal import generate_binf
+from trailkit.cartan_core import _standard_gcm
+from trailkit.rep_builder import weyl_dimension
 from trailkit.sgraph import CoeffVector, integer_points
 
 from oracles import evaluate, lp_extremal_points
 from test_golden import DATA, GOLDEN
+from test_rep_builder import RANK_6_TYPES
 
 
 def write_config(tmp_path, obj, name="job.json"):
@@ -195,6 +201,70 @@ def test_sgraph_needs_c_or_selector(tmp_path, capsys):
     cfg = write_config(tmp_path, A2_JOB)
     assert cli.main(["sgraph", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# --- the module dimension limit ----------------------------------------------
+
+
+class _Built(Exception):
+    """Raised by a stub build: every dimension check passed."""
+
+
+def _stop_at_build(cartan, t):
+    raise _Built(t)
+
+
+def test_every_fundamental_up_to_rank_6_is_within_the_module_limit(
+        tmp_path, monkeypatch):
+    # a Coxeter element holds every label, so enumerate checks every t
+    # before its first build, which the stub stops
+    monkeypatch.setattr(cli, "build_fundamental", _stop_at_build)
+    dims = []
+    for family, n in RANK_6_TYPES:
+        c = validate_gcm(_standard_gcm(family, n))
+        dims += [weyl_dimension(c, c.fundamental_weight(t)) for t in c.labels]
+        cfg = write_config(tmp_path, {"cartan": _standard_gcm(family, n),
+                                      "word": list(c.labels)})
+        with pytest.raises(_Built):
+            cli.main(["enumerate", "--config", cfg, "--out", str(tmp_path)])
+    assert len(dims) == 86
+    assert max(dims) == 2925 < cli.MODULE_DIM_LIMIT
+
+
+@pytest.mark.parametrize("command,job,t,dim", [
+    ("enumerate", dict(A2_JOB, t=2), 2, 3),
+    ("verify", A2_JOB, 1, 3),
+    ("sgraph", dict(G2_JOB, **{"class": {"t": 2, "s": 1, "j": 5}}), 2, 7)])
+def test_a_module_above_the_limit_is_refused_before_any_build(
+        tmp_path, capsys, monkeypatch, command, job, t, dim):
+    monkeypatch.setattr(cli, "MODULE_DIM_LIMIT", 2)
+    monkeypatch.setattr(cli, "build_fundamental", _stop_at_build)
+    cfg = write_config(tmp_path, job)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: the module of t={t} has dimension {dim}, above the "
+        f"limit of 2\n")
+    assert not list(out.iterdir())
+
+
+def test_a_fresh_process_refuses_e8_omega_4_at_once(tmp_path):
+    # dimension 6,899,079,264: the build would run for hours
+    cfg = write_config(tmp_path, {"cartan": _standard_gcm("E", 8),
+                                  "word": [4], "t": 4})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; from trailkit import cli; sys.exit(cli.main())"
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", code, "enumerate", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ("config error: the module of t=4 has dimension "
+                           "6899079264, above the limit of 10000\n")
+    assert elapsed < 1.0
 
 
 # --- verify ------------------------------------------------------------------
@@ -644,12 +714,18 @@ def test_write_json_encodes_a_shared_listing_once(monkeypatch):
 
 
 def test_write_json_fixed_cases():
+    row = (1, 2)
     for obj in ({}, [], (), "", [[], {}], {"é\x00": "\x1f \U0001f600"},
                 {10: 1, 2: [True, 1, False, 0], -3: None},
                 [10 ** 40, -10 ** 40], {"z": {"y": {"x": [[1]]}}},
                 # (True, 1) == (1, 1) as a key: the row's types come first
                 [(1, 1), [1, 1], (True, 1), [[1, 1]], {"a": [(1, 1)]}],
-                [[(True, 1)], [(1, 1)], [[1, True], [1, 1]], ((1, 1),)]):
+                [[(True, 1)], [(1, 1)], [[1, True], [1, 1]], ((1, 1),)],
+                # one row object at two indentations, beside equal rows of
+                # other types: a row's text depends on its indentation, and
+                # its types come first
+                [row, [row], [1, 2], (True, 2), {"a": row, "b": [[1, 2], row]},
+                 [[row, (True, 2)]]]):
         assert _written(obj) == (
             json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8")
 

@@ -43,8 +43,8 @@ from trailkit.errors import (
 from conftest import FULL_WORDS, GCM, cartan_key
 from oracles import (driving_data, driving_function, evaluate,
                      face_cone_coordinates, in_xt_cone, make_trail,
-                     minimax_decompose, try_adjoin_face, try_remove_face,
-                     xt_leq)
+                     minimax_decompose, tree_enumerate_trails,
+                     try_adjoin_face, try_remove_face, xt_leq)
 from test_rep_builder import RANK_4_FUNDAMENTALS
 
 # every trail of every fixture module, frozen as exponent tuples
@@ -552,14 +552,18 @@ def _greedy_w0(cartan) -> tuple[int, ...]:
 
 
 def _assert_walk_rebuilds(M, word, t) -> int:
-    """Every trail the search found equals the one the checking walk of
-    ``Trail`` builds from its exponents: fields, weights, phi and hash."""
+    """The memoized search finds the trails that the plain tree search of
+    ``tests/oracles.py`` finds, and each equals the one that the tree
+    search built and the one that the checking walk of ``Trail`` builds
+    from its exponents: fields, weights, phi and hash."""
     found = enumerate_trails(M, word)
+    tree = {K: K for K in tree_enumerate_trails(M, word)}
+    assert found == tree.keys(), word.letters
     for K in found:
-        R = Trail(word, t, K.exps)
-        assert R == K and hash(R) == hash(K)
-        assert vars(R) == vars(K), (word.letters, t, K.exps)
-        assert R.gamma == K.gamma and R.phi == K.phi
+        for R in (tree[K], Trail(word, t, K.exps)):
+            assert R == K and hash(R) == hash(K)
+            assert vars(R) == vars(K), (word.letters, t, K.exps)
+            assert R.gamma == K.gamma and R.phi == K.phi
     return len(found)
 
 
@@ -616,13 +620,16 @@ def test_search_builds_the_walked_trails_on_larger_modules(tag, t, count):
 
 
 def test_the_search_makes_every_raising_it_needs(monkeypatch):
-    """The search checks the raised coordinate only, and stops raising once
-    it reaches its upper bound, past which no exponent is admissible, or a
-    weight with no weight space, where the vector vanishes: 4,521
-    applications of an e_i over the greedy w0 words of the enumerate
-    benchmark, with the same trails.  Raising until the vector vanished
-    took 10,155; stopping at the upper bound alone took 7,582, of which
-    3,061 were products into an empty weight space."""
+    """The search raises each state once, (position, weight) or, at a
+    weight of multiplicity > 1, (position, weight, line of the vector),
+    however many prefixes reach it.  It checks the raised coordinate only,
+    and stops raising once it reaches its upper bound, past which no
+    exponent is admissible, or a weight with no weight space, where the
+    vector vanishes: 516 applications of an e_i over the greedy w0 words
+    of the enumerate benchmark, with the same trails.  The tree search of
+    ``tests/oracles.py``, which raises every prefix on its own, takes
+    4,521; before it stopped at the upper bound and at empty weight
+    spaces it took 10,155."""
     runs = []
     for tag, t in (("C5", 5), ("C5", 4), ("F4", 1), ("E6", 2), ("E6", 6),
                    ("D6", 6), ("F4", 4)):
@@ -640,7 +647,31 @@ def test_the_search_makes_every_raising_it_needs(monkeypatch):
     monkeypatch.setattr(trails, "apply_projective", counted)
     found = [len(enumerate_trails(M, word)) for M, word in runs]
     assert found == [131, 4, 1, 1, 98, 131, 118]
-    assert len(calls) == 4521
+    assert len(calls) == 516
+
+
+def test_a_state_key_holds_the_line_of_the_vector_at_a_multiple_weight(
+        cartans):
+    # the adjoint module of D4: its zero weight has multiplicity 4, every
+    # other weight multiplicity 1
+    M = build_fundamental(cartans["D4"], 2)
+    zero = (0, 0, 0, 0)
+    a, b, c = M.weight_space(zero)[:3]
+    v = {a: 2, b: -6}
+    key = trails._state_key(M, 5, zero, v)
+    for k in (1, 3, -1, -2):
+        assert trails._state_key(M, 5, zero, {r: k * x for r, x in v.items()}
+                                 ) == key
+    assert trails._state_key(M, 5, zero, {b: 3, a: -1}) == key
+    others = [{a: 2, b: 6}, {a: 1}, {b: 1}, {a: 2, b: -6, c: 1}]
+    keys = {trails._state_key(M, 5, zero, u) for u in others}
+    assert len(keys) == 4 and key not in keys
+    assert trails._state_key(M, 6, zero, v) != key
+    # at a weight of multiplicity 1 every vector shares the key
+    mu = M.weights[M.lowest_index]
+    (r,) = M.weight_space(mu)
+    assert {trails._state_key(M, 5, mu, {r: k}) for k in (1, -4, 7)} == {
+        (5, mu)}
 
 
 def test_driving_trail_and_start_vector_are_computed_once(cartans,
