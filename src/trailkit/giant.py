@@ -219,7 +219,7 @@ class Envelope:
     def partial_labels(self, labels) -> list[int]:
         """The labels s of ``labels`` whose type-s vertex functions miss a
         settled function.  At any other label epsilon* is the maximum over
-        every settled function, so :func:`epsilon_star_batch` has nothing
+        every settled function, so :func:`epsilon_star` has nothing
         to check there."""
         n = len(self.form.funcs)
         return [s for s in labels if len(self._vertices(s)[1]) < n]
@@ -601,16 +601,16 @@ def check_constructibility(env: Envelope) -> dict:
     }
 
 
-def epsilon_star_batch(env: Envelope, labels,
-                       elements) -> list[dict[int, int]]:
-    """For each element, given as (position, exponent) pairs, and each type
-    s in ``labels``: the largest value at the element among the type-s
-    vertex functions, checked to agree with the maximum over every settled
-    function.
+def epsilon_star(env: Envelope, labels, elements) -> list[dict[int, int]]:
+    """For each crystal element, given as its (position, exponent) pairs,
+    and each type s in ``labels``: the largest value at the element among
+    the type-s vertex functions, checked to agree with the maximum over
+    every settled function.
 
     All settled functions are evaluated at once, as a sum of the integer
     columns of ``env.form`` at the element's positions.  The first element,
-    and in it the first label, whose maximum misses raises.
+    and in it the first label, whose maximum misses raises; an unknown
+    label raises ``UnknownLetterError`` before any element is read.
     """
     columns = env.form.columns
     vertex = [(s, env._vertices(s)[1]) for s in labels]
@@ -632,21 +632,6 @@ def epsilon_star_batch(env: Envelope, labels,
             vals[s] = val
         out.append(vals)
     return out
-
-
-def epsilon_star(env: Envelope, s: int, b) -> int:
-    """Largest value at b among the type-s vertex functions; checked to
-    agree with the maximum over every settled function.
-
-    b is a mapping or a sequence (index j-1) of exponents; positions off
-    the word are ignored.  The CLI runs :func:`epsilon_star_batch`; this
-    one-element form is kept because ``bench/tracer.py`` wraps it by name.
-    """
-    env.cartan.check_label(s)
-    items = b.items() if hasattr(b, "get") else enumerate(b, start=1)
-    m = env.word.m
-    return epsilon_star_batch(
-        env, (s,), [[(j, x) for j, x in items if 1 <= j <= m and x]])[0][s]
 
 
 def extremality_report(env: Envelope) -> dict:

@@ -167,13 +167,13 @@ class Trail:
     """A trail, stored by its exponents n_1..n_m.
 
     By (T) the exponents fix every weight from gamma_1 = -s_t(omega_t), so
-    construction checks that each n_j is an int (not a bool, before any
-    weight is stored), walks them once, checks n_j >= 0, (P) and the end
-    weight, and keeps the weights ``gamma`` and the trivialization step
-    ``phi`` as derived attributes.  Realizability needs a module, so
-    :func:`enumerate_trails`, which holds one, checks it.  Its search
-    checks the same axioms node by node and carries the weights, so it
-    builds its trails without a second walk (:meth:`_walked`).
+    construction checks that each n_j is an int (not a bool), walks them
+    once, checks n_j >= 0, (P) and the end weight, and keeps the weights
+    ``gamma`` and the trivialization step ``phi`` as derived attributes.
+    Realizability needs a module, so :func:`enumerate_trails`, which holds
+    one, checks it.  Its search checks the same axioms node by node and
+    carries the weights, so it builds its trails without a second walk
+    (:meth:`_walked`).
     """
 
     word: WordJ
@@ -192,8 +192,6 @@ class Trail:
         # a bool equals its int as a memo key, so t is checked first
         word.cartan.check_label(self.t)
         drive, low, _, _ = _driving_data(word, self.t)
-        # equal weights of the trails of one (word, t) share one tuple
-        shared = word.memoized(("weights", self.t), dict)
         # x holds the root coordinates of gamma_j - gamma_1, the raising
         # counts so far, so those of gamma_j - drive_j are x - low_j.
         x = [0] * word.cartan.n
@@ -209,7 +207,6 @@ class Trail:
                     f"weight at position {j} drops below the driving trail")
             if n:
                 g = wadd(g, wscale(n, alpha))
-                g = shared.setdefault(g, g)
             gamma.append(g)
         prefix = word.prefix_weights(self.t)
         if g != prefix[word.m]:
@@ -243,7 +240,7 @@ class Trail:
         return self.exps
 
     def to_json_dict(self) -> dict:
-        # the weight tuples are shared and the writer takes tuples as lists
+        # the writer takes the weight and exponent tuples as lists
         return {
             "gamma": self.gamma,
             "exps": self.exps,
@@ -397,7 +394,6 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
     drive, low = drv.gamma, _driving_data(word, t)[1]
     alphas = _letter_roots(word)
     prefix = word.prefix_weights(t)
-    shared = word.memoized(("weights", t), dict)
     spaces = M.weight_spaces
     # Root coordinates relative to gamma_1: a node's are its raising counts,
     # the driving trail's are the lower bounds of (P), and the final weight
@@ -422,8 +418,6 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
         n = 0
         while True:
             if lo <= a <= hi and (a == hi or not exact):
-                if n:
-                    g = shared.setdefault(g, g)
                 if j == m:
                     # the checks above are the walk's: (P) at every node,
                     # and the end weight at the last, where no letter is

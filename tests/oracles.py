@@ -407,7 +407,6 @@ def tree_enumerate_trails(M, word) -> frozenset[Trail]:
     drive, low = drv.gamma, _driving_data(word, t)[1]
     alphas = _letter_roots(word)
     prefix = word.prefix_weights(t)
-    shared = word.memoized(("weights", t), dict)
     spaces = M.weight_spaces
     # Root coordinates relative to gamma_1: a node's are its raising counts,
     # the driving trail's are the lower bounds of (P), and the final weight
@@ -441,7 +440,7 @@ def tree_enumerate_trails(M, word) -> frozenset[Trail]:
             if lo <= a <= hi and (a == hi or not exact):
                 x[c] = a
                 exps.append(n)
-                gamma.append(shared.setdefault(g, g) if n else g)
+                gamma.append(g)
                 search(j + 1, v)
                 gamma.pop()
                 exps.pop()

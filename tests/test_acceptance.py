@@ -366,11 +366,11 @@ def test_criterion_8_epsilon_star_consistency(envelopes, full_words):
                     for key, w in full_words.items()}
         for (key, t), env in envelopes.items():
             labels = env.cartan.labels
-            for s in labels:
-                assert epsilon_star(env, s, {}) == 0, (key, t, s)
-            for b in elements[key]:
-                vals = {epsilon_star(env, s, dict(b)) for s in labels}
-                assert len(vals) == 1, (key, t, b)
+            assert epsilon_star(env, labels, [()]) == [
+                {s: 0 for s in labels}], (key, t)
+            values = epsilon_star(env, labels, elements[key])
+            for b, vals in zip(elements[key], values, strict=True):
+                assert len(set(vals.values())) == 1, (key, t, b)
                 full = max(evaluate(z, dict(b))
                            for z in env.functions)
                 for s in labels:

@@ -26,7 +26,6 @@ TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 # The roots of the search, each with why it stays.
 KEEP = {
     ("cli", "main"): "the console script entry point",
-    ("giant", "epsilon_star"): "bench/tracer.py wraps it by name",
     ("sgraph", "extremal_functions"): "bench/tracer.py wraps it by name",
     ("cartan_core", "reduced_words_of_w0"):
         "ROADMAP item 3: the w0 word families of the sweeps come from it",

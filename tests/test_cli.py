@@ -22,7 +22,7 @@ from trailkit.rep_builder import weyl_dimension
 from trailkit.sgraph import CoeffVector, integer_points
 
 from oracles import evaluate, lp_extremal_points
-from test_golden import DATA, GOLDEN
+from test_golden import PINS, matches_pin
 from test_rep_builder import RANK_6_TYPES
 
 
@@ -389,13 +389,13 @@ def test_verify_checks_epsilon_star_only_where_vertices_miss_a_function(
     # takes the overall maximum by definition and is not checked; a config
     # where every label is such a label makes no call at all
     calls = []
-    batch = cli.epsilon_star_batch
+    epsilon_star = cli.epsilon_star
 
     def counting(env, labels, elements):
         calls.append((env.t, tuple(labels)))
-        return batch(env, labels, elements)
+        return epsilon_star(env, labels, elements)
 
-    monkeypatch.setattr(cli, "epsilon_star_batch", counting)
+    monkeypatch.setattr(cli, "epsilon_star", counting)
     for job, want in ((G2_JOB, [(2, (2,))]), (C3_JOB, [(3, (1, 2))]),
                       (A2_JOB, [])):
         calls.clear()
@@ -608,15 +608,25 @@ def test_flags_override_config(tmp_path):
         assert len(m["epsilon_star_elements"]) == 3
 
 
+@pytest.mark.parametrize("command", ["enumerate", "sgraph"])
+def test_depth_is_a_verify_flag_only(tmp_path, capsys, command):
+    # only verify generates a crystal; the other commands refuse the flag
+    cfg = write_config(tmp_path, dict(A2_JOB, c=[1]))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--out", str(tmp_path),
+                  "--depth", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth 1" in capsys.readouterr().err
+
+
 def test_the_convention_key_takes_dual_only(tmp_path, capsys):
     # job files written when there were two conventions may say "dual",
     # which changes no byte of the report; any other value is exit 2
-    name, code, job = GOLDEN[0]
-    argv = ["verify", "--suite", "all", "--config"]
+    pin, command, code, job = PINS[0]
+    argv = command.split() + ["--config"]
     cfg = write_config(tmp_path, dict(job, convention="dual"), "dual.json")
     assert cli.main(argv + [cfg, "--out", str(tmp_path / "dual")]) == code
-    assert ((tmp_path / "dual" / "verify.json").read_bytes()
-            == (DATA / name).read_bytes())
+    assert matches_pin(pin, (tmp_path / "dual" / "verify.json").read_bytes())
     capsys.readouterr()
     cfg = write_config(tmp_path, dict(job, convention="straight"))
     out = tmp_path / "straight"

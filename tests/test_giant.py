@@ -21,7 +21,7 @@ from trailkit.errors import (
     UnknownLetterError,
 )
 from trailkit.giant import (check_constructibility, epsilon_star,
-                           epsilon_star_batch, extremality_report)
+                           extremality_report)
 from trailkit.sgraph import CoeffVector, binary_fusion
 from trailkit.trails import (
     LinearFunctionBJ,
@@ -437,9 +437,9 @@ def test_g2_t2_extremality_report(envelopes):
 
 def test_g2_t2_epsilon_star(envelopes):
     env = envelopes["G2", 2]
-    for b, val in [({}, 0), ({2: 1}, 1), ({4: 2, 5: 1}, 4)]:
-        assert epsilon_star(env, 1, b) == val
-        assert epsilon_star(env, 2, b) == val
+    elems = [(), ((2, 1),), ((4, 2), (5, 1))]
+    assert epsilon_star(env, (1, 2), elems) == [
+        {1: val, 2: val} for val in (0, 1, 4)]
 
 
 def test_epsilon_star_values_match_brute_force(envelopes, full_words):
@@ -453,29 +453,24 @@ def test_epsilon_star_values_match_brute_force(envelopes, full_words):
             assert env.z_t(s) == vertex_sets[s]
             assert env.z_t(s) is env.z_t(s)
         for b in generate_binf(full_words[key], 3):
-            (vals,) = epsilon_star_batch(env, labels, [b])
+            (vals,) = epsilon_star(env, labels, [b])
             full = max(evaluate(z, dict(b)) for z in env.functions)
             for s in labels:
                 brute = max(evaluate(z, dict(b)) for z in vertex_sets[s])
                 assert vals[s] == brute == full, (key, t, s, b)
-                assert epsilon_star(env, s, dict(b)) == full
 
 
-def test_epsilon_star_batch_matches_each_element(envelopes, full_words):
+def test_epsilon_star_over_many_elements_matches_each_element(envelopes,
+                                                              full_words):
     for (key, t), env in envelopes.items():
         labels = env.cartan.labels
         elems = generate_binf(full_words[key], 4)
-        batch = epsilon_star_batch(env, labels, elems)
-        assert len(batch) == len(elems)
-        for b, vals in zip(elems, batch):
-            assert [vals] == epsilon_star_batch(env, labels, [b])
+        many = epsilon_star(env, labels, elems)
+        assert len(many) == len(elems)
+        for b, vals in zip(elems, many):
+            assert [vals] == epsilon_star(env, labels, [b])
             full = max(evaluate(z, dict(b)) for z in env.functions)
             assert vals == {s: full for s in labels}, (key, t, b)
-    # exponents given as a sequence, or at positions off the word
-    env = envelopes["G2", 2]
-    for s in (1, 2):
-        assert (epsilon_star(env, s, [0, 0, 0, 2, 1, 0])
-                == epsilon_star(env, s, {4: 2, 5: 1, 9: 7, 0: 3}) == 4)
 
 
 def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
@@ -486,20 +481,20 @@ def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
                    for b in env.global_blocks)
     bad = replace(env, global_blocks=blocks)
     assert top not in bad.z_t(1)
-    b = {6: 5}      # only the removed function is non-zero here
-    assert epsilon_star(bad, 2, b) == 5
+    b = ((6, 5),)   # only the removed function is non-zero here
+    assert epsilon_star(bad, (2,), [b]) == [{2: 5}]
     message = "type-1 maximum 0 misses the overall maximum 5"
     with pytest.raises(ConsistencyError, match=message):
-        epsilon_star(bad, 1, b)
+        epsilon_star(bad, (1,), [b])
     with pytest.raises(ConsistencyError, match=message):
-        epsilon_star_batch(bad, (1, 2), [b.items()])
-    assert epsilon_star_batch(env, (1, 2), [b.items()]) == [{1: 5, 2: 5}]
+        epsilon_star(bad, (1, 2), [b])
+    assert epsilon_star(env, (1, 2), [b]) == [{1: 5, 2: 5}]
 
 
 def test_partial_labels_miss_a_settled_function(envelopes):
     # a label is partial when its vertex functions miss a settled function;
     # at every other label epsilon* is the overall maximum, which the
-    # labels skipped by `verify` keep getting from epsilon_star_batch
+    # labels skipped by `verify` keep getting from epsilon_star
     partial = {}
     for (key, t), env in envelopes.items():
         labels = tuple(env.cartan.labels)
@@ -509,7 +504,7 @@ def test_partial_labels_miss_a_settled_function(envelopes):
         elems = generate_binf(env.word, 3)
         for b in elems:
             full = max(evaluate(f, dict(b)) for f in env.functions)
-            assert epsilon_star_batch(env, labels, [b]) == [{
+            assert epsilon_star(env, labels, [b]) == [{
                 s: full for s in labels}]
     assert {k: v for k, v in partial.items() if v} == {
         ("B2r", 1): [2], ("C2", 2): [1], ("G2", 2): [2]}
@@ -722,10 +717,9 @@ def test_b2_t2_epsilon_star(envelopes):
     assert _dicts(env.functions) == [
         [(1, -1), (2, 1)], [(2, -1), (3, 1)], [(4, 1)]]
     assert env.z_t(1) == env.z_t(2) == env.functions
-    got = (epsilon_star(env, 1, {}), epsilon_star(env, 1, {2: 1}),
-           epsilon_star(env, 2, {2: 1}), epsilon_star(env, 1, {3: 2}),
-           epsilon_star(env, 2, {3: 2}), epsilon_star(env, 1, {2: 1, 4: 3}))
-    assert got == (0, 1, 1, 2, 2, 3)
+    elems = [(), ((2, 1),), ((3, 2),), ((2, 1), (4, 3))]
+    assert epsilon_star(env, (1, 2), elems) == [
+        {1: val, 2: val} for val in (0, 1, 2, 3)]
 
 
 def test_a2_t1_json_payload(envelopes):
@@ -887,5 +881,5 @@ def test_z_t_unknown_letter(envelopes):
 
 def test_epsilon_star_unknown_letter(envelopes):
     with pytest.raises(UnknownLetterError):
-        epsilon_star(envelopes["A2", 1], 7, {})
+        epsilon_star(envelopes["A2", 1], (7,), [])
 

@@ -731,13 +731,12 @@ def test_a_position_below_1_is_rejected():
 
 @pytest.mark.parametrize("bad", [1.0, True])
 def test_an_exponent_that_is_not_an_int_is_rejected(modules, cartans, bad):
-    # a fresh word, so no earlier trail has filled its weight table
     w = WordJ(cartans["A2"], (1, 2, 1))
     with pytest.raises(ConsistencyError,
                        match=f"^exponent {bad!r} at position 2 is not an int$"):
         Trail(w, 1, (0, bad, 0))
     assert make_trail(modules["A2", 1], w, (0, bad, 0)) is None
-    # nothing was interned: the word's trails keep int weights
+    # the word's trails keep int weights
     K = make_trail(modules["A2", 1], w, (0, 1, 0))
     (L,) = enumerate_trails(modules["A2", 1], w)
     for T in (K, L, Trail(w, 1, (0, 1, 0))):
