@@ -428,11 +428,20 @@ def _root_system(cartan: CartanData):
     """All positive (root, coroot) coordinate pairs, by reflection closure.
 
     s_i moves coordinate i alone: by <alpha_i^vee, root> (row i of the
-    matrix) on a root and by <coroot, alpha_i> (column i) on a coroot.
+    matrix) on a root and by <coroot, alpha_i> (column i) on a coroot.  The
+    closure is finite exactly when the symmetrized matrix is positive
+    definite, which is checked first: a matrix flagged finite without it
+    raises NotFiniteTypeError instead of walking without end.
     """
     require_finite(cartan)
     n = cartan.n
     rows = cartan.gcm
+    d = cartan.symmetrizer
+    if not _positive_definite([[d[i] * x for x in row]
+                               for i, row in enumerate(rows)]):
+        raise NotFiniteTypeError(
+            "the symmetrized Cartan matrix is not positive definite, so "
+            "the root system is infinite")
     cols = tuple(zip(*rows))
     start = [(tuple(int(k == i) for k in range(n)),
               tuple(int(k == i) for k in range(n))) for i in range(n)]

@@ -237,16 +237,28 @@ def _shared_listings(obj) -> set[int]:
 
 
 class _RowTexts(dict):
-    """(nl, row) -> the text of a row of exact ints whose brackets sit at
-    the indentation nl, encoded on first use.  A row is a tuple, and only
+    """row -> the text of a row of exact ints whose brackets sit at the
+    indentation ``nl``, encoded on first use.  A row is a tuple, and only
     rows of exact ints may be looked up: (True, 1) == (1, 1) as a key."""
 
-    def __missing__(self, key: tuple[str, tuple[int, ...]]) -> str:
-        nl, x = key
-        inner = nl + " "
-        text = self[key] = ("[" + inner + ("," + inner).join(
+    def __init__(self, nl: str):
+        super().__init__()
+        self.nl = nl
+        self.sep = "," + nl + " "
+
+    def __missing__(self, x: tuple[int, ...]) -> str:
+        nl = self.nl
+        text = self[x] = ("[" + nl + " " + self.sep.join(
             map(int.__repr__, x)) + nl + "]" if x else "[]")
         return text
+
+
+class _RowCaches(dict):
+    """nl -> the _RowTexts of the indentation nl, made on first use."""
+
+    def __missing__(self, nl: str) -> _RowTexts:
+        rows = self[nl] = _RowTexts(nl)
+        return rows
 
 
 def _write_json(path: str, obj) -> None:
@@ -265,7 +277,7 @@ def _write_json(path: str, obj) -> None:
     """
     shared = _shared_listings(obj)
     texts: dict[tuple[int, str], str] = {}  # (id, nl) -> encoded text
-    rows = _RowTexts()
+    rows = _RowCaches()
     enc = encode_basestring_ascii
     # the text of a leaf, by its exact type; a subclass goes the long way
     leaf = {str: enc, int: int.__repr__, bool: _LEAF_TEXT.__getitem__,
@@ -307,14 +319,13 @@ def _write_json(path: str, obj) -> None:
                 inner = nl + " "
                 types = set(map(type, o))
                 if types == {int}:  # the common leaf
-                    append(rows[nl, tuple(o)])
+                    append(rows[nl][tuple(o)])
                     return
                 if types <= {list, tuple} and set(
                         map(type, itertools.chain.from_iterable(o))) <= {int}:
                     # a list of int rows: weights, coordinates, terms
                     append("[" + inner + ("," + inner).join(map(
-                        rows.__getitem__, zip(itertools.repeat(inner),
-                                              map(tuple, o)))) + nl + "]")
+                        rows[inner].__getitem__, map(tuple, o))) + nl + "]")
                     return
                 known = (id(o), nl) if id(o) in shared else None
                 if known in texts:
@@ -381,8 +392,7 @@ def cmd_enumerate(cfg: JobConfig, out: str) -> int:
     modules = []
     for t in cfg.labels:
         M = build_fundamental(cfg.cartan, t)
-        trails = sorted(enumerate_trails(M, cfg.word),
-                        key=lambda K: K.exps)
+        trails = enumerate_trails(M, cfg.word)
         by_phi: dict[int, int] = {}
         for K in trails:
             by_phi[K.phi] = by_phi.get(K.phi, 0) + 1

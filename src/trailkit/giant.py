@@ -542,10 +542,18 @@ def construct_envelope(M: LowestWeightModule, word, *,
         settling[max((u for u, x in enumerate(row, 1) if x), default=0)
                  ].append(f)
 
+    # the trails that trivialize at each step; those with phi <= j are the
+    # ones that step j groups into classes
+    trivializing = [[] for _ in range(w.m + 1)]
+    for K in trails:
+        trivializing[K.phi].append(K)
+    settled_trails: list = []
+
     steps = []          # (j, s, blocks, discarded, settled, class_a)
     prev: frozenset[LinearFunctionBJ] = frozenset(settling[0])
     for j, s in enumerate(w.letters, start=1):
         truth = prev.union(settling[j])
+        settled_trails += trivializing[j]
         blocks, discarded, class_a = (), (), ()
         if j < t1:
             if truth:
@@ -562,7 +570,7 @@ def construct_envelope(M: LowestWeightModule, word, *,
         else:
             blocks, discarded = _decompose(form, t, s, j, prev, zt1, built)
             _check_layer(j, prev, truth, blocks)
-            class_a = _check_classes(j, s, trails, blocks, fn_of)
+            class_a = _check_classes(j, s, settled_trails, blocks, fn_of)
         steps.append((j, s, blocks, discarded, truth, class_a))
         prev = truth
     extremal = _extremal_subset(form, all_funcs)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .cartan_core import (
@@ -56,62 +57,28 @@ from .linalg import integer_rref
 # character oracles
 
 
-def saturated_weight_set(cartan: CartanData,
-                         highest: Weight) -> dict[Weight, tuple[int, ...]]:
-    """The full weight set of the irreducible module with this highest
-    weight, each weight mapped to the root coordinates of highest - weight.
-
-    Computed as the saturation closure of {highest}: from any weight walk the
-    whole interval towards its image under each simple reflection.  Each
-    step of a walk adds or removes one simple root, so the walk counts the
-    coordinates; a weight reached again with other coordinates raises
-    RadicalRankMismatch.
-    """
-    require_finite(cartan)
-    roots = [cartan.simple_root(i) for i in cartan.labels]
-    seen = {highest: (0,) * cartan.n}
-    queue = [highest]
-    while queue:
-        mu = queue.pop()
-        x = seen[mu]
-        for i, alpha in enumerate(roots):
-            p = mu[i]
-            step, dx = (wneg(alpha), 1) if p > 0 else (alpha, -1)
-            for _ in range(abs(p)):
-                mu2 = wadd(mu, step)
-                x = x[:i] + (x[i] + dx,) + x[i + 1:]
-                if mu2 not in seen:
-                    seen[mu2] = x
-                    queue.append(mu2)
-                elif seen[mu2] != x:
-                    raise RadicalRankMismatch(
-                        f"weight {mu2} reached with root coordinates "
-                        f"{seen[mu2]} and {x}")
-                mu = mu2
-    return seen
+def _require_independent_roots(cartan: CartanData) -> None:
+    """Raise RadicalRankMismatch unless the simple roots are linearly
+    independent, that is unless the Cartan matrix has full rank.  Weights
+    then have unique root coordinates, and the walks below end."""
+    _, pivots, _ = integer_rref([list(row) for row in cartan.gcm])
+    if len(pivots) != cartan.n:
+        raise RadicalRankMismatch(
+            f"the simple roots are linearly dependent: the Cartan matrix "
+            f"has rank {len(pivots)}, not {cartan.n}")
 
 
-def _dominant_conjugates(cartan: CartanData, weights) -> dict[Weight, Weight]:
-    """Each weight of a Weyl-stable set mapped to the dominant weight of its
-    orbit.  An orbit is walked down from its dominant weight by the simple
-    reflections s_i at weights with a positive i-th coordinate, which reach
-    every element of the orbit."""
-    roots = [cartan.simple_root(i) for i in cartan.labels]
-    dom: dict[Weight, Weight] = {}
-    for lam in weights:
-        if min(lam) < 0:
-            continue
-        dom[lam] = lam
-        queue = [lam]
-        while queue:
-            mu = queue.pop()
-            for p, alpha in zip(mu, roots):
-                if p > 0:
-                    nu = tuple(x - p * a for x, a in zip(mu, alpha))
-                    if nu not in dom:
-                        dom[nu] = lam
-                        queue.append(nu)
-    return dom
+def _counted(seen: dict, mu: Weight, x: tuple[int, ...]) -> bool:
+    """Record the root coordinates x of highest - mu; False if mu was
+    already recorded with them, RadicalRankMismatch if with others."""
+    y = seen.get(mu)
+    if y is None:
+        seen[mu] = x
+        return True
+    if y != x:
+        raise RadicalRankMismatch(
+            f"weight {mu} reached with root coordinates {y} and {x}")
+    return False
 
 
 def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weight, int]:
@@ -122,36 +89,64 @@ def freudenthal_multiplicities(cartan: CartanData, highest: Weight) -> dict[Weig
     on the root strings of the recursion and in the returned dict, takes
     the multiplicity of its dominant conjugate (R. V. Moody and J. Patera,
     Bull. AMS 7 (1982)).
+
+    The dominant weights of the module are those below ``highest`` that
+    are reached from it by subtracting positive roots while staying
+    dominant (J. Stembridge, Adv. Math. 136 (1998)).  Each orbit is then
+    walked down from its dominant weight by the simple reflections s_i at
+    weights with a positive i-th entry p, which reach every element of the
+    orbit; such a step subtracts p alpha_i.  Both walks count the root
+    coordinates of highest - weight, which give the recursion its heights
+    and denominators, and a weight reached with other coordinates raises
+    RadicalRankMismatch.
     """
     require_finite(cartan)
+    _require_independent_roots(cartan)
     d = cartan.symmetrizer
-    n = cartan.n
-    coords = saturated_weight_set(cartan, highest)
-    dom = _dominant_conjugates(cartan, coords)
-    top_down = sorted((mu for mu, lam in dom.items() if mu == lam),
-                       key=lambda mu: (sum(coords[mu]), mu))
-    pos = positive_roots(cartan)
-    # each positive root in fundamental-weight coordinates, for stepping
-    pos_w = [tuple(sum(cartan.gcm[k][j] * b[j] for j in range(n)) for k in range(n))
-             for b, _ in pos]
-    rho = cartan.rho()
+    # each positive root by its root coordinates b, its coordinates
+    # weighted by the symmetrizer (so (nu, beta) is their dot product with
+    # nu) and its fundamental-weight coordinates, for stepping
+    pos = [(b, tuple(map(mul, b, d)),
+            tuple(sum(map(mul, row, b)) for row in cartan.gcm))
+           for b, _ in positive_roots(cartan)]
+    coords = {highest: (0,) * cartan.n}
+    queue = [highest]
+    for mu in queue:
+        x = coords[mu]
+        for b, _, beta_w in pos:
+            nu = wsub(mu, beta_w)
+            if min(nu) >= 0 and _counted(coords, nu, wadd(x, b)):
+                queue.append(nu)
+    top_down = sorted(queue, key=lambda mu: (sum(coords[mu]), mu))
+    roots = [cartan.simple_root(i) for i in cartan.labels]
+    dom: dict[Weight, Weight] = {}  # each weight -> its dominant conjugate
+    for lam in top_down:
+        dom[lam] = lam
+        orbit = [lam]
+        for mu in orbit:
+            x = coords[mu]
+            for i, p in enumerate(mu):
+                if p > 0:
+                    nu = tuple([a - p * r for a, r in zip(mu, roots[i])])
+                    if _counted(coords, nu, x[:i] + (x[i] + p,) + x[i + 1:]):
+                        dom[nu] = lam
+                        orbit.append(nu)
+    two_rho = wscale(2, cartan.rho())
     mult: dict[Weight, int] = {}  # dominant weights of non-zero multiplicity
     for mu in top_down:
         if mu == highest:
             mult[mu] = 1
             continue
         num = 0
-        for (b, _), beta_w in zip(pos, pos_w):
+        for _, bd, beta_w in pos:
             nu = wadd(mu, beta_w)
             # nu lies strictly above mu, and so does its dominant conjugate
-            while dom.get(nu) in mult:
-                # (nu, beta) with beta in root coordinates b
-                num += mult[dom[nu]] * sum(b[j] * d[j] * nu[j] for j in range(n))
+            while (top := dom.get(nu)) in mult:
+                num += mult[top] * sum(map(mul, bd, nu))
                 nu = wadd(nu, beta_w)
         # denominator (|highest+rho|^2 - |mu+rho|^2) = (highest+mu+2rho, highest-mu)
-        diff = coords[mu]
-        tot = wadd(wadd(highest, mu), wadd(rho, rho))
-        denom = sum(diff[j] * d[j] * tot[j] for j in range(n))
+        tot = wadd(wadd(highest, mu), two_rho)
+        denom = sum(map(mul, map(mul, coords[mu], d), tot))
         if denom == 0:
             raise RadicalRankMismatch(f"weight {mu}: Freudenthal denominator is 0")
         val, rem = divmod(2 * num, denom)

@@ -341,9 +341,9 @@ def _state_key(M: LowestWeightModule, j: int, g: Weight,
     return j, g, tuple((r, x // d) for r, x in items)
 
 
-def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
+def enumerate_trails(M: LowestWeightModule, word) -> tuple[Trail, ...]:
     """All trails for (word, M.t), by a search on exponents over memoized
-    states.
+    states, in increasing order of their exponents.
 
     A state is a prefix of exponents seen by what its extensions depend
     on: the position j it has reached, the weight gamma_j and the line of
@@ -367,7 +367,9 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
     letters.  The partial monomial vectors are integer vectors over the
     integer forms of the e_i, exact up to a positive factor.  Each child
     carries its weight, and each leaf becomes a trail with the weights of
-    its path.  Finite-dimensionality bounds every branch.
+    its path.  Finite-dimensionality bounds every branch.  A state keeps
+    its children in increasing n_j and the walk is depth-first, so the
+    trails come out in increasing lexicographic order of their exponents.
 
     A node at position j raises the root coordinate of its letter i alone,
     and checks it against its bounds after step j: the driving trail's
@@ -465,13 +467,12 @@ def enumerate_trails(M: LowestWeightModule, word) -> frozenset[Trail]:
 
     walk(expand(1, drive[0], M.start_vector))
 
-    trails = frozenset(found)
     first = word.position(t, 1)
-    earliest = [K for K in trails if K.phi <= first]
+    earliest = [K for K in found if K.phi <= first]
     if earliest != [drv]:
         raise ConsistencyError(
             "the unique earliest-trivializing trail should be the driving trail")
-    return trails
+    return tuple(found)
 
 
 @dataclass(frozen=True)

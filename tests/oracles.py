@@ -12,7 +12,7 @@ from itertools import accumulate, permutations
 from math import comb, factorial, gcd, lcm
 
 from trailkit.cartan_core import (_FAMILIES, _standard_gcm, reflect,
-                                  require_finite, wadd, wsub)
+                                  require_finite, wadd, wneg, wsub)
 from trailkit.errors import (ConsistencyError, OpenFaceRequest,
                              RadicalRankMismatch)
 from trailkit.linalg import in_convex_hull, integer_rref
@@ -230,10 +230,50 @@ def invert(a) -> list[list[Fraction]]:
     return [row[n:] for row in red]
 
 
+# --- the weights of a module by saturation ---------------------------------
+# The reference for the weights that rep_builder.freudenthal_multiplicities
+# reaches by walking the dominant weights and their orbits.
+
+
+def saturated_weight_set(cartan, highest) -> dict[tuple, tuple[int, ...]]:
+    """The full weight set of the irreducible module with this highest
+    weight, each weight mapped to the root coordinates of highest - weight.
+
+    Computed as the saturation closure of {highest}: from any weight walk the
+    whole interval towards its image under each simple reflection.  Each
+    step of a walk adds or removes one simple root, so the walk counts the
+    coordinates; a weight reached again with other coordinates raises
+    RadicalRankMismatch.
+    """
+    require_finite(cartan)
+    roots = [cartan.simple_root(i) for i in cartan.labels]
+    seen = {highest: (0,) * cartan.n}
+    queue = [highest]
+    while queue:
+        mu = queue.pop()
+        x = seen[mu]
+        for i, alpha in enumerate(roots):
+            p = mu[i]
+            step, dx = (wneg(alpha), 1) if p > 0 else (alpha, -1)
+            for _ in range(abs(p)):
+                mu2 = wadd(mu, step)
+                x = x[:i] + (x[i] + dx,) + x[i + 1:]
+                if mu2 not in seen:
+                    seen[mu2] = x
+                    queue.append(mu2)
+                elif seen[mu2] != x:
+                    raise RadicalRankMismatch(
+                        f"weight {mu2} reached with root coordinates "
+                        f"{seen[mu2]} and {x}")
+                mu = mu2
+    return seen
+
+
 # --- root coordinates by the inverse Cartan matrix -------------------------
 # The reference for the root coordinates that the package counts along the
-# walks that make its weights: rep_builder.saturated_weight_set and the
-# driving data of trails.
+# walks that make its weights: the weight walks of
+# rep_builder.freudenthal_multiplicities, which saturated_weight_set counts
+# another way, and the driving data of trails.
 
 
 @lru_cache(maxsize=None)

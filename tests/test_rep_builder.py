@@ -7,10 +7,12 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, lcm
 from pathlib import Path
 
@@ -38,7 +40,8 @@ from trailkit.rep_builder import apply_projective
 
 from conftest import FULL_WORDS, GCM, cartan_key
 from oracles import (fraction_build_matrices, fraction_columns,
-                     fraction_integer_form, root_coordinates)
+                     fraction_integer_form, root_coordinates,
+                     saturated_weight_set)
 
 FUNDAMENTAL_DIMS = {
     "A1": (2,),
@@ -341,7 +344,7 @@ def _freudenthal_all_weights(cartan, highest):
     counts them."""
     d = cartan.symmetrizer
     n = cartan.n
-    weights = rep_builder.saturated_weight_set(cartan, highest)
+    weights = saturated_weight_set(cartan, highest)
     by_height = sorted(weights, key=lambda mu: (
         sum(root_coordinates(cartan, wsub(highest, mu))), mu))
     pos = positive_roots(cartan)
@@ -389,6 +392,29 @@ def test_dominant_freudenthal_on_non_fundamental_weights(cartans):
 RANK_4_FUNDAMENTALS = [(family + str(n), t)
                        for family, n in RANK_6_TYPES if n <= 4
                        for t in range(1, n + 1)]
+
+
+# the modules that the enumerate benchmark builds
+ENUMERATE_MODULES = [("C5", 5), ("C5", 4), ("F4", 1), ("E6", 2), ("E6", 6),
+                     ("D6", 6), ("F4", 4)]
+
+
+def test_character_matches_the_saturation_reference():
+    """The character, walked over the dominant weights and their orbits,
+    equals the recursion over the saturated weight set on every
+    fundamental of rank <= 4, the enumerate benchmark's modules and every
+    dominant weight of rank <= 3 with entries <= 2."""
+    cases = [(validate_gcm(_standard_gcm(tag[0], int(tag[1:]))), t)
+             for tag, t in RANK_4_FUNDAMENTALS + ENUMERATE_MODULES]
+    highest = [(c, c.fundamental_weight(t)) for c, t in cases]
+    for family, n in RANK_6_TYPES + [("C", 2)]:
+        if n <= 3:
+            c = validate_gcm(_standard_gcm(family, n))
+            highest += [(c, lam) for lam in product(range(3), repeat=n)]
+    assert len(highest) == 36 + 7 + 120
+    for c, lam in highest:
+        assert (freudenthal_multiplicities(c, lam)
+                == _freudenthal_all_weights(c, lam)), (c.type_tag, lam)
 
 
 def _module(tag: str, t: int):
@@ -588,11 +614,6 @@ def test_a_spurious_weight_that_the_build_reaches_is_a_rank_error():
             build_fundamental.__wrapped__(c, 1)
 
 
-# the modules that the enumerate benchmark builds
-ENUMERATE_MODULES = [("C5", 5), ("C5", 4), ("F4", 1), ("E6", 2), ("E6", 6),
-                     ("D6", 6), ("F4", 4)]
-
-
 @pytest.mark.parametrize("tag,t", RANK_4_FUNDAMENTALS + [
     key for key in ENUMERATE_MODULES if key not in RANK_4_FUNDAMENTALS])
 def test_integer_build_equals_the_fraction_build(tag, t):
@@ -604,9 +625,11 @@ def test_integer_build_equals_the_fraction_build(tag, t):
 
 def test_the_build_forms_e_images_only_inside_the_character(monkeypatch):
     """Over the enumerate benchmark's modules the build forms 1,038
-    e-images and runs 442 row reductions, one per weight below the top;
-    grouping candidates at every weight one simple root below a level
-    would form 2,619 e-images, 1,581 of them outside the character."""
+    e-images and runs 442 row reductions, one per weight below the top,
+    besides the rank check of the Cartan matrix that its character makes
+    once per build; grouping candidates at every weight one simple root
+    below a level would form 2,619 e-images, 1,581 of them outside the
+    character."""
     calls = Counter()
 
     def counted(name, fn):
@@ -615,16 +638,17 @@ def test_the_build_forms_e_images_only_inside_the_character(monkeypatch):
             return fn(*args)
         return wrapper
 
+    cases = [(validate_gcm(_standard_gcm(tag[0], int(tag[1:]))), t)
+             for tag, t in ENUMERATE_MODULES]
+    weights = sum(len(freudenthal_multiplicities(c, c.fundamental_weight(t)))
+                  for c, t in cases)
     for name in ("_e_images", "integer_rref"):
         monkeypatch.setattr(rep_builder, name,
                             counted(name, getattr(rep_builder, name)))
-    weights = 0
-    for tag, t in ENUMERATE_MODULES:
-        c = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
-        weights += len(freudenthal_multiplicities(c, c.fundamental_weight(t)))
+    for c, t in cases:
         rep_builder._build_matrices(c, t)
-    assert calls == {"_e_images": 1038, "integer_rref": 442}
-    assert calls["integer_rref"] == weights - len(ENUMERATE_MODULES)
+    assert calls == {"_e_images": 1038, "integer_rref": 442 + 7}
+    assert calls["integer_rref"] == weights
 
 
 def assert_counted_coordinates(cartan, t: int) -> int:
@@ -632,7 +656,7 @@ def assert_counted_coordinates(cartan, t: int) -> int:
     omega_t - weight that the inverse Cartan matrix gives; returns the
     number of weights."""
     lam = cartan.fundamental_weight(t)
-    coords = rep_builder.saturated_weight_set(cartan, lam)
+    coords = saturated_weight_set(cartan, lam)
     for mu, x in coords.items():
         assert x == root_coordinates(cartan, wsub(lam, mu)), (mu, x)
     return len(coords)
@@ -652,10 +676,25 @@ def test_a_weight_reached_with_other_coordinates_raises():
     """Two walks to one weight must count the same coordinates.  They can
     differ only when the simple roots are dependent, as for the singular
     affine matrix of A1 passed off here as finite type: alpha_2 = -alpha_1,
-    so omega_1 - alpha_1 - alpha_2 is omega_1 again."""
+    so omega_1 - alpha_1 - alpha_2 is omega_1 again.  The character checks
+    the rank of the matrix before it walks a weight or asks for a root, and
+    the root system checks that the symmetrized matrix is positive
+    definite, so no call walks without end; each raises within 1 s."""
     c = CartanData(gcm=((2, -2), (-2, 2)), symmetrizer=(1, 1),
                    finite_type=True, type_tag=None)
-    with pytest.raises(RadicalRankMismatch, match=re.escape(
-            "weight (1, 0) reached with root coordinates (0, 0) and "
-            "(1, 1)")):
-        rep_builder.saturated_weight_set(c, (1, 0))
+    cases = [
+        (lambda: freudenthal_multiplicities(c, (1, 0)), RadicalRankMismatch,
+         "the simple roots are linearly dependent: the Cartan matrix has "
+         "rank 1, not 2"),
+        (lambda: saturated_weight_set(c, (1, 0)), RadicalRankMismatch,
+         "weight (1, 0) reached with root coordinates (0, 0) and (1, 1)"),
+    ] + [(call, NotFiniteTypeError,
+          "the symmetrized Cartan matrix is not positive definite, so the "
+          "root system is infinite")
+         for call in (lambda: positive_roots(c),
+                      lambda: weyl_dimension(c, (1, 0)))]
+    for call, kind, message in cases:
+        start = time.perf_counter()
+        with pytest.raises(kind, match=re.escape(message)):
+            call()
+        assert time.perf_counter() - start < 1, message

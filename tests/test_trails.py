@@ -162,7 +162,7 @@ def test_enumerate_matches_brute_force(modules, full_words):
             if K is not None:
                 assert K.exps == exps
                 got.add(K)
-        assert got == _trails_for(modules, full_words, key, t)
+        assert got == set(_trails_for(modules, full_words, key, t))
 
 
 def test_t_outside_the_word_has_no_driving_trail(modules, cartans):
@@ -558,7 +558,7 @@ def _assert_walk_rebuilds(M, word, t) -> int:
     from its exponents: fields, weights, phi and hash."""
     found = enumerate_trails(M, word)
     tree = {K: K for K in tree_enumerate_trails(M, word)}
-    assert found == tree.keys(), word.letters
+    assert set(found) == tree.keys(), word.letters
     for K in found:
         for R in (tree[K], Trail(word, t, K.exps)):
             assert R == K and hash(R) == hash(K)
@@ -617,6 +617,30 @@ def test_search_builds_the_walked_trails_on_larger_modules(tag, t, count):
     word = WordJ(cartan, _greedy_w0(cartan))
     assert _assert_walk_rebuilds(build_fundamental(cartan, t), word,
                                  t) == count
+
+
+def test_the_search_returns_its_trails_in_increasing_exponent_order():
+    """A state keeps its children in increasing n_j and the walk is
+    depth-first, so the trails come out strictly increasing in their
+    exponent tuples: every fundamental of rank <= 4 on its greedy w0 and,
+    for B4, C4, D4 and F4, on one seeded random w0 word, and the modules of
+    the enumerate benchmark on their greedy w0."""
+    total = 0
+    for tag, t in RANK_4_FUNDAMENTALS + [
+            ("C5", 5), ("C5", 4), ("E6", 2), ("E6", 6), ("D6", 6)]:
+        cartan = validate_gcm(_standard_gcm(tag[0], int(tag[1:])))
+        words = [_greedy_w0(cartan)]
+        if tag in ("B4", "C4", "D4", "F4"):
+            words.append(_random_w0(cartan, 20261020))
+        for letters in words:
+            found = enumerate_trails(build_fundamental(cartan, t),
+                                     WordJ(cartan, letters))
+            assert type(found) is tuple
+            assert all(K.exps < L.exps for K, L in zip(found, found[1:])), (
+                tag, t, letters)
+            total += len(found)
+    # F4 omega_1 and omega_4 are among the rank <= 4 fundamentals
+    assert total == 432 + 131 + 4 + 1 + 98 + 131
 
 
 def test_the_search_makes_every_raising_it_needs(monkeypatch):
