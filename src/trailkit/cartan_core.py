@@ -16,11 +16,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul, neg, sub
+from typing import NamedTuple
 
+from ._frozen import Frozen
 from .errors import (
     ConsistencyError,
     NotFiniteTypeError,
@@ -49,8 +50,7 @@ def wscale(c, u):
     return tuple([c * a for a in u])
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(NamedTuple):
     """A validated generalized Cartan matrix with its symmetrizer.
 
     ``gcm[i][j]`` is 0-indexed storage; use :meth:`pairing` for the 1-based
@@ -348,31 +348,35 @@ def reduced_words_of_w0(cartan: CartanData) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class WordJ:
+class WordJ(Frozen):
     """A reduced word with its 1-based occurrence calculus.
 
     ``position(s, k)`` is the index j of the k-th occurrence of s counting
     from the start of ``letters`` (the first letter is the one acting
     first).  ``occurrence(j)`` inverts it.  Data derived from the word alone
     is kept per instance (:meth:`memoized`), so it lives exactly as long as
-    the word.
+    the word; two words are equal when their matrices and letters are.
     """
 
-    cartan: CartanData
-    letters: tuple[int, ...]
-    _positions: dict = field(default_factory=dict, compare=False, repr=False)
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("cartan", "letters", "_positions", "_memo", "__weakref__")
+    _fields = ("cartan", "letters")
 
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
-        if not is_reduced(self.cartan, letters):
+    def __init__(self, cartan: CartanData, letters):
+        letters = tuple(letters)
+        if not is_reduced(cartan, letters):
             raise NotReducedError(f"word {letters} is not reduced")
         pos: dict[int, list[int]] = {}
         for j, s in enumerate(letters, start=1):
             pos.setdefault(s, []).append(j)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_positions", pos)
+        object.__setattr__(self, "_memo", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cartan, self.letters) == (other.cartan, other.letters)
 
     def __hash__(self):
         return hash((self.cartan, self.letters))

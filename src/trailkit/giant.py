@@ -39,13 +39,14 @@ which the layer keeps in ``class_a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heappop, heappush
 from operator import add, le
+from typing import NamedTuple
 
 from .cartan_core import CartanData, WordJ
 from . import linalg
+from ._frozen import Frozen
 from .errors import ConsistencyError, FalseTrailDetected, UnknownLetterError
 from .rep_builder import LowestWeightModule
 from .sgraph import CoeffVector, binary_fusion, integer_points
@@ -139,8 +140,7 @@ def _extremal_subset(form: _IntegerForm, funcs,
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ClassBlock:
+class ClassBlock(NamedTuple):
     """One type-s class realized as driving function plus face multiples.
 
     ``points`` are the lattice tuples of the coefficient polytope;
@@ -163,8 +163,7 @@ class ClassBlock:
     exceptional: bool = False
 
 
-@dataclass(frozen=True)
-class EnvelopeLayer:
+class EnvelopeLayer(NamedTuple):
     """One word step.  ``class_a`` pairs the driver of each
     non-exceptional block with the a of the module class it matched."""
 
@@ -178,22 +177,42 @@ class EnvelopeLayer:
     forward_vertex_ok: bool
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(Frozen):
     """The full per-step decomposition plus the whole-word sweep per type.
 
     ``extremal`` holds the extremal elements of ``functions``, and ``form``
-    holds ``functions`` as integer rows.
+    holds ``functions`` as integer rows; equality and the hash leave
+    ``form`` out.
     """
 
-    t: int
-    word: WordJ
-    layers: tuple[EnvelopeLayer, ...]
-    global_blocks: tuple[ClassBlock, ...]
-    functions: frozenset[LinearFunctionBJ]
-    driving: LinearFunctionBJ
-    extremal: frozenset[LinearFunctionBJ]
-    form: _IntegerForm = field(repr=False, compare=False)
+    _fields = ("t", "word", "layers", "global_blocks", "functions",
+               "driving", "extremal")
+
+    def __init__(self, t: int, word: WordJ,
+                 layers: tuple[EnvelopeLayer, ...],
+                 global_blocks: tuple[ClassBlock, ...],
+                 functions: frozenset[LinearFunctionBJ],
+                 driving: LinearFunctionBJ,
+                 extremal: frozenset[LinearFunctionBJ],
+                 form: _IntegerForm):
+        # no __slots__: the cached property _type_vertices keeps its
+        # value in the instance __dict__
+        self.__dict__.update(t=t, word=word, layers=layers,
+                             global_blocks=global_blocks,
+                             functions=functions, driving=driving,
+                             extremal=extremal, form=form)
+
+    def _key(self) -> tuple:
+        return (self.t, self.word, self.layers, self.global_blocks,
+                self.functions, self.driving, self.extremal)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def cartan(self) -> CartanData:

@@ -17,15 +17,14 @@ available via :func:`display_tuple`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, PointOutside
 from .linalg import extremal_points
 
 
-@dataclass(frozen=True)
-class CoeffVector:
+class CoeffVector(NamedTuple):
     """c with a total order on indices refining the natural order on values.
 
     ``order_lift`` lists the indices of N from lift-least to lift-greatest;
@@ -66,14 +65,12 @@ def _theta(lift: tuple[int, ...]) -> tuple[int, ...]:
                  for j in range(1, len(lift) + 1))
 
 
-@dataclass(frozen=True)
-class SVertex:
+class SVertex(NamedTuple):
     label: int
     func: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SGraph:
+class SGraph(NamedTuple):
     """The canonical S-graph: vertices indexed by position, labelled edges
     as (id1, id2, label) with id1 < id2, and the pointed chain v_n..v_1."""
 

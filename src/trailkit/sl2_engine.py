@@ -22,33 +22,26 @@ All arithmetic is arbitrary-precision integer; zero tests are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, prod
 
+from ._frozen import Frozen
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Sl2Config:
+class Sl2Config(Frozen):
     """Labels (a, k, l): three non-empty tuples of one length n whose
     entries are non-negative exact ``int`` values (a bool is not one).
 
     ``b_i = k_i - l_i`` are the per-position drops.
     """
 
-    a: tuple[int, ...]
-    k: tuple[int, ...]
-    l: tuple[int, ...]
+    __slots__ = _fields = ("a", "k", "l")
 
-    def __post_init__(self):
-        a, k, l = self.a, self.k, self.l
-        # written only when a field is not a plain tuple yet; tuple(x) is x
-        # for a plain tuple x, so such a field is kept as it is
+    def __init__(self, a: tuple[int, ...], k: tuple[int, ...],
+                 l: tuple[int, ...]):
+        # tuple(x) is x for a plain tuple x, so such a field is kept as it is
         if not type(a) is type(k) is type(l) is tuple:
             a, k, l = tuple(a), tuple(k), tuple(l)
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "k", k)
-            object.__setattr__(self, "l", l)
         if not (len(a) == len(k) == len(l)) or not a:
             raise DomainError("a, k, l must be non-empty tuples of equal length")
         for x in a + k + l:
@@ -56,6 +49,17 @@ class Sl2Config:
                 raise DomainError(f"labels must be ints, got {x!r}")
             if x < 0:
                 raise DomainError("labels must be non-negative")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.k, self.l) == (other.a, other.k, other.l)
+
+    def __hash__(self):
+        return hash((self.a, self.k, self.l))
 
     @property
     def n(self) -> int:

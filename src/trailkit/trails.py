@@ -24,9 +24,9 @@ carrying the a/k/l/c/c' data used downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import ge
+from typing import NamedTuple
 
 from .cartan_core import (
     CartanData,
@@ -36,6 +36,7 @@ from .cartan_core import (
     wscale,
     wsub,
 )
+from ._frozen import Frozen
 from .errors import (
     ConsistencyError,
     OpenFaceRequest,
@@ -45,22 +46,20 @@ from .errors import (
 from .rep_builder import LowestWeightModule, apply_projective
 
 
-@dataclass(frozen=True)
-class LinearFunctionBJ:
+class LinearFunctionBJ(Frozen):
     """An integer linear function sum_j c_j m_j of exponent coordinates.
 
     ``terms`` is the canonical representation: (position, coefficient)
     pairs sorted by 1-based position, zero coefficients dropped; a position
-    below 1 is rejected.  The hash is the one the dataclass would compute,
-    kept from its first use: most functions go into sets, but those built
-    only to be written out are never hashed.
+    below 1 is rejected.  Two functions are equal when their terms are.
+    The hash is ``hash((terms,))``, kept from its first use: most functions
+    go into sets, but those built only to be written out are never hashed.
     """
 
-    terms: tuple[tuple[int, int], ...]
-    _hash = None    # not a field
+    __slots__ = ("terms", "_hash")
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        terms = self.terms
+    def __init__(self, terms: tuple[tuple[int, int], ...]):
         if not all(c for _, c in terms):
             raise ConsistencyError(f"zero coefficient in the terms {terms}")
         if any(a[0] >= b[0] for a, b in zip(terms, terms[1:])):
@@ -68,6 +67,13 @@ class LinearFunctionBJ:
                 f"terms {terms} are not sorted by distinct positions")
         if terms and terms[0][0] < 1:
             raise ConsistencyError(f"position below 1 in the terms {terms}")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -162,42 +168,39 @@ def _trivialization_step(prefix, gamma) -> int:
     return phi
 
 
-@dataclass(frozen=True)
-class Trail:
+class Trail(Frozen):
     """A trail, stored by its exponents n_1..n_m.
 
     By (T) the exponents fix every weight from gamma_1 = -s_t(omega_t), so
     construction checks that each n_j is an int (not a bool), walks them
     once, checks n_j >= 0, (P) and the end weight, and keeps the weights
-    ``gamma`` and the trivialization step ``phi`` as derived attributes.
-    Realizability needs a module, so :func:`enumerate_trails`, which holds
-    one, checks it.  Its search checks the same axioms node by node and
-    carries the weights, so it builds its trails without a second walk
-    (:meth:`_walked`).
+    ``gamma`` and the trivialization step ``phi`` as derived attributes;
+    equality and the hash read (word, t, exps) alone.  Realizability needs
+    a module, so :func:`enumerate_trails`, which holds one, checks it.  Its
+    search checks the same axioms node by node and carries the weights, so
+    it builds its trails without a second walk (:meth:`_walked`).
     """
 
-    word: WordJ
-    t: int
-    exps: tuple[int, ...]
+    __slots__ = ("word", "t", "exps", "gamma", "phi")
+    _fields = ("word", "t", "exps")
 
-    def __post_init__(self):
-        word = self.word
-        if len(self.exps) != word.m:
-            raise ConsistencyError(f"{len(self.exps)} exponents for a word "
+    def __init__(self, word: WordJ, t: int, exps: tuple[int, ...]):
+        if len(exps) != word.m:
+            raise ConsistencyError(f"{len(exps)} exponents for a word "
                                    f"of length {word.m}")
-        for j, n in enumerate(self.exps, start=1):
+        for j, n in enumerate(exps, start=1):
             if type(n) is not int:
                 raise ConsistencyError(
                     f"exponent {n!r} at position {j} is not an int")
         # a bool equals its int as a memo key, so t is checked first
-        word.cartan.check_label(self.t)
-        drive, low, _, _ = _driving_data(word, self.t)
+        word.cartan.check_label(t)
+        drive, low, _, _ = _driving_data(word, t)
         # x holds the root coordinates of gamma_j - gamma_1, the raising
         # counts so far, so those of gamma_j - drive_j are x - low_j.
         x = [0] * word.cartan.n
         g = drive[0]
         gamma = [g]
-        steps = zip(word.letters, self.exps, _letter_roots(word))
+        steps = zip(word.letters, exps, _letter_roots(word))
         for j, (i, n, alpha) in enumerate(steps, start=1):
             if n < 0:
                 raise ConsistencyError(f"negative exponent at position {j}")
@@ -208,11 +211,18 @@ class Trail:
             if n:
                 g = wadd(g, wscale(n, alpha))
             gamma.append(g)
-        prefix = word.prefix_weights(self.t)
+        prefix = word.prefix_weights(t)
         if g != prefix[word.m]:
             raise ConsistencyError("trail does not end at -w_m(omega_t)")
-        object.__setattr__(self, "gamma", tuple(gamma))
-        object.__setattr__(self, "phi", _trivialization_step(prefix, gamma))
+        self._set(word, t, exps, tuple(gamma),
+                  _trivialization_step(prefix, gamma))
+
+    def _set(self, word, t, exps, gamma, phi) -> None:
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "phi", phi)
 
     @classmethod
     def _walked(cls, word: WordJ, t: int, exps: tuple[int, ...],
@@ -221,8 +231,17 @@ class Trail:
         already checked along the way, with the weights ``gamma`` and the
         step ``phi`` that the walk would derive; nothing is walked again."""
         K = cls.__new__(cls)
-        K.__dict__.update(word=word, t=t, exps=exps, gamma=gamma, phi=phi)
+        K._set(word, t, exps, gamma, phi)
         return K
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.word, self.t, self.exps)
+                == (other.word, other.t, other.exps))
+
+    def __hash__(self):
+        return hash((self.word, self.t, self.exps))
 
     def weight(self, j: int) -> Weight:
         """gamma_j, 1-based, j in [1, m+1]."""
@@ -475,8 +494,7 @@ def enumerate_trails(M: LowestWeightModule, word) -> tuple[Trail, ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class TsClass:
+class TsClass(NamedTuple):
     """Trails of one signature, trivializing together at step j = (s, n).
 
     The signature is the exponents at the non-s positions before j;

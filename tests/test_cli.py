@@ -9,15 +9,16 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trailkit import (WordJ, build_fundamental, cli, construct_envelope,
                       giant, linalg, validate_gcm)
 from trailkit.bj_crystal import generate_binf
-from trailkit.cartan_core import _standard_gcm
+from trailkit.cartan_core import _FAMILIES, _standard_gcm, is_reduced
 from trailkit.rep_builder import weyl_dimension
 from trailkit.sgraph import CoeffVector, integer_points
 
@@ -265,6 +266,19 @@ def test_a_fresh_process_refuses_e8_omega_4_at_once(tmp_path):
     assert done.stderr == ("config error: the module of t=4 has dimension "
                            "6899079264, above the limit of 10000\n")
     assert elapsed < 1.0
+
+
+def test_importing_the_cli_leaves_the_dataclasses_machinery_out():
+    # every fresh process starts with this import; dataclasses and the
+    # modules it pulls in take about a tenth of a process's set-up
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, trailkit.cli; print(*sorted({'dataclasses', "
+            "'inspect', 'ast', 'dis'} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 # --- verify ------------------------------------------------------------------
@@ -829,3 +843,74 @@ def test_fuzzed_configs_exit_cleanly(config, command):
                              "--out", os.path.join(d, "out")])
     assert code in (0, 2, 3, 4, 5), captured.getvalue()
     assert "Traceback" not in captured.getvalue()
+
+
+# --- random finite types up to rank 8 ----------------------------------------
+
+# Every example, the module build included, ends within this many seconds.
+# The slowest module under MODULE_DIM_LIMIT at rank <= 8, E7 omega_3 (dim
+# 8,645), builds in 1.6 s in a fresh process (2-vCPU VM); a word of length
+# <= 12 keeps the trail search small.
+_RANK_8_WALL_S = 10.0
+_RANK_8_TYPES = [(family, n) for family, lo, hi in _FAMILIES
+                 for n in range(lo, hi + 1)]
+
+
+@st.composite
+def _rank_8_jobs(draw):
+    """A finite type of rank <= 8, a reduced word of length <= 12 grown
+    letter by letter, and a t that is mostly one of the word's letters."""
+    matrix = _standard_gcm(*draw(st.sampled_from(_RANK_8_TYPES)))
+    cartan = validate_gcm(matrix)
+    word: tuple[int, ...] = ()
+    for _ in range(draw(st.integers(1, 12))):
+        grows = [i for i in cartan.labels if is_reduced(cartan, word + (i,))]
+        if not grows:   # the word is a reduced word of w0
+            break
+        word += (draw(st.sampled_from(grows)),)
+    if draw(st.integers(0, 4)):
+        t = draw(st.sampled_from(word))
+    else:
+        t = draw(st.sampled_from(cartan.labels))
+    return {"cartan": matrix, "word": list(word), "t": t}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_rank_8_jobs())
+# E8 omega_4 has dimension 6,899,079,264
+@example({"cartan": _standard_gcm("E", 8), "word": [4, 2, 3, 4], "t": 4})
+def test_enumerate_on_random_types_up_to_rank_8(job):
+    """Documented exit code, no traceback, and no build of a module above
+    the limit, each example within its wall bound."""
+    cartan = validate_gcm(job["cartan"])
+    t = job["t"]
+    built = []
+
+    def build(c, s):
+        built.append(s)
+        return build_fundamental(c, s)
+
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "job.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(job, fh)
+        captured = io.StringIO()
+        start = time.perf_counter()
+        with mock.patch.object(cli, "build_fundamental", build), \
+                contextlib.redirect_stdout(captured), \
+                contextlib.redirect_stderr(captured):
+            code = cli.main(["enumerate", "--config", path,
+                             "--out", os.path.join(d, "out")])
+        elapsed = time.perf_counter() - start
+    out = captured.getvalue()
+    assert code in (0, 2, 3, 4, 5), out
+    assert "Traceback" not in out
+    assert elapsed < _RANK_8_WALL_S, (job, elapsed)
+    dim = weyl_dimension(cartan, cartan.fundamental_weight(t))
+    if dim > cli.MODULE_DIM_LIMIT:
+        assert code == 2 and built == [], (job, out)
+        if t in job["word"]:
+            assert f"has dimension {dim}, above the limit" in out
+    elif t in job["word"]:
+        assert code == 0 and built == [t], (job, out)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import json
 import sys
@@ -20,7 +19,7 @@ from trailkit.errors import (
     FalseTrailDetected,
     UnknownLetterError,
 )
-from trailkit.giant import (check_constructibility, epsilon_star,
+from trailkit.giant import (Envelope, check_constructibility, epsilon_star,
                            extremality_report)
 from trailkit.sgraph import CoeffVector, binary_fusion
 from trailkit.trails import (
@@ -477,9 +476,10 @@ def test_epsilon_star_raises_when_vertices_miss_the_maximum(envelopes):
     env = envelopes["G2", 2]
     top = LinearFunctionBJ.from_coeffs({6: 1})
     assert top in env.z_t(1) and top in env.z_t(2)
-    blocks = tuple(replace(b, vertices=b.vertices - {top}) if b.s == 1 else b
+    blocks = tuple(b._replace(vertices=b.vertices - {top}) if b.s == 1 else b
                    for b in env.global_blocks)
-    bad = replace(env, global_blocks=blocks)
+    bad = Envelope(env.t, env.word, env.layers, blocks, env.functions,
+                   env.driving, env.extremal, env.form)
     assert top not in bad.z_t(1)
     b = ((6, 5),)   # only the removed function is non-zero here
     assert epsilon_star(bad, (2,), [b]) == [{2: 5}]

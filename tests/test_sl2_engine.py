@@ -107,13 +107,13 @@ def test_factors_match_the_prefix_sum_reference():
 def test_oracle_recursion_builds_no_config(monkeypatch):
     cfg = Sl2Config((4, 3, 4), (3, 2, 4), (1, 0, 2))
     built = []
-    post_init = Sl2Config.__post_init__
+    init = Sl2Config.__init__
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(Sl2Config, "__post_init__", counting)
+    monkeypatch.setattr(Sl2Config, "__init__", counting)
     value = coefficient_A_oracle(cfg)
     assert built == []
     assert value == coefficient_A(cfg) != 0
